@@ -5,11 +5,9 @@ the Baumslag-Solitar groups and the free group of infinite rank.
 
 from .automata import (
     CounterAutomaton,
-    Configuration,
     Transition,
     accepts,
     counter_growth_bound,
-    reachable_configurations,
     validate,
 )
 from .langops import (

@@ -83,14 +83,6 @@ def program(*steps: Iterable[CounterInstruction]) -> Program:
 EMPTY_PROGRAM: Program = ()
 
 
-def single_step(k: int, **per_counter: CounterInstruction) -> Program:
-    """Build a one-step program for k counters, e.g. single_step(2, c0=inc())."""
-    step = [NO_OP] * k
-    for name, instr in per_counter.items():
-        step[int(name[1:])] = instr
-    return (tuple(step),)
-
-
 def delta_program(k: int, index: int, delta: int) -> Program:
     """One-step program adding ``delta`` to counter ``index`` (empty if 0)."""
     if delta == 0:
@@ -172,16 +164,6 @@ class Transition(NamedTuple):
     dst: str
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """A (state, counter vector) pair; the diamond flag marks runs whose
-    second convolution row has already been exhausted."""
-
-    state: str
-    counters: tuple
-    diamond: bool = False
-
-
 @dataclass
 class ValidationReport:
     errors: list = field(default_factory=list)
@@ -214,6 +196,8 @@ class CounterAutomaton:
         self._by_state_letter = None
         self._eps_by_state = None
         self._eps_bound = None
+        self._max_delta = None
+        self._degree = None
 
     # -- derived tables ----------------------------------------------------
 
@@ -246,22 +230,35 @@ class CounterAutomaton:
         return self._eps_bound
 
     def max_transition_delta(self) -> int:
-        return max((program_max_delta(t.program) for t in self.transitions), default=0)
+        if self._max_delta is None:
+            self._max_delta = max(
+                (program_max_delta(t.program) for t in self.transitions), default=0)
+        return self._max_delta
 
     def degree_bound(self) -> int:
         """Max in- or out-degree over states (the constant E of the search)."""
-        outs = {}
-        ins = {}
-        for t in self.transitions:
-            outs[t.src] = outs.get(t.src, 0) + 1
-            ins[t.dst] = ins.get(t.dst, 0) + 1
-        candidates = list(outs.values()) + list(ins.values())
-        return max(candidates, default=0)
+        if self._degree is None:
+            outs = {}
+            ins = {}
+            for t in self.transitions:
+                outs[t.src] = outs.get(t.src, 0) + 1
+                ins[t.dst] = ins.get(t.dst, 0) + 1
+            self._degree = max([*outs.values(), *ins.values()], default=0)
+        return self._degree
 
     # -- semantics ----------------------------------------------------------
 
     def zero_vector(self) -> tuple:
         return (0,) * self.counters
+
+    def initial_configs(self):
+        """Epsilon closure of the start configuration."""
+        return self.eps_closure({(self.start, self.zero_vector())})
+
+    def accepting(self, configs) -> bool:
+        """Whether some configuration is accepting with all counters zero."""
+        zero = self.zero_vector()
+        return any(q in self.accepts and c == zero for q, c in configs)
 
     def eps_closure(self, configs):
         """All configurations reachable by epsilon moves (input set included)."""
@@ -299,7 +296,7 @@ class CounterAutomaton:
     def run(self, word):
         """Configuration set after consuming the word (epsilon-closed)."""
         self._check_word(word)
-        configs = self.eps_closure({(self.start, self.zero_vector())})
+        configs = self.initial_configs()
         for tok in word:
             configs = self.eps_closure(self.step(configs, tok))
             if not configs:
@@ -307,11 +304,7 @@ class CounterAutomaton:
         return configs
 
     def accepts_word(self, word) -> bool:
-        zero = self.zero_vector()
-        return any(
-            state in self.accepts and counters == zero
-            for state, counters in self.run(word)
-        )
+        return self.accepting(self.run(word))
 
 
 def _longest_eps_path(m: CounterAutomaton):
@@ -424,11 +417,6 @@ def accepts(m: CounterAutomaton, word) -> bool:
     return m.accepts_word(word)
 
 
-def reachable_configurations(m: CounterAutomaton, word):
-    """Exact configuration set after consuming the word (epsilon-closed)."""
-    return {Configuration(state, counters) for state, counters in m.run(word)}
-
-
 def counter_growth_bound(m: CounterAutomaton, n: int) -> int:
     """Linear ceiling F*n on counter magnitude after reading n tokens,
     with F = 3 * max(K,1) * (max per-transition change)."""
@@ -436,7 +424,3 @@ def counter_growth_bound(m: CounterAutomaton, n: int) -> int:
     if K is None:
         raise AutomatonError("epsilon cycle: growth bound undefined")
     return 3 * max(K, 1) * m.max_transition_delta() * n
-
-
-def fresh_names(count: int, prefix: str = "q"):
-    return [f"{prefix}{i}" for i in range(count)]

@@ -79,21 +79,18 @@ def cmd_accept(args):
 
 def cmd_nf(args):
     structure = _load_ref(args)
-    word = _tokens(args.word)
-    trace = None
     try:
-        if args.algo == "graph":
-            nf, trace = structure.normal_form(word, with_trace=True)
-        else:
-            nf = structure.normal_form(word, algo="enum")
+        result = structure.normal_form(
+            _tokens(args.word), algo=args.algo, with_trace=args.trace)
     except SearchBoundExceeded as exc:
         _emit(args, f"bound-exceeded {exc.bound}", str(exc))
         return BOUND
     except StructureError as exc:
         raise _Exit(USAGE, str(exc))
+    nf, trace = result if args.trace else (result, None)
     rendered = " ".join(nf) if nf else "EPS"
     _emit(args, f"normal-form {rendered}", rendered)
-    if args.trace and trace is not None and not args.porcelain:
+    if trace is not None and not args.porcelain:
         for step in trace.steps:
             print(f"# step {step.generator}: levels={step.levels} "
                   f"max|S_j|={step.max_s} max|T_j|={step.max_t} "

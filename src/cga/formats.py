@@ -304,7 +304,6 @@ def load_structure(directory) -> GraphAutomaticStructure:
     family = None
     nf = None
     multipliers = {}
-    left_multipliers = {}
     seed_p = ()
     seed_q = ()
     quasi = None
@@ -324,8 +323,7 @@ def load_structure(directory) -> GraphAutomaticStructure:
         elif directive == "mult":
             multipliers[args[0]] = load_automaton(os.path.join(directory, args[1]))
         elif directive == "lmult":
-            left_multipliers[args[0]] = load_automaton(
-                os.path.join(directory, args[1]))
+            pass  # left multipliers are not used; the file is not read
         elif directive == "seed-p":
             seed_p = _parse_word(args)
         elif directive == "seed-q":
@@ -344,8 +342,7 @@ def load_structure(directory) -> GraphAutomaticStructure:
     generators = GeneratorSet.from_pairs(pairs, family)
     return GraphAutomaticStructure(
         name, symbols, generators, nf, multipliers, seed_p=seed_p,
-        seed_q=seed_q, quasigeodesic_c=quasi, growth=growth, order=order,
-        left_multipliers=left_multipliers)
+        seed_q=seed_q, quasigeodesic_c=quasi, growth=growth, order=order)
 
 
 def _safe_filename(token):

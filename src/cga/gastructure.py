@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .automata import CounterAutomaton, apply_program
+from .automata import CounterAutomaton, apply_program, counter_growth_bound
 from .langops import pair_alphabet, parse_tuple_token, convolve
 from .shortlex import OrderedAlphabet, iter_shortlex
 
@@ -185,57 +185,57 @@ class NormalFormTrace:
 
 
 def _pair_index(machine: CounterAutomaton):
-    """dict (state, top) -> dict bottom -> list[(program, dst)], with None for
-    the padding row; built once per machine."""
+    """dict (state, top) -> dict bottom -> the machine's own arrow list for
+    the letter (top | bottom), with None for the padding row; built once
+    per machine."""
     index = getattr(machine, "_cga_pair_index", None)
     if index is None:
         index = {}
         for (state, letter), arrows in machine.by_state_letter.items():
             top, bottom = parse_tuple_token(letter)
-            index.setdefault((state, top), {}).setdefault(bottom, []).extend(arrows)
+            index.setdefault((state, top), {})[bottom] = arrows
         machine._cga_pair_index = index
     return index
 
 
-def _closure_with_flags(machine, configs):
-    """Epsilon closure over (state, counters, flag) triples; flags are inert."""
-    eps = machine.eps_by_state
-    out = set(configs)
-    stack = [c for c in out if c[0] in eps]
-    while stack:
-        state, counters, flag = stack.pop()
-        for prog, dst in eps[state]:
-            nxt = apply_program(prog, counters)
-            if nxt is None:
-                continue
-            cfg = (dst, nxt, flag)
-            if cfg not in out:
-                out.add(cfg)
-                if dst in eps:
-                    stack.append(cfg)
-    return out
+def _advance(machine, index, configs, top, bottom):
+    """Epsilon-closed configurations after reading the letter (top | bottom)."""
+    nxt = set()
+    for state, counters in configs:
+        options = index.get((state, top))
+        if not options:
+            continue
+        for prog, dst in options.get(bottom, ()):
+            after = apply_program(prog, counters)
+            if after is not None:
+                nxt.add((dst, after))
+    return machine.eps_closure(nxt)
 
 
-def _closure_tree(machine, cfg):
-    """Closure of a single config, as a list (cfg included)."""
-    return _closure_with_flags(machine, {cfg})
+def _accepts_padded(machine, index, configs, u, depth):
+    """Whether configs accept once the rest of u is read against padding."""
+    for top in u[depth:]:
+        configs = _advance(machine, index, configs, top, None)
+    return machine.accepting(configs)
 
 
 def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
     """Levelled configuration search for the unique v with (u, v) accepted.
 
     Level j holds every configuration reachable by reading j tuple letters of
-    a convolution whose first row is u; edges remember the second-row letter
-    so the accepted word can be read off backwards.  Returns (v, trace rows).
+    a convolution whose first row is u, flagged once the second row has been
+    exhausted; edges remember the second-row letter so the accepted word can
+    be read off backwards.  Returns (v, trace rows).
     """
     u = tuple(u)
     s = len(u)
     zero = machine.zero_vector()
     index = _pair_index(machine)
     accepts = machine.accepts
+    closure = machine.eps_closure
 
-    level = _closure_with_flags(machine, {(machine.start, zero, False)})
-    preds = []  # preds[j-1]: config at level j -> list of (config at j-1, sigma)
+    level = {(state, counters, False) for state, counters in machine.initial_configs()}
+    preds = []  # preds[j-1]: config at level j -> set of (config at j-1, sigma)
     per_level = [(0, len(level), 0, _max_counter(level))]
     level_cap = max(s, length_cap)
     j = 0
@@ -268,14 +268,15 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
                 if top is None and bottom is None:
                     continue  # the all-padding letter does not exist
                 new_flag = flag or bottom is None
+                edge = (cfg, bottom)
                 for prog, dst in arrows:
                     after = apply_program(prog, counters)
                     if after is None:
                         continue
-                    for closed in _closure_tree(machine, (dst, after, new_flag)):
-                        bucket = nxt.setdefault(closed, set())
-                        if (cfg, bottom) not in bucket:
-                            bucket.add((cfg, bottom))
+                    for q, c in closure({(dst, after)}):
+                        bucket = nxt.setdefault((q, c, new_flag), set())
+                        if edge not in bucket:
+                            bucket.add(edge)
                             edge_count += 1
         if not nxt:
             raise SearchBoundExceeded(machine.name, length_cap, j)
@@ -318,30 +319,6 @@ def _backtrack(found, preds):
     return results.pop()
 
 
-def _consume_padded_tail(machine, configs, u, start):
-    """Advance configs over the letters (u_i | padding) for i >= start."""
-    index = _pair_index(machine)
-    for i in range(start, len(u)):
-        nxt = set()
-        for state, counters in configs:
-            options = index.get((state, u[i]))
-            if not options:
-                continue
-            for prog, dst in options.get(None, ()):
-                after = apply_program(prog, counters)
-                if after is not None:
-                    nxt.add((dst, after))
-        if not nxt:
-            return set()
-        configs = machine.eps_closure(nxt)
-    return configs
-
-
-def _accepting(machine, configs):
-    zero = machine.zero_vector()
-    return any(q in machine.accepts and c == zero for q, c in configs)
-
-
 def multiplier_enumerative_search(machine: CounterAutomaton, u,
                                   order: OrderedAlphabet, length_cap: int):
     """Shortlex-least v with (u, v) accepted by the multiplier.
@@ -353,33 +330,20 @@ def multiplier_enumerative_search(machine: CounterAutomaton, u,
     u = tuple(u)
     index = _pair_index(machine)
 
-    def finish(configs, depth):
-        if depth < len(u):
-            configs = _consume_padded_tail(machine, configs, u, depth)
-        return _accepting(machine, configs)
-
     def dfs(configs, depth, target):
         if depth == target:
-            return () if finish(configs, depth) else None
+            return () if _accepts_padded(machine, index, configs, u, depth) else None
         top = u[depth] if depth < len(u) else None
         for sigma in order.letters:
-            nxt = set()
-            for state, counters in configs:
-                options = index.get((state, top))
-                if not options:
-                    continue
-                for prog, dst in options.get(sigma, ()):
-                    after = apply_program(prog, counters)
-                    if after is not None:
-                        nxt.add((dst, after))
+            nxt = _advance(machine, index, configs, top, sigma)
             if not nxt:
                 continue
-            sub = dfs(machine.eps_closure(nxt), depth + 1, target)
+            sub = dfs(nxt, depth + 1, target)
             if sub is not None:
                 return (sigma,) + sub
         return None
 
-    start = machine.eps_closure({(machine.start, machine.zero_vector())})
+    start = machine.initial_configs()
     for target in range(length_cap + 1):
         hit = dfs(start, 0, target)
         if hit is not None:
@@ -417,30 +381,17 @@ def accepted_candidates(machine: CounterAutomaton, u, candidates):
 
     def walk(node, depth, configs):
         word = node.get(TERMINAL)
-        if word is not None:
-            tail = configs
-            if depth < len(u):
-                tail = _consume_padded_tail(
-                    machine, configs, u, depth)
-            if _accepting(machine, tail):
-                accepted.append(word)
+        if word is not None and _accepts_padded(machine, index, configs, u, depth):
+            accepted.append(word)
         top = u[depth] if depth < len(u) else None
         for sigma, child in node.items():
             if sigma == TERMINAL:
                 continue
-            nxt = set()
-            for state, counters in configs:
-                options = index.get((state, top))
-                if not options:
-                    continue
-                for prog, dst in options.get(sigma, ()):
-                    after = apply_program(prog, counters)
-                    if after is not None:
-                        nxt.add((dst, after))
+            nxt = _advance(machine, index, configs, top, sigma)
             if nxt:
-                walk(child, depth + 1, machine.eps_closure(nxt))
+                walk(child, depth + 1, nxt)
 
-    walk(trie, 0, machine.eps_closure({(machine.start, machine.zero_vector())}))
+    walk(trie, 0, machine.initial_configs())
     return accepted
 
 
@@ -461,8 +412,7 @@ class GraphAutomaticStructure:
                  nf_automaton: CounterAutomaton, multipliers: dict,
                  seed_p=(), seed_q=(), quasigeodesic_c=None,
                  growth: GrowthPolicy = GrowthPolicy(1, 4), order=None,
-                 family_beta: Optional[Callable[[int], int]] = None,
-                 left_multipliers=None):
+                 family_beta: Optional[Callable[[int], int]] = None):
         self.name = name
         self.symbols = tuple(symbols)
         self.generators = generators
@@ -475,7 +425,6 @@ class GraphAutomaticStructure:
         self.growth = growth
         self.order = OrderedAlphabet(tuple(order) if order else self.symbols)
         self.family_beta = family_beta
-        self.left_multipliers = dict(left_multipliers or {})  # parsed, unused
         self._mu = None
         self._check()
         self._mu = self._compute_mu()
@@ -532,8 +481,7 @@ class GraphAutomaticStructure:
             levels=len(per_level) - 1,
             machine_states=len(machine.states),
             machine_degree=machine.degree_bound(),
-            machine_growth=3 * max(machine.epsilon_bound(), 1)
-            * machine.max_transition_delta(),
+            machine_growth=counter_growth_bound(machine, 1),
             machine_eps_bound=machine.epsilon_bound(),
             machine_counters=machine.counters,
             per_level=per_level,
@@ -550,9 +498,6 @@ class GraphAutomaticStructure:
     @property
     def mu(self):
         """Normal form of the identity element."""
-        return self._mu
-
-    def identity_normal_form(self):
         return self._mu
 
     def step_normal_form(self, u, x, trace_sink=None):
@@ -580,7 +525,7 @@ class GraphAutomaticStructure:
     def normal_form(self, word, algo="graph", with_trace=False):
         """Fold multiplications across the word, starting at the identity."""
         word = tuple(word)
-        steps = []
+        steps = [] if with_trace else None
         chosen = [self._mu]
         u = self._mu
         for x in word:
@@ -637,6 +582,8 @@ def verify(structure: GraphAutomaticStructure, radius: int, oracle,
     the oracle's equality classes, and the multipliers must accept precisely
     the right convolution pairs.  Structures that declare a quasigeodesic
     constant get the length inequality checked as well."""
+    if radius < 0:
+        raise StructureError(f"radius must be non-negative, got {radius}")
     report = VerificationReport(structure.name, oracle.name, radius)
     gens = structure.generators.tokens()
     gen_order = OrderedAlphabet(tuple(gens))

@@ -1308,7 +1308,10 @@ def _parse_expr(text):
     if text == "finf":
         return ("finf", None)
     if text.startswith("finf:"):
-        return ("finf", int(text[5:]))
+        try:
+            return ("finf", int(text[5:]))
+        except ValueError:
+            raise ExprError(f"bad builtin {text!r}")
     if text.startswith("bs:"):
         try:
             m, n = (int(v) for v in text[3:].split(","))
@@ -1335,6 +1338,20 @@ def _lex_generator_word(text, generators):
     return tuple(out)
 
 
+def _regen_assignments(raw, base):
+    """(assignments, trivial) of a regen node, read against the generator
+    tokens of its base structure or oracle."""
+    gens = base.generators.tokens()
+    assignments = {}
+    trivial = []
+    for y, text in raw:
+        if text == "EPS":
+            trivial.append(y)
+        else:
+            assignments[y] = _lex_generator_word(text, gens)
+    return assignments, trivial
+
+
 def _build_structure(ast):
     kind = ast[0]
     if kind == "z":
@@ -1349,15 +1366,7 @@ def _build_structure(ast):
         return free_product(_build_structure(ast[1]), _build_structure(ast[2]))
     if kind == "regen":
         base = _build_structure(ast[1])
-        gens = base.generators.tokens()
-        assignments = {}
-        trivial = []
-        for y, text in ast[2]:
-            if text == "EPS":
-                trivial.append(y)
-            else:
-                assignments[y] = _lex_generator_word(text, gens)
-        return change_generators(base, assignments, trivial)
+        return change_generators(base, *_regen_assignments(ast[2], base))
     raise ExprError(f"unknown expression node {kind!r}")
 
 
@@ -1375,17 +1384,8 @@ def _build_oracle(ast):
     if kind == "free":
         return FreeProductOracle(_build_oracle(ast[1]), _build_oracle(ast[2]))
     if kind == "regen":
-        base_oracle = _build_oracle(ast[1])
-        base = _build_structure(ast[1])
-        gens = base.generators.tokens()
-        assignments = {}
-        trivial = []
-        for y, text in ast[2]:
-            if text == "EPS":
-                trivial.append(y)
-            else:
-                assignments[y] = _lex_generator_word(text, gens)
-        return RegenOracle(base_oracle, assignments, trivial)
+        base = _build_oracle(ast[1])
+        return RegenOracle(base, *_regen_assignments(ast[2], base))
     raise ExprError(f"unknown expression node {kind!r}")
 
 

@@ -163,16 +163,6 @@ def identity_homomorphism(alphabet) -> LetterHomomorphism:
     return LetterHomomorphism(alphabet, alphabet, {a: (a,) for a in alphabet})
 
 
-def row_swap_homomorphism(alphabet) -> LetterHomomorphism:
-    """Swap the two rows of every pair letter (turns L_x into L_{x inverse})."""
-    alphabet = tuple(alphabet)
-    mapping = {}
-    for tok in alphabet:
-        a, b = parse_tuple_token(tok)
-        mapping[tok] = (tuple_token((b, a)),)
-    return LetterHomomorphism(alphabet, alphabet, mapping)
-
-
 # ---------------------------------------------------------------------------
 # reachable/co-reachable trimming
 
@@ -518,9 +508,3 @@ def pad_lift(m: CounterAutomaton, side: str, free_alphabet=None,
         name or f"pad_{side}({m.name})", tuple(alphabet.letters()), m.counters,
         (m.start, False), accepting, expand, m.declared_blind, False,
     )
-
-
-def convolution_square(m: CounterAutomaton, name=None) -> CounterAutomaton:
-    """Machine for convolutions of pairs from L(m) x L(m)."""
-    return intersect(pad_lift(m, "left"), pad_lift(m, "right"),
-                     name or f"conv2({m.name})")

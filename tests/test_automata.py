@@ -11,7 +11,6 @@ from cga.automata import (
     counter_growth_bound,
     dec,
     inc,
-    reachable_configurations,
     validate,
 )
 from cga.groups import bs_l1_machine, bs_nf_machine, free_product, z_structure
@@ -129,14 +128,12 @@ def test_accepts_requires_zero_counters():
 
 def test_reachable_empty_machine():
     machine = CounterAutomaton("empty", (), 0, ["q"], "q", ["q"], [])
-    configs = reachable_configurations(machine, ())
-    assert {(c.state, c.counters) for c in configs} == {("q", ())}
+    assert machine.run(()) == {("q", ())}
 
 
 def test_reachable_bs23_counter_two():
     machine = bs_l1_machine(2, 3)
-    configs = reachable_configurations(machine, ("#", "1", "1"))
-    assert {(c.state, c.counters) for c in configs} == {("r+", (2,))}
+    assert machine.run(("#", "1", "1")) == {("r+", (2,))}
 
 
 def test_reachable_dead_after_failed_guard():
@@ -144,7 +141,7 @@ def test_reachable_dead_after_failed_guard():
     machine = CounterAutomaton(
         "dead", ("a", "b"), 1, ["p", "q"], "p", ["q"],
         [("p", "a", plus(1), "p"), ("p", "b", ((TEST0,),), "q")])
-    assert reachable_configurations(machine, ("a", "b")) == set()
+    assert machine.run(("a", "b")) == set()
 
 
 # -- growth bound ---------------------------------------------------------------
@@ -161,8 +158,8 @@ def test_growth_bound_no_instructions():
         [("q", "a", EMPTY_PROGRAM, "q")])
     assert counter_growth_bound(machine, 50) == 0
     for length in range(5):
-        for c in reachable_configurations(machine, ("a",) * length):
-            assert c.counters == (0, 0)
+        for _, counters in machine.run(("a",) * length):
+            assert counters == (0, 0)
 
 
 def test_growth_bound_dominates_observed_values():

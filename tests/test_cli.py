@@ -79,6 +79,34 @@ def test_nf_trace_prints_statistics(capsys):
     assert "max|S_j|" in out
 
 
+def test_nf_trace_lines_are_fixed(capsys):
+    code, out = run(capsys, "nf", "--group", "bs:2,3", "a t a- t-", "--trace")
+    assert code == 0
+    assert out.splitlines() == [
+        "at at- # -1 # -1 # # -1",
+        "# step a: levels=6 max|S_j|=14 max|T_j|=14 D=275 E=16 F=27 K=3 k=3",
+        "# step t: levels=6 max|S_j|=27 max|T_j|=12 D=957 E=9 F=117 K=13 k=3",
+        "# step a-: levels=7 max|S_j|=14 max|T_j|=14 D=275 E=16 F=27 K=3 k=3",
+        "# step t-: levels=9 max|S_j|=27 max|T_j|=24 D=957 E=9 F=117 K=13 k=3",
+    ]
+    code, out = run(capsys, "nf", "--group", "bs:2,3", "a t a- t-")
+    assert code == 0 and out == "at at- # -1 # -1 # # -1\n"
+
+
+def test_nf_bad_builtin_index_exits_2(capsys):
+    code = main(["nf", "--group", "finf:x", "x1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "finf:x" in captured.err
+
+
+def test_verify_negative_radius_exits_2(capsys):
+    code = main(["verify", "--group", "z", "--radius", "-1", "--porcelain"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "radius" in captured.err and captured.out == ""
+
+
 def test_wp_and_eq(capsys):
     code, out = run(capsys, "wp", "--group", "bs:2,3", "t a a t- a- a- a-")
     assert code == 0 and "trivial" in out

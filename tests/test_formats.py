@@ -139,20 +139,21 @@ def test_serialized_machines_revalidate(tmp_path, bs23):
 
 
 def test_manifest_family_and_lmult_lines(tmp_path):
-    # family clause and left-multiplier lines parse; the family has no
-    # factory so requesting one of its multipliers fails cleanly
+    # family clause and left-multiplier lines parse; lmult lines are skipped
+    # without reading their file, and the family has no factory so
+    # requesting one of its multipliers fails cleanly
     from cga.gastructure import StructureError
     from cga.groups import z_structure
     z = z_structure()
     out = tmp_path / "zfam"
     write_structure(z, out)
     text = (out / "structure.txt").read_text()
+    assert "lmult" not in text
     text = text.replace("generators a a-", "generators a a- | family x INT")
-    text += "lmult a mult_a.aut\n"
+    text += "lmult a no_such_file.aut\n"
     (out / "structure.txt").write_text(text)
     loaded = load_structure(out)
     assert loaded.generators.family is not None
-    assert "a" in loaded.left_multipliers  # representable, unused
     assert loaded.normal_form(("a",)) == ("a",)
     with pytest.raises(StructureError):
         loaded.multiplier("x3")

@@ -1,5 +1,6 @@
 import pytest
 
+from cga.automata import CounterAutomaton
 from cga.gastructure import (
     GeneratorSet,
     SearchBoundExceeded,
@@ -15,6 +16,7 @@ from cga.groups import (
     FreeGroupOracle,
     bs_encode,
     bs_structure,
+    structure_from_expr,
 )
 from cga.langops import convolve
 from cga.shortlex import OrderedAlphabet
@@ -26,7 +28,6 @@ from conftest import ball_normal_forms, toks
 
 def test_identity_bs47(bs47):
     assert bs47.mu == toks("# # # #")
-    assert bs47.identity_normal_form() == bs47.mu
 
 
 def test_identity_finf_is_empty(finf3):
@@ -156,6 +157,74 @@ def test_enumerative_search_equals_naive_loop(bs23, finf):
             multiplier_enumerative_naive(machine, u, order, cap)
 
 
+# -- the search core on machines with epsilon edges ---------------------------------
+
+REGEN_AA = "regen(bs:2,3; a=a; t=t; u=a a)"
+
+
+@pytest.fixture(scope="module")
+def free_zz():
+    return structure_from_expr("free(z,z)")
+
+
+@pytest.fixture(scope="module")
+def regen_aa():
+    return structure_from_expr(REGEN_AA)
+
+
+def _outcome(search, machine, u, order, cap):
+    try:
+        return search(machine, u, order, cap)
+    except SearchBoundExceeded:
+        return None
+
+
+def _assert_searches_agree(structure, steps, naive_cap):
+    """Graph search, pruned enumeration and the literal successor loop agree
+    on each (u, x); the loop runs up to naive_cap, and the two enumerations
+    must then also agree when the answer lies beyond it."""
+    for u, x in steps:
+        machine = structure.multiplier(x)
+        order = structure.order
+        v = structure.step_normal_form(u, x)
+        assert multiplier_enumerative_search(
+            machine, u, order, structure.step_cap(len(u), x)) == v
+        cap = min(len(v), naive_cap)
+        got = _outcome(multiplier_enumerative_search, machine, u, order, cap)
+        assert got == _outcome(multiplier_enumerative_naive, machine, u, order, cap)
+        assert got == (v if len(v) <= cap else None)
+
+
+def test_searches_agree_on_free_product(free_zz):
+    gens = free_zz.generators.tokens()
+    assert any(free_zz.multiplier(x).eps_by_state for x in gens)
+    words = [(), ("1.a",), ("2.a", "1.a-"), ("1.a", "2.a", "2.a")]
+    steps = [(free_zz.normal_form(w), x) for w in words for x in gens]
+    _assert_searches_agree(free_zz, steps, naive_cap=5)
+
+
+def test_searches_agree_on_regen_multiplier(regen_aa):
+    machine = regen_aa.multiplier("u")
+    assert machine.counters == 6
+    assert sum(t.label is None for t in machine.transitions) == 474
+    one, two = regen_aa.normal_form(("u",)), regen_aa.normal_form(("u", "u"))
+    steps = [(regen_aa.mu, "u"), (regen_aa.mu, "u-"), (one, "u-"), (one, "t-"),
+             (two, "u"), (two, "u-"), (regen_aa.normal_form(("t",)), "u")]
+    _assert_searches_agree(regen_aa, steps, naive_cap=4)
+
+
+@pytest.mark.parametrize("fixture,tokens", [("free_zz", None), ("regen_aa", ("u",))])
+def test_accepted_candidates_on_epsilon_machines(fixture, tokens, request):
+    structure = request.getfixturevalue(fixture)
+    ball = ball_normal_forms(structure, 2)
+    for x in tokens or structure.generators.tokens():
+        machine = structure.multiplier(x)
+        for u in ball:
+            marked = set(map(tuple, accepted_candidates(machine, u, ball)))
+            for v in ball:
+                assert (v in marked) == machine.accepts_word(convolve(u, v))
+
+
 # -- traces and internal bounds ------------------------------------------------------
 
 def test_trace_statistics_and_bounds(bs23):
@@ -170,6 +239,17 @@ def test_trace_statistics_and_bounds(bs23):
         for j, s_size, t_size, max_c in step.per_level:
             assert s_size <= 2 * D * (2 * F * j + 1) ** k
             assert max_c <= F * max(j, 1)
+
+
+def test_normal_form_without_trace_skips_machine_constants(bs23, monkeypatch):
+    def fail(self):
+        raise AssertionError("machine constants computed without a trace")
+
+    monkeypatch.setattr(CounterAutomaton, "degree_bound", fail)
+    word = toks("a t a- t-")
+    assert bs23.normal_form(word) == toks("at at- # -1 # -1 # # -1")
+    with pytest.raises(AssertionError):
+        bs23.normal_form(word, with_trace=True)
 
 
 def test_backtracking_is_unique_and_deterministic(bs47):

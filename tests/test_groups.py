@@ -141,9 +141,7 @@ def test_zero_run_form_reserved_for_zero():
     # L1 machine's zero chain
     from cga.groups import bs_l1_machine
     machine = bs_l1_machine(2, 3)
-    from cga.automata import reachable_configurations
-    configs = reachable_configurations(machine, toks("# # # #"))
-    assert ("q0", (0,)) in {(c.state, c.counters) for c in configs}
+    assert ("q0", (0,)) in machine.run(toks("# # # #"))
 
 
 # -- structures -------------------------------------------------------------------
@@ -289,6 +287,25 @@ def test_regen_composed_multiplier_agrees_with_direct_membership(
             expected = bs23_oracle.equal(
                 bs23_word(bs23, u) + ("a", "t"), bs23_word(bs23, v))
             assert accepts(mu_mult, convolve(u, v)) == expected
+
+
+def test_regen_oracle_builds_no_structure(regen_bs, monkeypatch):
+    import cga.groups
+
+    exprs = ["regen(bs:2,3; a=a; t=t; u=at)", "regen(free(z,z); b=1.a 2.a; e=EPS)",
+             "regen(product(finf:2,z); y=1.x1 2.a)"]
+    tokens = {e: structure_from_expr(e).generators.tokens() for e in exprs[1:]}
+    tokens[exprs[0]] = regen_bs.generators.tokens()
+
+    def fail(ast):
+        raise AssertionError("structure built for an oracle")
+
+    monkeypatch.setattr(cga.groups, "_build_structure", fail)
+    for expr in exprs:
+        assert oracle_from_expr(expr).generators.tokens() == tokens[expr]
+    oracle = oracle_from_expr(exprs[0])
+    assert oracle.is_trivial(("u", "t-", "a-"))
+    assert not oracle.is_trivial(("u", "a-"))
 
 
 def bs23_word(bs23, nf):
