@@ -180,7 +180,7 @@ class CounterAutomaton:
     """Immutable k-counter automaton.  All operations are pure."""
 
     def __init__(self, name, alphabet, counters, states, start, accepts,
-                 transitions, blind=False, deterministic=False):
+                 transitions, blind=False):
         self.name = name
         self.alphabet = tuple(alphabet)
         self.alphabet_set = frozenset(self.alphabet)
@@ -192,7 +192,6 @@ class CounterAutomaton:
             t if isinstance(t, Transition) else Transition(*t) for t in transitions
         )
         self.declared_blind = blind
-        self.declared_deterministic = deterministic
         self._by_state_letter = None
         self._eps_by_state = None
         self._eps_bound = None

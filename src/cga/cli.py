@@ -164,6 +164,8 @@ def cmd_build(args):
 
 
 def cmd_shortlex_nf(args):
+    if args.max_len < 0:
+        raise _Exit(USAGE, f"--max-len must be non-negative, got {args.max_len}")
     try:
         oracle = oracle_from_expr(args.oracle)
     except ExprError as exc:

@@ -576,85 +576,85 @@ class VerificationReport:
         self.failures.append(VerificationFailure(kind, tuple(witness), detail))
 
 
-def verify(structure: GraphAutomaticStructure, radius: int, oracle,
-           multiplier_check=True, quasigeodesic_check=True) -> VerificationReport:
-    """Sweep the generator ball: normal forms must terminate, realize exactly
-    the oracle's equality classes, and the multipliers must accept precisely
-    the right convolution pairs.  Structures that declare a quasigeodesic
-    constant get the length inequality checked as well."""
+def verify(structure: GraphAutomaticStructure, radius: int,
+           oracle) -> VerificationReport:
+    """Walk the Cayley ball over distinct (normal form, oracle class) states:
+    normal forms must terminate and realize exactly the oracle's classes, the
+    multipliers must accept precisely the right pairs, and a quasigeodesic
+    constant bounds each normal form by the geodesic length (first depth)."""
     if radius < 0:
         raise StructureError(f"radius must be non-negative, got {radius}")
     report = VerificationReport(structure.name, oracle.name, radius)
     gens = structure.generators.tokens()
-    gen_order = OrderedAlphabet(tuple(gens))
 
     class_nf = {}    # oracle canonical form -> normal form
     class_word = {}  # oracle canonical form -> witness word
     nf_class = {}    # normal form -> oracle canonical form
-
-    frontier = [((), structure.mu)]
-    report.words_checked += 1
-    _record(report, oracle, (), structure.mu, class_nf, class_word, nf_class)
-    for _ in range(radius):
-        nxt = []
-        for word, nf in frontier:
-            for x in gens:
-                w2 = word + (x,)
-                report.words_checked += 1
-                try:
-                    nf2 = structure.step_normal_form(nf, x)
-                except SearchBoundExceeded as exc:
-                    report.add("termination", w2, str(exc))
-                    continue
-                _record(report, oracle, w2, nf2, class_nf, class_word, nf_class)
-                nxt.append((w2, nf2))
-        frontier = nxt
+    depth = {}       # oracle canonical form -> geodesic length
+    moves = {}       # state -> successor state per generator, stepped once
+    # A state is (normal form, canonical form), the normal form None past a
+    # failed step; a level maps each state to (first word, words counted).
+    level = {(structure.mu, oracle.canonicalize(())): ((), 1)}
+    for d in range(radius + 1):
+        nxt = {}
+        for (nf, canon), (word, count) in level.items():
+            report.words_checked += count
+            depth.setdefault(canon, d)
+            if (nf, canon) not in moves and nf is not None:
+                _record(report, word, nf, canon, class_nf, class_word, nf_class)
+            if d == radius:
+                continue
+            if (nf, canon) not in moves:
+                moves[nf, canon] = [
+                    _move(structure, oracle, report, nf, word + (x,)) for x in gens]
+            for x, after in zip(gens, moves[nf, canon]):
+                first, total = nxt.get(after, (word + (x,), 0))
+                nxt[after] = (first, total + (count if nf is not None else 0))
+        level = nxt
     report.elements = len(class_nf)
 
-    if multiplier_check:
-        all_nfs = sorted(class_nf.values())
-        for canon in sorted(class_word):
-            u_word, u_nf = class_word[canon], class_nf[canon]
-            for x in gens:
-                target = oracle.canonicalize(u_word + (x,))
-                expected = {class_nf[target]} if target in class_nf else set()
-                got = set(map(tuple, accepted_candidates(
-                    structure.multiplier(x), u_nf, all_nfs)))
-                for v in sorted(got - expected):
-                    report.add("multiplier-sound", u_word,
-                               f"M_{x} accepts ({_w(u_nf)}, {_w(v)}) wrongly")
-                for v in sorted(expected - got):
-                    report.add("multiplier-complete", u_word,
-                               f"M_{x} misses ({_w(u_nf)}, {_w(v)})")
-
-    if quasigeodesic_check and structure.quasigeodesic_c is not None:
-        from .shortlex import geodesic_length
-        C = structure.quasigeodesic_c
-        for canon in sorted(class_word):
-            word, nf = class_word[canon], class_nf[canon]
-            g = geodesic_length(oracle, gen_order, word)
-            if len(nf) > C * (g + 1):
-                report.add(
-                    "quasigeodesic", word,
-                    f"|{_w(nf)}| = {len(nf)} > {C}*({g}+1)")
-
+    all_nfs = sorted(class_nf.values())
+    C = structure.quasigeodesic_c
+    for canon in sorted(class_word):
+        u_word, u_nf = class_word[canon], class_nf[canon]
+        for x in gens:
+            target = oracle.canonicalize(u_word + (x,))
+            expected = {class_nf[target]} if target in class_nf else set()
+            got = set(map(tuple, accepted_candidates(
+                structure.multiplier(x), u_nf, all_nfs)))
+            for v in sorted(got - expected):
+                report.add("multiplier-sound", u_word,
+                           f"M_{x} accepts ({_w(u_nf)}, {_w(v)}) wrongly")
+            for v in sorted(expected - got):
+                report.add("multiplier-complete", u_word,
+                           f"M_{x} misses ({_w(u_nf)}, {_w(v)})")
+        if C is not None and len(u_nf) > C * (depth[canon] + 1):
+            report.add("quasigeodesic", u_word,
+                       f"|{_w(u_nf)}| = {len(u_nf)} > {C}*({depth[canon]}+1)")
     return report
 
 
-def _record(report, oracle, word, nf, class_nf, class_word, nf_class):
-    canon = oracle.canonicalize(word)
-    nf = tuple(nf)
+def _move(structure, oracle, report, nf, word):
+    """Word's state from stepping its last letter off nf; reports failure."""
+    if nf is not None:
+        try:
+            nf = structure.step_normal_form(nf, word[-1])
+        except SearchBoundExceeded as exc:
+            report.add("termination", word, str(exc))
+            nf = None
+    return nf, oracle.canonicalize(word)
+
+
+def _record(report, word, nf, canon, class_nf, class_word, nf_class):
     if canon in class_nf:
         if class_nf[canon] != nf:
             report.add("bijection-split", word,
                        f"{_w(word)} got {_w(nf)} but class has {_w(class_nf[canon])}")
-    else:
-        if nf in nf_class and nf_class[nf] != canon:
-            report.add("bijection-collision", word,
-                       f"distinct elements share normal form {_w(nf)}")
-        class_nf[canon] = nf
-        class_word[canon] = tuple(word)
-        nf_class[nf] = canon
+        return
+    if nf_class.get(nf, canon) != canon:
+        report.add("bijection-collision", word,
+                   f"distinct elements share normal form {_w(nf)}")
+    class_nf[canon], class_word[canon], nf_class[nf] = nf, word, canon
 
 
 def _w(word):

@@ -316,7 +316,7 @@ def bs_l1_machine(m, n) -> CounterAutomaton:
               "r+", "p+", "s+", "q+", "r-", "p-", "s-", "q-"]
     return CounterAutomaton(
         f"bs{m}_{n}_L1", symbols, 1, states, "S", ["q+", "q0", "q-"], t,
-        blind=True, deterministic=True)
+        blind=True)
 
 
 def bs_l2_machine(m, n) -> CounterAutomaton:
@@ -373,7 +373,7 @@ def bs_l2_machine(m, n) -> CounterAutomaton:
     accepts = [f"Q|{sg}" for sg in ("u", "+", "-")]
     return CounterAutomaton(
         f"bs{m}_{n}_L2", symbols, 0, states, "P0", accepts, t,
-        blind=True, deterministic=True)
+        blind=True)
 
 
 def bs_nf_machine(m, n) -> CounterAutomaton:
@@ -410,7 +410,7 @@ def _gap_guard(symbols, bound, sides=("top", "bottom")) -> CounterAutomaton:
     chain("bot", lambda a, b: b is None)
     return CounterAutomaton(
         "gap_guard", letters, 0, states, "live", states, t,
-        blind=True, deterministic=True)
+        blind=True)
 
 
 def _bs_case(name, pairs, prefix, pivot, row_a, row_b, adjust, token, symbols):
@@ -644,7 +644,7 @@ def z_structure() -> GraphAutomaticStructure:
         ("z0", "a-", EMPTY_PROGRAM, "zn"), ("zn", "a-", EMPTY_PROGRAM, "zn"),
     ]
     nf = CounterAutomaton("z_L", symbols, 0, ["z0", "zp", "zn"], "z0",
-                          ["z0", "zp", "zn"], t, blind=True, deterministic=True)
+                          ["z0", "zp", "zn"], t, blind=True)
     pairs = tuple(pair_alphabet(symbols).letters())
     grow = seq(star(lit(tuple_token(("a", "a")))), lit(tuple_token((None, "a"))))
     shrink = seq(star(lit(tuple_token(("a-", "a-")))),
@@ -820,7 +820,7 @@ def direct_product(sg: GraphAutomaticStructure,
                 t.append((names[key], letter, EMPTY_PROGRAM, names[nxt]))
         states = [names[k] for k in order_keys]
         return CounterAutomaton("prod_valid", outer, 0, states, "v0", states,
-                                t, blind=True, deterministic=True)
+                                t, blind=True)
 
     guard = validity_guard()
     eq_h = intersect(equal_row_machine("h"), guard)
@@ -874,7 +874,7 @@ def _without_word(machine: CounterAutomaton, word) -> CounterAutomaton:
         t.append(("sink", tok, EMPTY_PROGRAM, "sink"))
     accepts = [s for s in states if s != f"w{len(word)}"]
     guard = CounterAutomaton("not_word", machine.alphabet, 0, states, "w0",
-                             accepts, t, blind=True, deterministic=True)
+                             accepts, t, blind=True)
     return intersect(machine, guard, name=f"{machine.name}\\word")
 
 
@@ -882,7 +882,7 @@ def _single_word_machine(word, alphabet) -> CounterAutomaton:
     states = [f"u{i}" for i in range(len(word) + 1)]
     t = [(f"u{i}", tok, EMPTY_PROGRAM, f"u{i + 1}") for i, tok in enumerate(word)]
     return CounterAutomaton("one_word", alphabet, 0, states, "u0",
-                            [f"u{len(word)}"], t, blind=True, deterministic=True)
+                            [f"u{len(word)}"], t, blind=True)
 
 
 def _nonempty_block_language(nf: CounterAutomaton, mu) -> CounterAutomaton:
@@ -905,7 +905,7 @@ def _nonempty_block_language(nf: CounterAutomaton, mu) -> CounterAutomaton:
         t.append(("n0", tok, EMPTY_PROGRAM, "n1"))
         t.append(("n1", tok, EMPTY_PROGRAM, "n1"))
     nonempty = CounterAutomaton("len1+", nf.alphabet, 0, states, "n0", ["n1"],
-                                t, blind=True, deterministic=True)
+                                t, blind=True)
     return union(intersect(blocks, nonempty),
                  _single_word_machine(replacement, nf.alphabet),
                  name=f"{blocks.name}~eps")
@@ -962,7 +962,7 @@ def _reject_bottom_word(symbols, word) -> CounterAutomaton:
             t.append(("mend", tok, EMPTY_PROGRAM, "mend"))
     accepts = [f"m{i}" for i in range(n)] + ["sink"]
     return CounterAutomaton("not_bottom_word", letters, 0, states, "m0",
-                            accepts, t, blind=True, deterministic=True)
+                            accepts, t, blind=True)
 
 
 def _free_product_multiplier(nf_machine, sep, side_state, mult, u_x, u_xinv,
@@ -1106,7 +1106,10 @@ def change_generators(structure: GraphAutomaticStructure, assignments,
         multipliers[y] = machine
         multipliers[y_inv] = swap_rows(machine, f"regen_L_{y_inv}")
 
-    alpha, beta = structure.growth.alpha, structure.growth.beta
+    # a family generator's step may outgrow the base beta (finf's x_i by i+1)
+    alpha = structure.growth.alpha
+    beta = max((structure.step_cap(0, x) for word in assignments.values()
+                for x in word), default=structure.growth.beta)
     if alpha > 1:
         new_alpha = alpha ** longest
         new_beta = beta * (new_alpha - 1) // (alpha - 1)
@@ -1123,10 +1126,10 @@ def change_generators(structure: GraphAutomaticStructure, assignments,
 
 
 def _diagonal_language(nf: CounterAutomaton, symbols) -> CounterAutomaton:
-    mapping = {tok: (tuple_token((tok, tok)),) for tok in nf.alphabet}
-    phi = LetterHomomorphism(tuple(nf.alphabet),
-                             tuple(pair_alphabet(symbols).letters()), mapping)
-    return image(nf, phi, name="diag_L")
+    """{(u, u) : u in L} over the pair alphabet of the structure's symbols,
+    which may be narrower than nf's declared alphabet (direct products)."""
+    return relabel(nf, lambda tok: tuple_token((tok, tok)), "diag_L",
+                   alphabet=tuple(pair_alphabet(symbols).letters()))
 
 
 def row_pair_homomorphism(symbols, arity, row_a, row_b,

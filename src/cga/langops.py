@@ -194,12 +194,12 @@ def trim(m: CounterAutomaton, name=None) -> CounterAutomaton:
     return CounterAutomaton(
         name or m.name, m.alphabet, m.counters, states, m.start,
         [s for s in m.accepts if s in keep], transitions,
-        blind=m.declared_blind, deterministic=m.declared_deterministic,
+        blind=m.declared_blind,
     )
 
 
 def _renumber(name, alphabet, counters, start_key, accept_test, expand,
-              blind, deterministic):
+              blind):
     """Build a machine by forward exploration with compact state names.
 
     ``expand(key)`` yields (label, program, successor key); keys are arbitrary
@@ -220,7 +220,7 @@ def _renumber(name, alphabet, counters, start_key, accept_test, expand,
     states = [names[k] for k in order]
     accepts = [names[k] for k in order if accept_test(k)]
     machine = CounterAutomaton(name, alphabet, counters, states, "s0", accepts,
-                               transitions, blind=blind, deterministic=deterministic)
+                               transitions, blind=blind)
     return trim(machine)
 
 
@@ -270,7 +270,6 @@ def intersect(m: CounterAutomaton, n: CounterAutomaton,
         name or f"({m.name}&{n.name})", m.alphabet, total,
         (m.start, n.start), lambda key: key[0] in m_acc and key[1] in n_acc,
         expand, m.declared_blind and n.declared_blind,
-        m.declared_deterministic and n.declared_deterministic,
     )
 
 
@@ -297,7 +296,6 @@ def union(m: CounterAutomaton, n: CounterAutomaton, name=None) -> CounterAutomat
     return CounterAutomaton(
         name or f"({m.name}|{n.name})", m.alphabet, total, states, "u!start",
         accepts, transitions, blind=m.declared_blind and n.declared_blind,
-        deterministic=False,
     )
 
 
@@ -345,7 +343,6 @@ def image(m: CounterAutomaton, phi: LetterHomomorphism,
     out = CounterAutomaton(
         name or f"{phi_name(phi)}({m.name})", phi.target, m.counters, states,
         m.start, m.accepts, transitions, blind=m.declared_blind,
-        deterministic=False,
     )
     out = trim(out, out.name)
     if out.epsilon_bound() is None:
@@ -374,7 +371,6 @@ def relabel(m: CounterAutomaton, letter_map, name=None,
     return CounterAutomaton(
         name or m.name, new_alphabet, m.counters, m.states, m.start, m.accepts,
         transitions, blind=m.declared_blind,
-        deterministic=m.declared_deterministic,
     )
 
 
@@ -448,7 +444,6 @@ def preimage(m: CounterAutomaton, phi: LetterHomomorphism,
     out = CounterAutomaton(
         name or f"{phi_name(phi)}^-1({m.name})", phi.source, m.counters,
         m.states, m.start, m.accepts, transitions, blind=m.declared_blind,
-        deterministic=False,
     )
     return trim(out, out.name)
 
@@ -506,5 +501,5 @@ def pad_lift(m: CounterAutomaton, side: str, free_alphabet=None,
 
     return _renumber(
         name or f"pad_{side}({m.name})", tuple(alphabet.letters()), m.counters,
-        (m.start, False), accepting, expand, m.declared_blind, False,
+        (m.start, False), accepting, expand, m.declared_blind,
     )

@@ -163,6 +163,18 @@ def test_shortlex_nf_command(capsys):
     assert code == 3 and "cap-exceeded" in out
 
 
+def test_shortlex_nf_negative_max_len_exits_2(capsys):
+    code = main(["shortlex-nf", "--oracle", "z", "a", "--max-len", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--max-len" in captured.err and captured.out == ""
+
+
+def test_nf_regen_over_bounded_finf(capsys):
+    code, out = run(capsys, "nf", "--group", "regen(finf:2; y=x1 x2; x=x1)", "y")
+    assert code == 0 and out == "p 1 p 1 1\n"
+
+
 def test_porcelain_is_stable(capsys):
     argv = ["verify", "--group", "z", "--radius", "3", "--porcelain"]
     _, first = run(capsys, *argv)

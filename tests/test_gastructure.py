@@ -268,23 +268,83 @@ def test_verify_bs23_radius3_clean(bs23, bs23_oracle):
     assert report.elements > 0
 
 
-def test_verify_finds_planted_multiplier_fault(bs23, bs23_oracle):
-    # make M_a the diagonal (as if 'a' were trivial): normal forms collide
-    # and the multiplier accepts pairs the oracle refutes
+def broken_bs23(bs23):
+    """bs:2,3 with M_a the diagonal (as if 'a' were trivial): normal forms
+    collide and the multiplier accepts pairs the oracle refutes."""
     from cga.gastructure import GraphAutomaticStructure
     from cga.groups import _diagonal_language
     diag = _diagonal_language(bs23.nf_automaton, bs23.symbols)
-    broken = GraphAutomaticStructure(
+    return GraphAutomaticStructure(
         "broken", bs23.symbols, bs23.generators, bs23.nf_automaton,
         {"a": diag, "a-": bs23.multiplier("a-"),
          "t": bs23.multiplier("t"), "t-": bs23.multiplier("t-")},
         seed_p=(), seed_q=bs23.mu, growth=bs23.growth,
         order=bs23.order.letters)
-    report = verify(broken, 1, bs23_oracle)
+
+
+def first_witnesses(report):
+    first = {}
+    for f in report.failures:
+        first.setdefault(f.kind, f.witness)
+    return first
+
+
+def test_verify_finds_planted_multiplier_fault(bs23, bs23_oracle):
+    report = verify(broken_bs23(bs23), 1, bs23_oracle)
     assert not report.ok
     kinds = {f.kind for f in report.failures}
     assert "bijection-collision" in kinds
     assert "multiplier-sound" in kinds
+
+
+def test_verify_broken_structure_first_witnesses(bs23, bs23_oracle):
+    report = verify(broken_bs23(bs23), 2, bs23_oracle)
+    assert (report.words_checked, report.elements) == (21, 17)
+    assert first_witnesses(report) == {
+        "bijection-collision": ("a",), "bijection-split": ("a", "a-"),
+        "multiplier-sound": ("a",), "multiplier-complete": ("a",)}
+
+
+def test_verify_depth_past_a_failed_step_is_the_geodesic_length(
+        bs23_oracle, monkeypatch):
+    # every word through (mu, 1.a) fails, so the class of 2.a 1.a 2.a- is
+    # first reached at depth 1 through 1.a, a word without a normal form;
+    # its quasigeodesic bound must use that depth, not 3
+    from cga.groups import ProductOracle, direct_product, oracle_from_expr, z_structure
+    product = direct_product(bs_structure(2, 3, quasigeodesic_c=2), z_structure())
+    step = product.step_normal_form
+
+    def planted(u, x, trace_sink=None):
+        if tuple(u) == product.mu and x == "1.a":
+            raise SearchBoundExceeded("planted", 0, 0)
+        return step(u, x, trace_sink)
+
+    monkeypatch.setattr(product, "step_normal_form", planted)
+    report = verify(product, 3, ProductOracle(bs23_oracle, oracle_from_expr("z")))
+    assert (report.words_checked, report.elements) == (217, 87)
+    assert first_witnesses(report)["termination"] == ("1.a",)
+    quasi = {f.witness: f.detail for f in report.failures
+             if f.kind == "quasigeodesic"}
+    assert quasi[toks("2.a 1.a 2.a-")].endswith("= 6 > 2*(1+1)")
+
+
+def test_verify_steps_each_state_once(monkeypatch):
+    from cga.gastructure import GraphAutomaticStructure
+    from cga.groups import oracle_from_expr
+    calls = []
+    step = GraphAutomaticStructure.step_normal_form
+
+    def counted(self, u, x, trace_sink=None):
+        calls.append((u, x))
+        return step(self, u, x, trace_sink)
+
+    monkeypatch.setattr(GraphAutomaticStructure, "step_normal_form", counted)
+    zxz = structure_from_expr("product(z,z)")
+    calls.clear()
+    report = verify(zxz, 6, oracle_from_expr("product(z,z)"))
+    assert report.ok
+    assert (report.words_checked, report.elements) == (5461, 85)
+    assert len(calls) < 500  # a step per word would make 5460
 
 
 def test_verify_quasigeodesic_failure_with_forced_constant(bs23_oracle):

@@ -327,6 +327,21 @@ def test_regen_trivial_generator_gets_diagonal(bs23):
     assert report.ok
 
 
+def test_regen_over_bounded_finf_keeps_family_growth():
+    # finf caps a step by x_i at beta i + 1, above its base beta of 1
+    expr = "regen(finf:2; y=x1 x2; x=x1)"
+    assert verify(structure_from_expr(expr), 3, oracle_from_expr(expr)).ok
+
+
+def test_regen_trivial_generator_over_direct_product():
+    expr = "regen(product(z,z); y=1.a; e=EPS)"
+    structure = structure_from_expr(expr)
+    assert structure.normal_form(toks("y e")) == structure.normal_form(("y",))
+    report = verify(structure, 3, oracle_from_expr(expr))
+    assert report.ok
+    assert (report.words_checked, report.elements) == (85, 7)
+
+
 def test_regen_requires_nonempty_words(bs23):
     with pytest.raises(StructureError):
         change_generators(bs23, {"y": ()})
