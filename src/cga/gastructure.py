@@ -579,47 +579,43 @@ class VerificationReport:
 def verify(structure: GraphAutomaticStructure, radius: int,
            oracle) -> VerificationReport:
     """Walk the Cayley ball over distinct (normal form, oracle class) states:
-    normal forms must terminate and realize exactly the oracle's classes, the
-    multipliers must accept precisely the right pairs, and a quasigeodesic
-    constant bounds each normal form by the geodesic length (first depth)."""
+    normal forms must terminate and realize exactly the oracle's classes, and
+    the multipliers must accept precisely the right pairs.  Structures that
+    declare a quasigeodesic constant get the length inequality checked too."""
     if radius < 0:
         raise StructureError(f"radius must be non-negative, got {radius}")
     report = VerificationReport(structure.name, oracle.name, radius)
     gens = structure.generators.tokens()
-
-    class_nf = {}    # oracle canonical form -> normal form
-    class_word = {}  # oracle canonical form -> witness word
-    nf_class = {}    # normal form -> oracle canonical form
-    depth = {}       # oracle canonical form -> geodesic length
-    moves = {}       # state -> successor state per generator, stepped once
-    # A state is (normal form, canonical form), the normal form None past a
-    # failed step; a level maps each state to (first word, words counted).
-    level = {(structure.mu, oracle.canonicalize(())): ((), 1)}
+    classes = {}   # oracle canonical form -> (first word, normal form)
+    nf_class = {}  # normal form -> oracle canonical form
+    # A state is (normal form, canonical form); moves maps it to its successor
+    # per generator (None on a failed step), a level to (first word, #words).
+    moves, level = {}, {(structure.mu, oracle.canonicalize(())): ((), 1)}
+    report.words_checked = 1
     for d in range(radius + 1):
         nxt = {}
-        for (nf, canon), (word, count) in level.items():
-            report.words_checked += count
-            depth.setdefault(canon, d)
-            if (nf, canon) not in moves and nf is not None:
-                _record(report, word, nf, canon, class_nf, class_word, nf_class)
+        for state, (word, count) in level.items():
+            new = state not in moves  # recorded and stepped once, when new
+            if new:
+                _record(report, word, *state, classes, nf_class)
             if d == radius:
                 continue
-            if (nf, canon) not in moves:
-                moves[nf, canon] = [
-                    _move(structure, oracle, report, nf, word + (x,)) for x in gens]
-            for x, after in zip(gens, moves[nf, canon]):
-                first, total = nxt.get(after, (word + (x,), 0))
-                nxt[after] = (first, total + (count if nf is not None else 0))
+            if new:
+                moves[state] = [_move(structure, oracle, report, state[0],
+                                      word + (x,)) for x in gens]
+            for x, after in zip(gens, moves[state]):
+                report.words_checked += count
+                if after is not None:
+                    first, total = nxt.get(after, (word + (x,), 0))
+                    nxt[after] = (first, total + count)
         level = nxt
-    report.elements = len(class_nf)
+    report.elements = len(classes)
 
-    all_nfs = sorted(class_nf.values())
-    C = structure.quasigeodesic_c
-    for canon in sorted(class_word):
-        u_word, u_nf = class_word[canon], class_nf[canon]
+    all_nfs = sorted(nf for _, nf in classes.values())
+    for _, (u_word, u_nf) in sorted(classes.items()):
         for x in gens:
             target = oracle.canonicalize(u_word + (x,))
-            expected = {class_nf[target]} if target in class_nf else set()
+            expected = {classes[target][1]} if target in classes else set()
             got = set(map(tuple, accepted_candidates(
                 structure.multiplier(x), u_nf, all_nfs)))
             for v in sorted(got - expected):
@@ -628,33 +624,37 @@ def verify(structure: GraphAutomaticStructure, radius: int,
             for v in sorted(expected - got):
                 report.add("multiplier-complete", u_word,
                            f"M_{x} misses ({_w(u_nf)}, {_w(v)})")
-        if C is not None and len(u_nf) > C * (depth[canon] + 1):
-            report.add("quasigeodesic", u_word,
-                       f"|{_w(u_nf)}| = {len(u_nf)} > {C}*({depth[canon]}+1)")
+
+    if structure.quasigeodesic_c is not None:
+        from .shortlex import geodesic_length
+        C, order = structure.quasigeodesic_c, OrderedAlphabet(tuple(gens))
+        for _, (word, nf) in sorted(classes.items()):
+            g = geodesic_length(oracle, order, word)
+            if len(nf) > C * (g + 1):
+                report.add("quasigeodesic", word,
+                           f"|{_w(nf)}| = {len(nf)} > {C}*({g}+1)")
     return report
 
 
 def _move(structure, oracle, report, nf, word):
-    """Word's state from stepping its last letter off nf; reports failure."""
-    if nf is not None:
-        try:
-            nf = structure.step_normal_form(nf, word[-1])
-        except SearchBoundExceeded as exc:
-            report.add("termination", word, str(exc))
-            nf = None
-    return nf, oracle.canonicalize(word)
+    """Word's state from stepping its last letter off nf, None on failure."""
+    try:
+        return structure.step_normal_form(nf, word[-1]), oracle.canonicalize(word)
+    except SearchBoundExceeded as exc:
+        report.add("termination", word, str(exc))
+        return None
 
 
-def _record(report, word, nf, canon, class_nf, class_word, nf_class):
-    if canon in class_nf:
-        if class_nf[canon] != nf:
+def _record(report, word, nf, canon, classes, nf_class):
+    if canon in classes:
+        if classes[canon][1] != nf:
             report.add("bijection-split", word,
-                       f"{_w(word)} got {_w(nf)} but class has {_w(class_nf[canon])}")
+                       f"{_w(word)} got {_w(nf)} but class has {_w(classes[canon][1])}")
         return
     if nf_class.get(nf, canon) != canon:
         report.add("bijection-collision", word,
                    f"distinct elements share normal form {_w(nf)}")
-    class_nf[canon], class_word[canon], nf_class[nf] = nf, word, canon
+    classes[canon], nf_class[nf] = (word, nf), canon
 
 
 def _w(word):

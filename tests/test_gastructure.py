@@ -305,11 +305,10 @@ def test_verify_broken_structure_first_witnesses(bs23, bs23_oracle):
         "multiplier-sound": ("a",), "multiplier-complete": ("a",)}
 
 
-def test_verify_depth_past_a_failed_step_is_the_geodesic_length(
-        bs23_oracle, monkeypatch):
-    # every word through (mu, 1.a) fails, so the class of 2.a 1.a 2.a- is
-    # first reached at depth 1 through 1.a, a word without a normal form;
-    # its quasigeodesic bound must use that depth, not 3
+def test_verify_geodesic_length_past_a_failed_step(bs23_oracle, monkeypatch):
+    # every word through (mu, 1.a) fails, so the walk first reaches the class
+    # of 2.a 1.a 2.a- at depth 3, but its geodesic length is 1 (the word 1.a,
+    # which has no normal form); the quasigeodesic bound must use 1, not 3
     from cga.groups import ProductOracle, direct_product, oracle_from_expr, z_structure
     product = direct_product(bs_structure(2, 3, quasigeodesic_c=2), z_structure())
     step = product.step_normal_form
