@@ -28,7 +28,9 @@ class _Exit(Exception):
 
 
 def _tokens(text):
-    return tuple(text.split())
+    """Whitespace-separated tokens; a lone EPS is the empty word, as printed."""
+    tokens = tuple(text.split())
+    return () if tokens == ("EPS",) else tokens
 
 
 def _emit(args, porcelain_line, human_line):

@@ -59,8 +59,11 @@ class FamilySpec:
     factory: Optional[Callable[[int], dict]] = None
     max_index: Optional[int] = None
 
+    def __post_init__(self):
+        self._pattern = re.compile(re.escape(self.base) + r"(\d+)(-?)")
+
     def parse(self, token):
-        m = re.fullmatch(re.escape(self.base) + r"(\d+)(-?)", token)
+        m = self._pattern.fullmatch(token)
         if not m:
             return None
         index = int(m.group(1))
@@ -360,32 +363,38 @@ def multiplier_enumerative_naive(machine: CounterAutomaton, u,
     raise SearchBoundExceeded(machine.name, length_cap, length_cap)
 
 
-def accepted_candidates(machine: CounterAutomaton, u, candidates):
-    """Subset of candidate words v with (u, v) accepted by the multiplier.
+_TERMINAL = ("",)  # trie key marking the end of a candidate word
+
+
+def candidate_trie(words):
+    """Prefix trie of candidate words, for accepted_candidates."""
+    trie = {}
+    for w in words:
+        node = trie
+        for tok in w:
+            node = node.setdefault(tok, {})
+        node[_TERMINAL] = tuple(w)
+    return trie
+
+
+def accepted_candidates(machine: CounterAutomaton, u, trie):
+    """Candidate words v of a candidate_trie with (u, v) accepted by the
+    multiplier.
 
     Evaluates the same membership predicate as accepts() on each convolution,
     sharing work across candidates with a common prefix.
     """
     u = tuple(u)
     index = _pair_index(machine)
-
-    trie = {}
-    TERMINAL = ("",)
-    for w in candidates:
-        node = trie
-        for tok in w:
-            node = node.setdefault(tok, {})
-        node[TERMINAL] = tuple(w)
-
     accepted = []
 
     def walk(node, depth, configs):
-        word = node.get(TERMINAL)
+        word = node.get(_TERMINAL)
         if word is not None and _accepts_padded(machine, index, configs, u, depth):
             accepted.append(word)
         top = u[depth] if depth < len(u) else None
         for sigma, child in node.items():
-            if sigma == TERMINAL:
+            if sigma == _TERMINAL:
                 continue
             nxt = _advance(machine, index, configs, top, sigma)
             if nxt:
@@ -611,13 +620,12 @@ def verify(structure: GraphAutomaticStructure, radius: int,
         level = nxt
     report.elements = len(classes)
 
-    all_nfs = sorted(nf for _, nf in classes.values())
+    trie = candidate_trie(nf for _, nf in classes.values())
     for _, (u_word, u_nf) in sorted(classes.items()):
         for x in gens:
             target = oracle.canonicalize(u_word + (x,))
             expected = {classes[target][1]} if target in classes else set()
-            got = set(map(tuple, accepted_candidates(
-                structure.multiplier(x), u_nf, all_nfs)))
+            got = set(accepted_candidates(structure.multiplier(x), u_nf, trie))
             for v in sorted(got - expected):
                 report.add("multiplier-sound", u_word,
                            f"M_{x} accepts ({_w(u_nf)}, {_w(v)}) wrongly")

@@ -1303,8 +1303,12 @@ def _parse_expr(text):
         for assign in parts[1:]:
             if "=" not in assign:
                 raise ExprError(f"bad assignment {assign!r}")
-            y, word = assign.split("=", 1)
-            raw.append((y.strip(), word.strip()))
+            y, word = (part.strip() for part in assign.split("=", 1))
+            if y.split() != [y] or y.endswith("-"):
+                raise ExprError(f"bad generator name {y!r}")
+            if y in (name for name, _ in raw):
+                raise ExprError(f"generator {y!r} assigned twice")
+            raw.append((y, word))
         return ("regen", base, raw)
     if text == "z":
         return ("z",)

@@ -86,21 +86,32 @@ def iter_shortlex(alphabet: OrderedAlphabet, max_len=None):
         word = successor(word, alphabet)
 
 
-def invert_word(word, inverse_of):
-    return tuple(inverse_of(tok) for tok in reversed(word))
-
-
 def geodesic_normal_form(oracle, alphabet: OrderedAlphabet, word, max_len=None):
     """Shortlex-least word over the generator alphabet equal to ``word`` in
-    the oracle's group, found by successor enumeration from the empty word.
+    the oracle's group, found by a breadth-first walk over group elements.
 
-    Termination is guaranteed because the input itself is a candidate; an
-    explicit cap turns a long search into SearchCapExceeded instead.
+    Each level extends the previous level's representatives in order, letters
+    in alphabet order, so the first word to reach a new element is its
+    shortlex-least representative: a prefix of a shortlex-least geodesic is
+    itself shortlex-least.  The input's length bounds the walk; an explicit
+    cap turns a long search into SearchCapExceeded instead.
     """
-    word = tuple(word)
-    for candidate in iter_shortlex(alphabet, max_len):
-        if oracle.is_trivial(word + invert_word(candidate, oracle.inverse_of)):
-            return candidate
+    target, start = oracle.canonicalize(tuple(word)), oracle.canonicalize(())
+    if target == start:
+        return ()
+    seen, level, depth = {start}, [()], 0
+    while max_len is None or depth < max_len:
+        depth, nxt = depth + 1, []
+        for rep in level:
+            for letter in alphabet.letters:
+                candidate = rep + (letter,)
+                canon = oracle.canonicalize(candidate)
+                if canon == target:
+                    return candidate
+                if canon not in seen:
+                    seen.add(canon)
+                    nxt.append(candidate)
+        level = nxt
     raise SearchCapExceeded(max_len)
 
 

@@ -175,6 +175,37 @@ def test_nf_regen_over_bounded_finf(capsys):
     assert code == 0 and out == "p 1 p 1 1\n"
 
 
+@pytest.mark.parametrize("expr", [
+    "regen(z; y=a; y=EPS)",   # repeated name, second one trivial
+    "regen(z; y=a; y=a-)",    # repeated name
+    "regen(z; =a)",           # empty name
+    "regen(z; y y=a)",        # name with whitespace
+    "regen(z; y=a; y-=a)",    # name ending in the inverse marker
+])
+def test_regen_rejects_malformed_generator_names(expr, capsys):
+    code = main(["verify", "--group", expr, "--radius", "2", "--porcelain"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "generator" in captured.err and captured.out == ""
+
+
+def test_eps_output_reads_back_as_the_empty_word(capsys):
+    code, out = run(capsys, "nf", "--group", "free(z,z)", "1.a 2.a 2.a- 1.a-")
+    assert code == 0 and out == "EPS\n"
+    code, again = run(capsys, "nf", "--group", "free(z,z)", out.strip())
+    assert code == 0 and again == out
+    code, out = run(capsys, "wp", "--group", "free(z,z)", out.strip())
+    assert code == 0 and out == "trivial\n"
+    code, out = run(capsys, "wp", "--group", "bs:2,3", "EPS", "--porcelain")
+    assert code == 0 and out == "trivial true\n"
+    code, out = run(capsys, "shortlex-nf", "--oracle", "z", "a a-")
+    assert code == 0 and out == "EPS\n"
+    code, again = run(capsys, "shortlex-nf", "--oracle", "z", out.strip())
+    assert code == 0 and again == out
+    code, _ = run(capsys, "eq", "--group", "finf", "EPS", "x1 x1-")
+    assert code == 0
+
+
 def test_porcelain_is_stable(capsys):
     argv = ["verify", "--group", "z", "--radius", "3", "--porcelain"]
     _, first = run(capsys, *argv)

@@ -6,6 +6,7 @@ from cga.gastructure import (
     SearchBoundExceeded,
     StructureError,
     accepted_candidates,
+    candidate_trie,
     multiplier_enumerative_naive,
     multiplier_enumerative_search,
     verify,
@@ -217,10 +218,11 @@ def test_searches_agree_on_regen_multiplier(regen_aa):
 def test_accepted_candidates_on_epsilon_machines(fixture, tokens, request):
     structure = request.getfixturevalue(fixture)
     ball = ball_normal_forms(structure, 2)
+    trie = candidate_trie(ball)
     for x in tokens or structure.generators.tokens():
         machine = structure.multiplier(x)
         for u in ball:
-            marked = set(map(tuple, accepted_candidates(machine, u, ball)))
+            marked = set(map(tuple, accepted_candidates(machine, u, trie)))
             for v in ball:
                 assert (v in marked) == machine.accepts_word(convolve(u, v))
 
@@ -356,8 +358,9 @@ def test_verify_quasigeodesic_failure_with_forced_constant(bs23_oracle):
 def test_accepted_candidates_agrees_with_direct_accepts(bs23):
     machine = bs23.multiplier("t")
     candidates = ball_normal_forms(bs23, 2)
+    trie = candidate_trie(candidates)
     for u in candidates[:6]:
-        marked = set(map(tuple, accepted_candidates(machine, u, candidates)))
+        marked = set(map(tuple, accepted_candidates(machine, u, trie)))
         for v in candidates:
             assert (tuple(v) in marked) == machine.accepts_word(convolve(u, v))
 

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from cga.groups import BSOracle, FreeGroupOracle
+from cga.groups import BSOracle, FreeGroupOracle, oracle_from_expr
 from cga.gastructure import GeneratorSet
 from cga.shortlex import (
     OrderedAlphabet,
@@ -83,3 +84,39 @@ def test_geodesic_cap_is_reported():
     order = OrderedAlphabet(("a", "a-", "t", "t-"))
     with pytest.raises(SearchCapExceeded):
         geodesic_normal_form(oracle, order, ("a",) * 4, max_len=2)
+
+
+def reference_geodesic(oracle, order, word, max_len=None):
+    """Literal successor loop: the first candidate v in shortlex order with
+    word * v^-1 trivial."""
+    for v in iter_shortlex(order, max_len):
+        inverse = tuple(oracle.inverse_of(tok) for tok in reversed(v))
+        if oracle.is_trivial(tuple(word) + inverse):
+            return v
+    raise SearchCapExceeded(max_len)
+
+
+@pytest.mark.parametrize("expr", [
+    "z", "bs:2,3", "free(z,z)", "product(z,z)", "finf:3",
+    "regen(bs:2,3; a=a; t=t; u=a a)",
+])
+def test_geodesic_search_matches_successor_loop(expr):
+    oracle = oracle_from_expr(expr)
+    order = OrderedAlphabet(tuple(oracle.generators.tokens()))
+    rng = random.Random(7)
+    words = [tuple(rng.choice(order.letters) for _ in range(n))
+             for n in range(6) for _ in range(4)]
+    for word in words:
+        assert (geodesic_normal_form(oracle, order, word)
+                == reference_geodesic(oracle, order, word))
+
+
+def test_geodesic_search_max_len_edges():
+    oracle = BSOracle(2, 3)
+    order = OrderedAlphabet(("a", "a-", "t", "t-"))
+    for trivial in [(), ("t", "a", "a", "t-", "a-", "a-", "a-")]:
+        assert geodesic_normal_form(oracle, order, trivial, max_len=0) == ()
+    with pytest.raises(SearchCapExceeded):
+        geodesic_normal_form(oracle, order, ("a",) * 4, max_len=2)
+    with pytest.raises(SearchCapExceeded):
+        reference_geodesic(oracle, order, ("a",) * 4, max_len=2)
