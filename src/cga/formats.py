@@ -25,6 +25,7 @@ import os
 from .automata import (
     EPSILON,
     EMPTY_PROGRAM,
+    INC,
     NO_OP,
     SETZ,
     TEST0,
@@ -66,6 +67,11 @@ def _directive_lines(text):
         yield lineno, line.split()
 
 
+# program entries other than +c / -c, and their inverse for writing
+_PROGRAM_ENTRIES = {".": NO_OP, "=0": TEST0, "!0": TESTN0, "Z": SETZ}
+_ENTRY_TEXT = {instr: text for text, instr in _PROGRAM_ENTRIES.items()}
+
+
 def parse_program(text, counters, lineno=None):
     if text == "-":
         return EMPTY_PROGRAM
@@ -79,14 +85,8 @@ def parse_program(text, counters, lineno=None):
         step = []
         for entry in entries:
             entry = entry.strip()
-            if entry == ".":
-                step.append(NO_OP)
-            elif entry == "=0":
-                step.append(TEST0)
-            elif entry == "!0":
-                step.append(TESTN0)
-            elif entry == "Z":
-                step.append(SETZ)
+            if entry in _PROGRAM_ENTRIES:
+                step.append(_PROGRAM_ENTRIES[entry])
             elif entry.startswith("+") and entry[1:].isdigit():
                 step.append(inc(int(entry[1:])))
             elif entry.startswith("-") and entry[1:].isdigit():
@@ -99,27 +99,16 @@ def parse_program(text, counters, lineno=None):
     return tuple(steps)
 
 
+def _format_entry(instr):
+    if instr in _ENTRY_TEXT:
+        return _ENTRY_TEXT[instr]
+    return f"{'+' if instr.kind == INC else '-'}{instr.amount}"
+
+
 def format_program(program, counters):
     if not program:
         return "-"
-    parts = []
-    for step in program:
-        entries = []
-        for instr in step:
-            if instr.kind == "noop":
-                entries.append(".")
-            elif instr.kind == "inc":
-                entries.append(f"+{instr.amount}")
-            elif instr.kind == "dec":
-                entries.append(f"-{instr.amount}")
-            elif instr.kind == "test_zero":
-                entries.append("=0")
-            elif instr.kind == "test_nonzero":
-                entries.append("!0")
-            else:
-                entries.append("Z")
-        parts.append(",".join(entries))
-    return ";".join(parts)
+    return ";".join(",".join(map(_format_entry, step)) for step in program)
 
 
 def parse_automaton(text, path=None) -> CounterAutomaton:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .automata import CounterAutomaton, apply_program, counter_growth_bound
-from .langops import pair_alphabet, parse_tuple_token, convolve
-from .shortlex import OrderedAlphabet, iter_shortlex
+from .langops import pair_alphabet, parse_tuple_token
+from .shortlex import OrderedAlphabet
 
 
 class StructureError(Exception):
@@ -351,15 +351,6 @@ def multiplier_enumerative_search(machine: CounterAutomaton, u,
         hit = dfs(start, 0, target)
         if hit is not None:
             return hit
-    raise SearchBoundExceeded(machine.name, length_cap, length_cap)
-
-
-def multiplier_enumerative_naive(machine: CounterAutomaton, u,
-                                 order: OrderedAlphabet, length_cap: int):
-    """Literal successor-by-successor enumeration; reference for tests."""
-    for v in iter_shortlex(order, length_cap):
-        if machine.accepts_word(convolve(u, v)):
-            return v
     raise SearchBoundExceeded(machine.name, length_cap, length_cap)
 
 

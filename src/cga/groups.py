@@ -28,6 +28,7 @@ from .langops import (
     ConvolvedAlphabet,
     LetterHomomorphism,
     convolve,
+    explore,
     image,
     intersect,
     pad_lift,
@@ -716,6 +717,17 @@ def _tagged_parts(structure: GraphAutomaticStructure, tag):
 # direct product
 
 
+def _advance_outer_row(outer_done, comp, gd, hd, g, h):
+    """Ended-flags of one outer row and its (g, h) rows after one component
+    letter ``comp`` = (g | h); None where padding would be followed by a
+    letter."""
+    if comp is None:
+        return True, gd, hd
+    if outer_done or (g is not None and gd) or (h is not None and hd):
+        return None
+    return False, gd or g is None, hd or h is None
+
+
 def direct_product(sg: GraphAutomaticStructure,
                    sh: GraphAutomaticStructure) -> GraphAutomaticStructure:
     """Normal forms are convolutions of the factors' normal forms; a
@@ -783,46 +795,21 @@ def direct_product(sg: GraphAutomaticStructure,
     # The row-wise preimages cannot see positions erased in their projection,
     # so alone they admit strings whose inner rows resume after padding; the
     # guard pins all four inner rows (and both outer rows) to suffix padding,
-    # which restores exactness without changing counters.
-    def validity_guard():
-        start = (False,) * 6  # outer1, g1, h1, outer2, g2, h2 ended
-        names = {start: "v0"}
-        order_keys = [start]
-        t = []
-        i = 0
-        while i < len(order_keys):
-            key = order_keys[i]
-            i += 1
-            o1, g1d, h1d, o2, g2d, h2d = key
-            for letter in outer:
-                c1, c2 = parse_tuple_token(letter)
-                g1, h1, g2, h2 = parts(letter)
+    # which restores exactness without changing counters.  A guard state
+    # flags which of outer1, g1, h1, outer2, g2, h2 have ended.
+    split = [(letter, parse_tuple_token(letter), parts(letter))
+             for letter in outer]
 
-                def advance(outer_done, comp, gd, hd, g, h):
-                    if comp is None:
-                        return True, gd, hd
-                    if outer_done:
-                        return None
-                    gd2 = gd or g is None
-                    hd2 = hd or h is None
-                    if (g is not None and gd) or (h is not None and hd):
-                        return None
-                    return False, gd2, hd2
+    def guard_moves(key):
+        o1, g1d, h1d, o2, g2d, h2d = key
+        for letter, (c1, c2), (g1, h1, g2, h2) in split:
+            first = _advance_outer_row(o1, c1, g1d, h1d, g1, h1)
+            second = _advance_outer_row(o2, c2, g2d, h2d, g2, h2)
+            if first is not None and second is not None:
+                yield letter, EMPTY_PROGRAM, first + second
 
-                first = advance(o1, c1, g1d, h1d, g1, h1)
-                second = advance(o2, c2, g2d, h2d, g2, h2)
-                if first is None or second is None:
-                    continue
-                nxt = first + second
-                if nxt not in names:
-                    names[nxt] = f"v{len(names)}"
-                    order_keys.append(nxt)
-                t.append((names[key], letter, EMPTY_PROGRAM, names[nxt]))
-        states = [names[k] for k in order_keys]
-        return CounterAutomaton("prod_valid", outer, 0, states, "v0", states,
-                                t, blind=True)
-
-    guard = validity_guard()
+    guard = explore("prod_valid", outer, 0, (False,) * 6, guard_moves,
+                    lambda key: True, blind=True)
     eq_h = intersect(equal_row_machine("h"), guard)
     eq_g = intersect(equal_row_machine("g"), guard)
     other_h = preimage(nf_h, component_hom("h", 2), name="prod_Lh_row")
@@ -1169,6 +1156,10 @@ def _composed_multiplier(structure, word, name) -> CounterAutomaton:
 
 
 class ProductOracle(GroupOracle):
+    """Direct product; generators of the two factors are tagged 1. and 2."""
+
+    head = "product"
+
     def __init__(self, left: GroupOracle, right: GroupOracle):
         pairs = []
         for oracle, tag in ((left, "1."), (right, "2.")):
@@ -1176,7 +1167,7 @@ class ProductOracle(GroupOracle):
                 pairs.append((_tag_token(tag, tok), _tag_token(tag, inv)))
         super().__init__(GeneratorSet.from_pairs(pairs))
         self.left, self.right = left, right
-        self.name = f"product({left.name},{right.name})"
+        self.name = f"{self.head}({left.name},{right.name})"
 
     def canonicalize(self, word):
         first, second = [], []
@@ -1192,15 +1183,8 @@ class ProductOracle(GroupOracle):
         return tuple(out)
 
 
-class FreeProductOracle(GroupOracle):
-    def __init__(self, left: GroupOracle, right: GroupOracle):
-        pairs = []
-        for oracle, tag in ((left, "1."), (right, "2.")):
-            for tok, inv in _generator_pairs(oracle.generators):
-                pairs.append((_tag_token(tag, tok), _tag_token(tag, inv)))
-        super().__init__(GeneratorSet.from_pairs(pairs))
-        self.left, self.right = left, right
-        self.name = f"free({left.name},{right.name})"
+class FreeProductOracle(ProductOracle):
+    head = "free"
 
     def _factor(self, side):
         return self.left if side == "1." else self.right

@@ -158,11 +158,6 @@ class LetterHomomorphism:
         return tuple(out)
 
 
-def identity_homomorphism(alphabet) -> LetterHomomorphism:
-    alphabet = tuple(alphabet)
-    return LetterHomomorphism(alphabet, alphabet, {a: (a,) for a in alphabet})
-
-
 # ---------------------------------------------------------------------------
 # reachable/co-reachable trimming
 
@@ -198,15 +193,16 @@ def trim(m: CounterAutomaton, name=None) -> CounterAutomaton:
     )
 
 
-def _renumber(name, alphabet, counters, start_key, accept_test, expand,
-              blind):
+def explore(name, alphabet, counters, start, expand, accepting, blind):
     """Build a machine by forward exploration with compact state names.
 
-    ``expand(key)`` yields (label, program, successor key); keys are arbitrary
-    hashables, renamed to s0, s1, ... in discovery order.
+    ``expand(key)`` yields (label, program, successor key) and
+    ``accepting(key)`` says whether a key accepts; keys are arbitrary
+    hashables, renamed to s0, s1, ... in discovery order.  The result is
+    trimmed.
     """
-    names = {start_key: "s0"}
-    order = [start_key]
+    names = {start: "s0"}
+    order = [start]
     transitions = []
     i = 0
     while i < len(order):
@@ -218,7 +214,7 @@ def _renumber(name, alphabet, counters, start_key, accept_test, expand,
                 order.append(nxt)
             transitions.append(Transition(names[key], label, prog, names[nxt]))
     states = [names[k] for k in order]
-    accepts = [names[k] for k in order if accept_test(k)]
+    accepts = [names[k] for k in order if accepting(k)]
     machine = CounterAutomaton(name, alphabet, counters, states, "s0", accepts,
                                transitions, blind=blind)
     return trim(machine)
@@ -266,10 +262,10 @@ def intersect(m: CounterAutomaton, n: CounterAutomaton,
                         (tm.dst, tn.dst)
 
     m_acc, n_acc = m.accepts, n.accepts
-    return _renumber(
-        name or f"({m.name}&{n.name})", m.alphabet, total,
-        (m.start, n.start), lambda key: key[0] in m_acc and key[1] in n_acc,
-        expand, m.declared_blind and n.declared_blind,
+    return explore(
+        name or f"({m.name}&{n.name})", m.alphabet, total, (m.start, n.start),
+        expand, lambda key: key[0] in m_acc and key[1] in n_acc,
+        m.declared_blind and n.declared_blind,
     )
 
 
@@ -499,7 +495,7 @@ def pad_lift(m: CounterAutomaton, side: str, free_alphabet=None,
         q, _ = key
         return q in m.accepts
 
-    return _renumber(
+    return explore(
         name or f"pad_{side}({m.name})", tuple(alphabet.letters()), m.counters,
-        (m.start, False), accepting, expand, m.declared_blind,
+        (m.start, False), expand, accepting, m.declared_blind,
     )

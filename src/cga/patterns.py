@@ -15,7 +15,7 @@ from .automata import (
     delta_program,
     pad_program,
 )
-from .langops import pair_alphabet, tuple_token, trim
+from .langops import explore, pair_alphabet, tuple_token, trim
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,6 @@ def convolution_product_shared(row_a: RowPattern, row_b: RowPattern,
     """Convolutions of (row A word, row B word) with one shared blind counter
     accumulating both rows' deltas; padding may appear only once a row's
     pattern has been completed."""
-    base = tuple(base_alphabet)
     ENDED = "$"
 
     def row_moves(row: RowPattern, state):
@@ -222,46 +221,21 @@ def convolution_product_shared(row_a: RowPattern, row_b: RowPattern,
             moves.append((None, 0, ENDED))
         return moves
 
-    # precompute per-state move lists
-    a_states = list(range(row_a.size)) + [ENDED]
-    b_states = list(range(row_b.size)) + [ENDED]
-    a_moves = {s: row_moves(row_a, s) for s in a_states}
-    b_moves = {s: row_moves(row_b, s) for s in b_states}
+    a_moves = {s: row_moves(row_a, s) for s in [*range(row_a.size), ENDED]}
+    b_moves = {s: row_moves(row_b, s) for s in [*range(row_b.size), ENDED]}
 
-    names = {}
-    order = []
-
-    def intern(key):
-        if key not in names:
-            names[key] = f"s{len(names)}"
-            order.append(key)
-        return names[key]
-
-    start_key = (row_a.start, row_b.start)
-    intern(start_key)
-    transitions = []
-    i = 0
-    while i < len(order):
-        sa, sb = order[i]
-        i += 1
-        src = names[(sa, sb)]
+    def expand(key):
+        sa, sb = key
         for ca, da, na in a_moves[sa]:
             for cb, db, nb in b_moves[sb]:
-                if ca is None and cb is None:
-                    continue
-                letter = tuple_token((ca, cb))
-                dst = intern((na, nb))
-                transitions.append(Transition(
-                    src, letter, delta_program(1, 0, da + db), dst))
+                if ca is not None or cb is not None:
+                    yield (tuple_token((ca, cb)), delta_program(1, 0, da + db),
+                           (na, nb))
 
     def accepting(key):
         sa, sb = key
         return (sa == ENDED or sa in row_a.accepts) and \
                (sb == ENDED or sb in row_b.accepts)
 
-    machine = CounterAutomaton(
-        name, tuple(pair_alphabet(base).letters()), 1,
-        [names[k] for k in order], names[start_key],
-        [names[k] for k in order if accepting(k)], transitions, blind=True,
-    )
-    return trim(machine)
+    return explore(name, tuple(pair_alphabet(base_alphabet).letters()), 1,
+                   (row_a.start, row_b.start), expand, accepting, blind=True)

@@ -41,10 +41,6 @@ class OrderedAlphabet:
             raise ShortlexError(f"letter {letter!r} not in ordered alphabet")
 
     @property
-    def smallest(self):
-        return self.letters[0]
-
-    @property
     def largest(self):
         return self.letters[-1]
 

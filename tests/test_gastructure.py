@@ -7,7 +7,6 @@ from cga.gastructure import (
     StructureError,
     accepted_candidates,
     candidate_trie,
-    multiplier_enumerative_naive,
     multiplier_enumerative_search,
     verify,
 )
@@ -20,7 +19,7 @@ from cga.groups import (
     structure_from_expr,
 )
 from cga.langops import convolve
-from cga.shortlex import OrderedAlphabet
+from cga.shortlex import OrderedAlphabet, iter_shortlex
 
 from conftest import ball_normal_forms, toks
 
@@ -156,6 +155,15 @@ def test_enumerative_search_equals_naive_loop(bs23, finf):
     for machine, u, order, cap in cases:
         assert multiplier_enumerative_search(machine, u, order, cap) == \
             multiplier_enumerative_naive(machine, u, order, cap)
+
+
+def multiplier_enumerative_naive(machine, u, order, length_cap):
+    """Literal successor-by-successor enumeration: the reference the pruned
+    enumerative search is checked against."""
+    for v in iter_shortlex(order, length_cap):
+        if machine.accepts_word(convolve(u, v)):
+            return v
+    raise SearchBoundExceeded(machine.name, length_cap, length_cap)
 
 
 # -- the search core on machines with epsilon edges ---------------------------------
