@@ -170,12 +170,15 @@ def cmd_shortlex_nf(args):
         raise _Exit(USAGE, f"--max-len must be non-negative, got {args.max_len}")
     try:
         oracle = oracle_from_expr(args.oracle)
-    except ExprError as exc:
+        order = OrderedAlphabet(tuple(oracle.generators.tokens()))
+    except (ExprError, StructureError) as exc:
         raise _Exit(USAGE, str(exc))
-    order = OrderedAlphabet(tuple(oracle.generators.tokens()))
+    word = _tokens(args.word)
+    for tok in word:
+        if tok not in oracle.generators:
+            raise _Exit(USAGE, f"unknown generator {tok!r} of {oracle.name}")
     try:
-        nf = geodesic_normal_form(oracle, order, _tokens(args.word),
-                                  max_len=args.max_len)
+        nf = geodesic_normal_form(oracle, order, word, max_len=args.max_len)
     except SearchCapExceeded:
         _emit(args, f"cap-exceeded {args.max_len}",
               f"no representative within length {args.max_len}")

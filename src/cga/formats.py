@@ -30,6 +30,7 @@ from .automata import (
     SETZ,
     TEST0,
     TESTN0,
+    AutomatonError,
     CounterAutomaton,
     Transition,
     dec,
@@ -42,6 +43,7 @@ from .gastructure import (
     GraphAutomaticStructure,
     GrowthPolicy,
 )
+from .shortlex import ShortlexError
 
 
 class ParseError(Exception):
@@ -59,6 +61,11 @@ class ParseError(Exception):
         self.path = path
 
 
+def _natural(text):
+    """The value of a plain decimal numeral, None for anything else."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def _directive_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -69,7 +76,7 @@ def _directive_lines(text):
 
 # program entries other than +c / -c, and their inverse for writing
 _PROGRAM_ENTRIES = {".": NO_OP, "=0": TEST0, "!0": TESTN0, "Z": SETZ}
-_ENTRY_TEXT = {instr: text for text, instr in _PROGRAM_ENTRIES.items()}
+_ENTRY_TEXT = {instr.kind: text for text, instr in _PROGRAM_ENTRIES.items()}
 
 
 def parse_program(text, counters, lineno=None):
@@ -87,9 +94,9 @@ def parse_program(text, counters, lineno=None):
             entry = entry.strip()
             if entry in _PROGRAM_ENTRIES:
                 step.append(_PROGRAM_ENTRIES[entry])
-            elif entry.startswith("+") and entry[1:].isdigit():
+            elif entry[:1] == "+" and _natural(entry[1:]):
                 step.append(inc(int(entry[1:])))
-            elif entry.startswith("-") and entry[1:].isdigit():
+            elif entry[:1] == "-" and _natural(entry[1:]):
                 step.append(dec(int(entry[1:])))
             else:
                 raise ParseError(f"unknown program token {entry!r}", line=lineno)
@@ -99,16 +106,17 @@ def parse_program(text, counters, lineno=None):
     return tuple(steps)
 
 
-def _format_entry(instr):
-    if instr in _ENTRY_TEXT:
-        return _ENTRY_TEXT[instr]
-    return f"{'+' if instr.kind == INC else '-'}{instr.amount}"
-
-
 def format_program(program, counters):
     if not program:
         return "-"
-    return ";".join(",".join(map(_format_entry, step)) for step in program)
+    parts = []
+    for step in program:
+        entries = []
+        for instr in step:
+            entries.append(_ENTRY_TEXT.get(instr.kind) or
+                           f"{'+' if instr.kind == INC else '-'}{instr.amount}")
+        parts.append(",".join(entries))
+    return ";".join(parts)
 
 
 def parse_automaton(text, path=None) -> CounterAutomaton:
@@ -131,9 +139,9 @@ def parse_automaton(text, path=None) -> CounterAutomaton:
         elif directive == "alphabet":
             alphabet.extend(args)
         elif directive == "counters":
-            if len(args) != 1 or not args[0].isdigit():
+            counters = _natural(args[0]) if len(args) == 1 else None
+            if counters is None:
                 raise ParseError("counters needs one integer", lineno, path=path)
-            counters = int(args[0])
         elif directive == "blind":
             if args not in (["true"], ["false"]):
                 raise ParseError("blind must be true or false", lineno, path=path)
@@ -243,6 +251,9 @@ def parse_homomorphism(text, source, target, path=None) -> LetterHomomorphism:
 
 
 MANIFEST_NAME = "structure.txt"
+# manifest directives with a fixed argument count
+_MANIFEST_ARITY = {"structure": 1, "nf": 1, "mult": 2, "quasigeodesic-C": 1,
+                   "growth": 2}
 
 
 def _parse_word(args):
@@ -301,6 +312,13 @@ def load_structure(directory) -> GraphAutomaticStructure:
 
     for lineno, words in _directive_lines(text):
         directive, args = words[0], words[1:]
+        arity = _MANIFEST_ARITY.get(directive)
+        if arity is not None and len(args) != arity:
+            raise ParseError(f"{directive} takes {arity} argument(s)",
+                             lineno, path=path)
+        if directive in ("quasigeodesic-C", "growth") and args != ["none"] \
+                and None in map(_natural, args):
+            raise ParseError(f"{directive} needs integers", lineno, path=path)
         if directive == "structure":
             name = args[0]
         elif directive == "lambda":
@@ -320,7 +338,7 @@ def load_structure(directory) -> GraphAutomaticStructure:
         elif directive == "quasigeodesic-C":
             quasi = None if args == ["none"] else int(args[0])
         elif directive == "growth":
-            growth = GrowthPolicy(int(args[0]), int(args[1]))
+            growth = GrowthPolicy(*map(int, args))
         elif directive == "order":
             order = (order or ()) + tuple(args)
         else:
@@ -329,9 +347,13 @@ def load_structure(directory) -> GraphAutomaticStructure:
     if name is None or symbols is None or nf is None:
         raise ParseError("manifest must give structure, lambda and nf", path=path)
     generators = GeneratorSet.from_pairs(pairs, family)
-    return GraphAutomaticStructure(
-        name, symbols, generators, nf, multipliers, seed_p=seed_p,
-        seed_q=seed_q, quasigeodesic_c=quasi, growth=growth, order=order)
+    try:
+        return GraphAutomaticStructure(
+            name, symbols, generators, nf, multipliers, seed_p=seed_p,
+            seed_q=seed_q, quasigeodesic_c=quasi, growth=growth, order=order)
+    except (AutomatonError, ShortlexError) as exc:
+        # tokens outside an alphabet, repeated order letters
+        raise ParseError(str(exc), path=path)
 
 
 def _safe_filename(token):
@@ -365,7 +387,9 @@ def write_structure(structure: GraphAutomaticStructure, directory):
     lines.append(f"seed-q {_format_word(structure.seed_q)}")
     quasi = structure.quasigeodesic_c
     lines.append(f"quasigeodesic-C {'none' if quasi is None else quasi}")
-    lines.append(f"growth {structure.growth.alpha} {structure.growth.beta}")
+    # the manifest has no family term, so the beta covers the family's steps
+    lines.append(f"growth {structure.growth.alpha} "
+                 f"{structure.step_beta(gen_tokens)}")
     for chunk in _chunks(structure.order.letters, 16):
         lines.append("order " + " ".join(chunk))
     with open(os.path.join(directory, MANIFEST_NAME), "w",

@@ -472,6 +472,12 @@ class GraphAutomaticStructure:
                 extra = self.family_beta(parsed[0])
         return self.growth.cap(length, extra)
 
+    def step_beta(self, tokens) -> int:
+        """Largest additive step term, step_cap(0, x), over finitely many
+        generators; a family member may outgrow the base beta."""
+        return max((self.step_cap(0, x) for x in tokens),
+                   default=self.growth.beta)
+
     def _step_trace(self, token, u, v, per_level) -> StepTrace:
         machine = self.multiplier(token)
         return StepTrace(

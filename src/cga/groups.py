@@ -830,13 +830,17 @@ def direct_product(sg: GraphAutomaticStructure,
     quasi = None
     if sg.quasigeodesic_c is not None and sh.quasigeodesic_c is not None:
         quasi = max(sg.quasigeodesic_c, sh.quasigeodesic_c)
+    # a factor step moves its own row only, so the factor's largest step term
+    # bounds it, family members included
+    beta = max(sg.growth.beta + sh.growth.beta + 1,
+               sg.step_beta(sg.generators.tokens()),
+               sh.step_beta(sh.generators.tokens()))
     return GraphAutomaticStructure(
         f"product({sg.name},{sh.name})", symbols,
         GeneratorSet.from_pairs(pairs_g + pairs_h), nf, multipliers,
         seed_p=(), seed_q=convolve(mu_g, mu_h) if (mu_g or mu_h) else (),
         quasigeodesic_c=quasi,
-        growth=GrowthPolicy(max(sg.growth.alpha, sh.growth.alpha),
-                            sg.growth.beta + sh.growth.beta + 1),
+        growth=GrowthPolicy(max(sg.growth.alpha, sh.growth.alpha), beta),
         order=symbols)
 
 
@@ -920,22 +924,23 @@ def _free_product_nf(blocks_g, blocks_h, sep, symbols) -> CounterAutomaton:
             t.append((prefix + tr.src, tr.label,
                       pad_program(tr.program, blocks.counters, counters),
                       prefix + tr.dst))
-        for acc in blocks.accepts:
+        for acc in (s for s in blocks.states if s in blocks.accepts):
             t.append((prefix + acc, EPSILON, guard, out))
     return CounterAutomaton(
         "freeprod_L", symbols, counters, states, "k0", ["k1", "k2"], t,
         blind=_is_blind(t))
 
 
-def _reject_bottom_word(symbols, word) -> CounterAutomaton:
-    """Pair-letter guard: the second row must not spell exactly ``word``."""
+def _reject_row_word(symbols, word, row) -> CounterAutomaton:
+    """Pair-letter guard: row ``row`` (0 top, 1 bottom) must not spell
+    exactly ``word``."""
     word = tuple(word)
     n = len(word)
     letters = list(pair_alphabet(symbols).letters())
     states = [f"m{i}" for i in range(n + 1)] + ["sink", "mend"]
     t = []
     for tok in letters:
-        _, b = parse_tuple_token(tok)
+        b = parse_tuple_token(tok)[row]
         for i in range(n + 1):
             src = f"m{i}"
             if b is None:
@@ -948,7 +953,7 @@ def _reject_bottom_word(symbols, word) -> CounterAutomaton:
         if b is None:
             t.append(("mend", tok, EMPTY_PROGRAM, "mend"))
     accepts = [f"m{i}" for i in range(n)] + ["sink"]
-    return CounterAutomaton("not_bottom_word", letters, 0, states, "m0",
+    return CounterAutomaton(f"not_row{row}_word", letters, 0, states, "m0",
                             accepts, t, blind=True)
 
 
@@ -1036,9 +1041,11 @@ def free_product(sg: GraphAutomaticStructure,
     for (structure, tag, mults, side, nf_of, lam, mu) in (
             (sg, "1.", mult_g, "k1", nf_of_g, lam_g, mu_g),
             (sh, "2.", mult_h, "k2", nf_of_h, lam_h, mu_h)):
-        # the embedded factor multiplier must not produce the factor identity
-        # as a block; that case is the cancelled-block path instead
-        no_identity_block = _reject_bottom_word(lam, mu)
+        # the embedded factor multiplier must neither read nor produce the
+        # factor identity as a block: no block of a normal form spells it, and
+        # producing it is the cancelled-block path instead
+        no_identity_block = intersect(_reject_row_word(lam, mu, 0),
+                                      _reject_row_word(lam, mu, 1))
         for tok in structure.generators.tokens():
             tagged = _tag_token(tag, tok)
             u_x = nf_of(tok)
@@ -1056,7 +1063,9 @@ def free_product(sg: GraphAutomaticStructure,
         GeneratorSet.from_pairs(pairs_g + pairs_h), nf, multipliers,
         seed_p=(), seed_q=(), quasigeodesic_c=quasi,
         growth=GrowthPolicy(max(sg.growth.alpha, sh.growth.alpha),
-                            sg.growth.beta + sh.growth.beta + longest_block + 2),
+                            sg.step_beta(sg.generators.tokens())
+                            + sh.step_beta(sh.generators.tokens())
+                            + longest_block + 2),
         order=symbols)
 
 
@@ -1093,10 +1102,9 @@ def change_generators(structure: GraphAutomaticStructure, assignments,
         multipliers[y] = machine
         multipliers[y_inv] = swap_rows(machine, f"regen_L_{y_inv}")
 
-    # a family generator's step may outgrow the base beta (finf's x_i by i+1)
     alpha = structure.growth.alpha
-    beta = max((structure.step_cap(0, x) for word in assignments.values()
-                for x in word), default=structure.growth.beta)
+    beta = structure.step_beta(
+        x for word in assignments.values() for x in word)
     if alpha > 1:
         new_alpha = alpha ** longest
         new_beta = beta * (new_alpha - 1) // (alpha - 1)
@@ -1186,9 +1194,6 @@ class ProductOracle(GroupOracle):
 class FreeProductOracle(ProductOracle):
     head = "free"
 
-    def _factor(self, side):
-        return self.left if side == "1." else self.right
-
     def canonicalize(self, word):
         blocks = []  # (side tag, canonical block word)
         for tok in word:
@@ -1199,7 +1204,8 @@ class FreeProductOracle(ProductOracle):
                 merged = blocks.pop()[1] + (raw,)
             else:
                 merged = (raw,)
-            canon = self._factor(side).canonicalize(merged)
+            factor = self.left if side == "1." else self.right
+            canon = factor.canonicalize(merged)
             if canon:
                 blocks.append((side, canon))
             # an emptied block just disappears; alternation is preserved, and

@@ -254,8 +254,10 @@ def intersect(m: CounterAutomaton, n: CounterAutomaton,
         theirs = n_letters.get(t)
         if not mine or not theirs:
             return
-        for label in mine.keys() & theirs.keys():
-            for tm in mine[label]:
+        for label, arrows in mine.items():
+            if label not in theirs:
+                continue
+            for tm in arrows:
                 pm = pad_program(tm.program, k, total, 0)
                 for tn in theirs[label]:
                     yield label, pm + pad_program(tn.program, l, total, k), \
@@ -355,15 +357,14 @@ def phi_name(phi: LetterHomomorphism) -> str:
 
 def relabel(m: CounterAutomaton, letter_map, name=None,
             alphabet=None) -> CounterAutomaton:
-    """Rename letters through a bijective token map (cheap image special case)."""
+    """Rename letters through a bijective token map (cheap image special
+    case); the map is called once per letter of m's alphabet."""
+    renamed = {tok: letter_map(tok) for tok in m.alphabet}
+    renamed[EPSILON] = EPSILON
+    transitions = [Transition(t.src, renamed[t.label], t.program, t.dst)
+                   for t in m.transitions]
     new_alphabet = alphabet if alphabet is not None else [
-        letter_map(tok) for tok in m.alphabet]
-    transitions = [
-        Transition(t.src,
-                   t.label if t.label is EPSILON else letter_map(t.label),
-                   t.program, t.dst)
-        for t in m.transitions
-    ]
+        renamed[tok] for tok in m.alphabet]
     return CounterAutomaton(
         name or m.name, new_alphabet, m.counters, m.states, m.start, m.accepts,
         transitions, blind=m.declared_blind,
@@ -417,17 +418,18 @@ def preimage(m: CounterAutomaton, phi: LetterHomomorphism,
     for word, tokens in by_image.items():
         # endpoints of paths eps* w1 eps* ... wr eps* from each state
         for src in m.states:
-            frontier = {}  # endpoint -> set of program tuples
+            # endpoint -> program tuples, an insertion-ordered set
+            frontier = {}
             for progs, q in eps_paths[src]:
-                frontier.setdefault(q, set()).add(progs)
+                frontier.setdefault(q, {})[progs] = None
             for tok in word:
                 nxt = {}
                 for q, progsets in frontier.items():
                     for prog, dst in table.get((q, tok), ()):
                         for tail, q2 in eps_paths[dst]:
-                            bucket = nxt.setdefault(q2, set())
+                            bucket = nxt.setdefault(q2, {})
                             for progs in progsets:
-                                bucket.add(progs + (prog,) + tail)
+                                bucket[progs + (prog,) + tail] = None
                 frontier = nxt
                 if not frontier:
                     break

@@ -135,7 +135,7 @@ def concat_machines(a: CounterAutomaton, b: CounterAutomaton,
         transitions.append(Transition("b." + t.src, t.label, prog, "b." + t.dst))
         if t.src == b.start:
             b_start_out.append((t.label, prog, "b." + t.dst))
-    for fa in a.accepts:
+    for fa in (s for s in a.states if s in a.accepts):
         for label, prog, dst in b_start_out:
             transitions.append(Transition("a." + fa, label, prog, dst))
     accepts = ["b." + s for s in b.accepts]
@@ -208,21 +208,17 @@ def convolution_product_shared(row_a: RowPattern, row_b: RowPattern,
     pattern has been completed."""
     ENDED = "$"
 
-    def row_moves(row: RowPattern, state):
-        # (letter component, delta, next state); None component = padding
-        if state == ENDED:
-            return [(None, 0, ENDED)]
-        moves = [
-            (tok, delta, nxt)
-            for (s, tok), (delta, nxt) in row.table.items()
-            if s == state
-        ]
-        if state in row.accepts:
-            moves.append((None, 0, ENDED))
+    def row_moves(row: RowPattern):
+        # state -> (letter component, delta, next state); None = padding
+        moves = {s: [] for s in range(row.size)}
+        for (s, tok), (delta, nxt) in row.table.items():
+            moves[s].append((tok, delta, nxt))
+        for s in row.accepts:
+            moves[s].append((None, 0, ENDED))
+        moves[ENDED] = [(None, 0, ENDED)]
         return moves
 
-    a_moves = {s: row_moves(row_a, s) for s in [*range(row_a.size), ENDED]}
-    b_moves = {s: row_moves(row_b, s) for s in [*range(row_b.size), ENDED]}
+    a_moves, b_moves = row_moves(row_a), row_moves(row_b)
 
     def expand(key):
         sa, sb = key

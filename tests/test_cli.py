@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import cga
 from cga.cli import main
 from cga.formats import format_automaton, write_structure
 from cga.groups import bs_nf_machine, bs_structure
@@ -145,6 +148,24 @@ def test_build_round_trip(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("expr", ["bs:2,3", "free(z,z)"])
+def test_build_is_identical_under_different_hash_seeds(expr, tmp_path):
+    src = os.path.dirname(os.path.dirname(cga.__file__))
+    dirs = []
+    for seed in ("1", "2"):
+        out_dir = tmp_path / f"seed{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "cga.cli", "build", expr,
+                        "--out", str(out_dir)], env=env, check=True,
+                       capture_output=True, timeout=120)
+        dirs.append(out_dir)
+    first, second = dirs
+    names = sorted(os.listdir(first))
+    assert names == sorted(os.listdir(second)) and "structure.txt" in names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def test_verify_structure_requires_oracle(tmp_path, capsys):
     out_dir = str(tmp_path / "z")
     assert main(["build", "z", "--out", out_dir]) == 0
@@ -163,6 +184,51 @@ def test_shortlex_nf_command(capsys):
     assert code == 3 and "cap-exceeded" in out
 
 
+@pytest.mark.parametrize("oracle, word", [
+    ("bs:2,3", "q"),   # the BS rewriting would raise on the letter
+    ("z", "q"),        # free reduction would search to the length cap
+    ("finf", "x1"),    # an unbounded family has no generator order
+])
+def test_shortlex_nf_bad_word_or_oracle_exits_2(oracle, word, capsys):
+    code = main(["shortlex-nf", "--oracle", oracle, word])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("entry", ["+0", "-0"])
+def test_accept_zero_counter_amount_exits_2(entry, tmp_path, capsys):
+    path = tmp_path / "zero.aut"
+    path.write_text("automaton zero\nalphabet a\ncounters 1\nstates s\n"
+                    f"start s\naccept s\ntrans s a {entry} s\n")
+    code = main(["accept", str(path), "a"])
+    captured = capsys.readouterr()
+    assert code == 2 and entry in captured.err
+
+
+@pytest.mark.parametrize("line, broken", [
+    ("growth 1 1", "growth 1"),
+    ("mult a- mult_a-.aut", "mult a-"),
+    ("structure z", "structure"),
+    ("growth 1 1", "growth 1 x"),
+    ("quasigeodesic-C 1", "quasigeodesic-C one"),
+    ("order a a-", "order a a"),
+    ("seed-q EPS", "seed-q q"),
+])
+def test_malformed_manifest_exits_2(line, broken, tmp_path, capsys):
+    out_dir = tmp_path / "z"
+    assert main(["build", "z", "--out", str(out_dir)]) == 0
+    manifest = out_dir / "structure.txt"
+    text = manifest.read_text()
+    assert line + "\n" in text
+    manifest.write_text(text.replace(line + "\n", broken + "\n"))
+    capsys.readouterr()
+    code = main(["nf", "--structure", str(out_dir), "a"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_shortlex_nf_negative_max_len_exits_2(capsys):
     code = main(["shortlex-nf", "--oracle", "z", "a", "--max-len", "-1"])
     captured = capsys.readouterr()
@@ -173,6 +239,32 @@ def test_shortlex_nf_negative_max_len_exits_2(capsys):
 def test_nf_regen_over_bounded_finf(capsys):
     code, out = run(capsys, "nf", "--group", "regen(finf:2; y=x1 x2; x=x1)", "y")
     assert code == 0 and out == "p 1 p 1 1\n"
+
+
+def test_product_keeps_the_family_growth_term(capsys):
+    # finf caps a step by x_i at i + 1, above its base beta of 1
+    code, out = run(capsys, "nf", "--group", "product(finf:3,z)", "1.x3")
+    assert code == 0 and out == "(1.p|_) (1.1|_) (1.1|_) (1.1|_)\n"
+    code, out = run(capsys, "verify", "--group", "product(finf:3,z)",
+                    "--radius", "2", "--porcelain")
+    assert code == 0 and out.startswith("failures 0\n")
+
+
+def test_build_writes_the_family_growth_term(tmp_path, capsys):
+    out_dir = tmp_path / "finf3"
+    assert main(["build", "finf:3", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert "growth 1 4\n" in (out_dir / "structure.txt").read_text()
+    code, out = run(capsys, "nf", "--structure", str(out_dir), "x3")
+    assert code == 0 and out == "p 1 1 1\n"
+
+
+def test_nf_regen_over_free_product_is_unique(capsys):
+    # the swapped and composed multipliers once saw a second v through a
+    # pair outside L x L
+    code, out = run(capsys, "nf", "--group",
+                    "regen(free(z,z); c=1.a 2.a; d=1.a)", "c c-")
+    assert code == 0 and out == "EPS\n"
 
 
 @pytest.mark.parametrize("expr", [

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cga.automata import EPSILON, accepts, validate
 from cga.formats import (
@@ -10,8 +11,14 @@ from cga.formats import (
     parse_program,
     write_structure,
 )
-from cga.gastructure import verify
-from cga.groups import BSOracle, bs_structure, oracle_from_expr, structure_from_expr
+from cga.gastructure import StructureError, verify
+from cga.groups import (
+    BSOracle,
+    bs_structure,
+    oracle_from_expr,
+    structure_from_expr,
+    z_structure,
+)
 
 from conftest import toks
 
@@ -142,8 +149,6 @@ def test_manifest_family_and_lmult_lines(tmp_path):
     # family clause and left-multiplier lines parse; lmult lines are skipped
     # without reading their file, and the family has no factory so
     # requesting one of its multipliers fails cleanly
-    from cga.gastructure import StructureError
-    from cga.groups import z_structure
     z = z_structure()
     out = tmp_path / "zfam"
     write_structure(z, out)
@@ -157,3 +162,65 @@ def test_manifest_family_and_lmult_lines(tmp_path):
     assert loaded.normal_form(("a",)) == ("a",)
     with pytest.raises(StructureError):
         loaded.multiplier("x3")
+
+
+# -- malformed input only ever gives the loaders' own errors -------------------
+
+LOAD_ERRORS = (ParseError, StructureError, OSError)
+
+
+@st.composite
+def mutated_lines(draw, valid_text, words):
+    """A valid file with each line kept, dropped, given new arguments or
+    replaced by arbitrary text."""
+    lines = []
+    for line in valid_text.splitlines():
+        how = draw(st.sampled_from(("keep", "drop", "args", "text")))
+        if how == "keep":
+            lines.append(line)
+        elif how == "args":
+            args = draw(st.lists(words, max_size=4))
+            lines.append(" ".join([line.split()[0]] + args))
+        elif how == "text":
+            lines.append(draw(st.text(max_size=12)))
+    return "\n".join(lines)
+
+
+AUT_WORDS = st.sampled_from([
+    "x", "a", "p", "q", "EPS", "-", ".", "+1", "=0", "!0", "Z", "+1,.",
+    "+0,.", ".,-0", "Z;.", "0", "1", "2", "\u00b2", "true", ";", ","]) \
+    | st.text(max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_lines(SAMPLE, AUT_WORDS))
+def test_aut_text_fails_only_with_parse_errors(text):
+    try:
+        parse_automaton(text)
+    except LOAD_ERRORS:
+        pass
+
+
+@pytest.fixture(scope="module")
+def z_files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("zfuzz")
+    write_structure(z_structure(), out)
+    return out, (out / "structure.txt").read_text()
+
+
+MANIFEST_WORDS = st.sampled_from([
+    "z", "a", "a-", "q", "_", "nf.aut", "mult_a.aut", "missing.aut", "EPS",
+    "none", "0", "1", "-1", "x", "\u00b2", "|", "family", "INT"]) \
+    | st.text(max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_manifest_text_fails_only_with_load_errors(z_files, data):
+    out, valid = z_files
+    text = data.draw(mutated_lines(valid, MANIFEST_WORDS))
+    (out / "structure.txt").write_text(text, encoding="utf-8")
+    try:
+        load_structure(out)
+    except LOAD_ERRORS:
+        pass

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cga.automata import accepts, program_reads_counters, validate
-from cga.gastructure import StructureError, verify
+from cga.gastructure import (
+    StructureError,
+    accepted_candidates,
+    candidate_trie,
+    verify,
+)
 from cga.groups import (
     BSDecodeError,
     BSNormalPair,
@@ -246,6 +251,26 @@ def test_free_product_with_bs_keeps_relator():
     assert fb.word_problem(toks("1.t 1.a 1.a 1.t- 1.a- 1.a- 1.a-"))
     assert not fb.word_problem(toks("1.a 2.a"))
     assert fb.are_equal(toks("2.a 1.t 1.a 1.a 1.t-"), toks("2.a 1.a 1.a 1.a"))
+
+
+@pytest.mark.parametrize("expr, identities", [
+    ("free(z,z)", [()]),
+    ("free(bs:2,3,z)", [("1.#",) * 4, ()]),
+])
+def test_free_product_multipliers_accept_only_pairs_in_L(expr, identities):
+    # a word ending in a separator and a factor's identity word lies outside
+    # L; every multiplier must reject it on either row
+    structure = structure_from_expr(expr)
+    sep = structure.symbols[0]
+    words = ball_normal_forms(structure, 2)
+    candidates = words + [w + (sep,) + mu for w in words for mu in identities]
+    trie = candidate_trie(candidates)
+    in_l = structure.nf_automaton.accepts_word
+    for x in structure.generators.tokens():
+        machine = structure.multiplier(x)
+        for u in candidates:
+            for v in accepted_candidates(machine, u, trie):
+                assert in_l(u) and in_l(v), (x, u, v)
 
 
 def test_free_product_oracle_blocks():
