@@ -21,13 +21,12 @@ from .automata import (
     TESTN0,
     CounterAutomaton,
     delta_program,
-    pad_program,
     program_reads_counters,
 )
 from .langops import (
     ConvolvedAlphabet,
-    LetterHomomorphism,
     convolve,
+    embed,
     explore,
     image,
     intersect,
@@ -36,6 +35,7 @@ from .langops import (
     parse_tuple_token,
     preimage,
     relabel,
+    row_homomorphism,
     swap_rows,
     trim,
     tuple_token,
@@ -748,13 +748,7 @@ def direct_product(sg: GraphAutomaticStructure,
         pad_lift(nf_h, "right", free_alphabet=lam_g),
         name=f"({sg.name}x{sh.name})_L")
 
-    outer = []
-    for c1 in symbols + (None,):
-        for c2 in symbols + (None,):
-            if c1 is None and c2 is None:
-                continue
-            outer.append(tuple_token((c1, c2)))
-    outer = tuple(outer)
+    outer = tuple(pair_alphabet(symbols).letters())
 
     def parts(letter):
         c1, c2 = parse_tuple_token(letter)
@@ -771,26 +765,6 @@ def direct_product(sg: GraphAutomaticStructure,
         t = [("q", letter, EMPTY_PROGRAM, "q") for letter in keep]
         return CounterAutomaton(f"prod_eq_{row}", outer, 0, ["q"], "q", ["q"],
                                 t, blind=True)
-
-    def component_hom(row, coordinate):
-        mapping = {}
-        for letter in outer:
-            g1, h1, g2, h2 = parts(letter)
-            value = (g1, g2, h1, h2)[coordinate]
-            mapping[letter] = () if value is None else (value,)
-        target = lam_g if coordinate in (0, 1) else lam_h
-        return LetterHomomorphism(outer, target, mapping)
-
-    def moving_pair_hom(row):
-        mapping = {}
-        for letter in outer:
-            g1, h1, g2, h2 = parts(letter)
-            a, b = (g1, g2) if row == "g" else (h1, h2)
-            mapping[letter] = () if a is None and b is None \
-                else (tuple_token((a, b)),)
-        base = lam_g if row == "g" else lam_h
-        return LetterHomomorphism(
-            outer, tuple(pair_alphabet(base).letters()), mapping)
 
     # The row-wise preimages cannot see positions erased in their projection,
     # so alone they admit strings whose inner rows resume after padding; the
@@ -812,10 +786,15 @@ def direct_product(sg: GraphAutomaticStructure,
                     lambda key: True, blind=True)
     eq_h = intersect(equal_row_machine("h"), guard)
     eq_g = intersect(equal_row_machine("g"), guard)
-    other_h = preimage(nf_h, component_hom("h", 2), name="prod_Lh_row")
-    other_g = preimage(nf_g, component_hom("g", 0), name="prod_Lg_row")
-    hom_g = moving_pair_hom("g")
-    hom_h = moving_pair_hom("h")
+    # parts(letter) is (g1, h1, g2, h2)
+    other_h = preimage(nf_h, row_homomorphism(outer, parts, (1,), lam_h),
+                       name="prod_Lh_row")
+    other_g = preimage(nf_g, row_homomorphism(outer, parts, (0,), lam_g),
+                       name="prod_Lg_row")
+    hom_g = row_homomorphism(outer, parts, (0, 2),
+                             pair_alphabet(lam_g).letters())
+    hom_h = row_homomorphism(outer, parts, (1, 3),
+                             pair_alphabet(lam_h).letters())
 
     multipliers = {}
     for tok, machine in mult_g.items():
@@ -849,57 +828,23 @@ def direct_product(sg: GraphAutomaticStructure,
 # free product
 
 
-def _without_word(machine: CounterAutomaton, word) -> CounterAutomaton:
-    """Intersect with the regular complement of one string."""
+def _not_word(word, alphabet) -> CounterAutomaton:
+    """The regular complement of one string over ``alphabet``."""
     word = tuple(word)
     states = [f"w{i}" for i in range(len(word) + 1)] + ["sink"]
     t = []
     for i, tok in enumerate(word):
         t.append((f"w{i}", tok, EMPTY_PROGRAM, f"w{i + 1}"))
     for i in range(len(word) + 1):
-        for tok in machine.alphabet:
+        for tok in alphabet:
             if i < len(word) and tok == word[i]:
                 continue
             t.append((f"w{i}", tok, EMPTY_PROGRAM, "sink"))
-    for tok in machine.alphabet:
+    for tok in alphabet:
         t.append(("sink", tok, EMPTY_PROGRAM, "sink"))
     accepts = [s for s in states if s != f"w{len(word)}"]
-    guard = CounterAutomaton("not_word", machine.alphabet, 0, states, "w0",
-                             accepts, t, blind=True)
-    return intersect(machine, guard, name=f"{machine.name}\\word")
-
-
-def _single_word_machine(word, alphabet) -> CounterAutomaton:
-    states = [f"u{i}" for i in range(len(word) + 1)]
-    t = [(f"u{i}", tok, EMPTY_PROGRAM, f"u{i + 1}") for i, tok in enumerate(word)]
-    return CounterAutomaton("one_word", alphabet, 0, states, "u0",
-                            [f"u{len(word)}"], t, blind=True)
-
-
-def _nonempty_block_language(nf: CounterAutomaton, mu) -> CounterAutomaton:
-    """The factor's normal forms minus the identity word; if the empty string
-    remains (identity word nonempty), it is replaced by a non-member."""
-    blocks = _without_word(nf, mu)
-    if not blocks.accepts_word(()):
-        return blocks
-    replacement = None
-    from .shortlex import OrderedAlphabet, iter_shortlex
-    for candidate in iter_shortlex(OrderedAlphabet(tuple(nf.alphabet)), 8):
-        if not nf.accepts_word(candidate):
-            replacement = candidate
-            break
-    if replacement is None:
-        raise StructureError("could not find a non-member replacement word")
-    states = ["n0", "n1"]
-    t = []
-    for tok in nf.alphabet:
-        t.append(("n0", tok, EMPTY_PROGRAM, "n1"))
-        t.append(("n1", tok, EMPTY_PROGRAM, "n1"))
-    nonempty = CounterAutomaton("len1+", nf.alphabet, 0, states, "n0", ["n1"],
-                                t, blind=True)
-    return union(intersect(blocks, nonempty),
-                 _single_word_machine(replacement, nf.alphabet),
-                 name=f"{blocks.name}~eps")
+    return CounterAutomaton("not_word", alphabet, 0, states, "w0", accepts, t,
+                            blind=True)
 
 
 def _is_blind(transitions) -> bool:
@@ -920,41 +865,12 @@ def _free_product_nf(blocks_g, blocks_h, sep, symbols) -> CounterAutomaton:
     states = ["k0", "k1", "k2"]
     for prefix, blocks, out in (("g.", blocks_g, "k2"), ("h.", blocks_h, "k1")):
         states.extend(prefix + s for s in blocks.states)
-        for tr in blocks.transitions:
-            t.append((prefix + tr.src, tr.label,
-                      pad_program(tr.program, blocks.counters, counters),
-                      prefix + tr.dst))
+        t.extend(embed(blocks, prefix, counters))
         for acc in (s for s in blocks.states if s in blocks.accepts):
             t.append((prefix + acc, EPSILON, guard, out))
     return CounterAutomaton(
         "freeprod_L", symbols, counters, states, "k0", ["k1", "k2"], t,
         blind=_is_blind(t))
-
-
-def _reject_row_word(symbols, word, row) -> CounterAutomaton:
-    """Pair-letter guard: row ``row`` (0 top, 1 bottom) must not spell
-    exactly ``word``."""
-    word = tuple(word)
-    n = len(word)
-    letters = list(pair_alphabet(symbols).letters())
-    states = [f"m{i}" for i in range(n + 1)] + ["sink", "mend"]
-    t = []
-    for tok in letters:
-        b = parse_tuple_token(tok)[row]
-        for i in range(n + 1):
-            src = f"m{i}"
-            if b is None:
-                t.append((src, tok, EMPTY_PROGRAM, "mend" if i == n else "sink"))
-            elif i < n and b == word[i]:
-                t.append((src, tok, EMPTY_PROGRAM, f"m{i + 1}"))
-            else:
-                t.append((src, tok, EMPTY_PROGRAM, "sink"))
-        t.append(("sink", tok, EMPTY_PROGRAM, "sink"))
-        if b is None:
-            t.append(("mend", tok, EMPTY_PROGRAM, "mend"))
-    accepts = [f"m{i}" for i in range(n)] + ["sink"]
-    return CounterAutomaton(f"not_row{row}_word", letters, 0, states, "m0",
-                            accepts, t, blind=True)
 
 
 def _free_product_multiplier(nf_machine, sep, side_state, mult, u_x, u_xinv,
@@ -963,15 +879,9 @@ def _free_product_multiplier(nf_machine, sep, side_state, mult, u_x, u_xinv,
     path, a cancelled-block accept path, and an embedded copy of the factor's
     multiplier entered on a shared separator letter."""
     counters = max(nf_machine.counters, mult.counters)
-    t = []
-    states = []
-    for tr in nf_machine.transitions:
-        prog = pad_program(tr.program, nf_machine.counters, counters)
-        label = tr.label
-        if label is not EPSILON:
-            label = tuple_token((label, label))
-        t.append(("d." + tr.src, label, prog, "d." + tr.dst))
-    states.extend("d." + s for s in nf_machine.states)
+    t = embed(_diagonal_language(nf_machine, nf_machine.alphabet), "d.",
+              counters)
+    states = ["d." + s for s in nf_machine.states]
     branch = "d." + side_state
 
     accepts = []
@@ -994,10 +904,7 @@ def _free_product_multiplier(nf_machine, sep, side_state, mult, u_x, u_xinv,
     # modified last block: run the factor multiplier after a diagonal separator
     t.append((branch, tuple_token((sep, sep)), EMPTY_PROGRAM, "c." + mult.start))
     states.extend("c." + s for s in mult.states)
-    for tr in mult.transitions:
-        t.append(("c." + tr.src, tr.label,
-                  pad_program(tr.program, mult.counters, counters),
-                  "c." + tr.dst))
+    t.extend(embed(mult, "c.", counters))
     accepts.extend("c." + s for s in mult.accepts)
 
     machine = CounterAutomaton(
@@ -1018,11 +925,18 @@ def free_product(sg: GraphAutomaticStructure,
         i += 1
     symbols = (sep,) + lam_g + lam_h
 
-    blocks_g = relabel(_nonempty_block_language(nf_g, mu_g), lambda s: s,
-                       alphabet=symbols)
-    blocks_h = relabel(_nonempty_block_language(nf_h, mu_h), lambda s: s,
-                       alphabet=symbols)
-    nf = _free_product_nf(blocks_g, blocks_h, sep, symbols)
+    # a block is a factor normal form other than the identity's; an empty
+    # block would be invisible between separators, so the empty word may be
+    # in a factor's L only as its identity's normal form
+    blocks = []
+    for structure, nf_f, mu in ((sg, nf_g, mu_g), (sh, nf_h, mu_h)):
+        block = intersect(nf_f, _not_word(mu, nf_f.alphabet))
+        if block.accepts_word(()):
+            raise StructureError(
+                f"free product factor {structure.name} has the empty word in "
+                "L but a nonempty identity normal form")
+        blocks.append(block)
+    nf = _free_product_nf(*blocks, sep, symbols)
 
     def factor_nf(structure, tag):
         def compute(tok):
@@ -1044,8 +958,12 @@ def free_product(sg: GraphAutomaticStructure,
         # the embedded factor multiplier must neither read nor produce the
         # factor identity as a block: no block of a normal form spells it, and
         # producing it is the cancelled-block path instead
-        no_identity_block = intersect(_reject_row_word(lam, mu, 0),
-                                      _reject_row_word(lam, mu, 1))
+        lam_pairs = tuple(pair_alphabet(lam).letters())
+        not_mu = _not_word(mu, lam)
+        no_identity_block = intersect(*[
+            preimage(not_mu, row_homomorphism(lam_pairs, parse_tuple_token,
+                                              (row,), lam))
+            for row in (0, 1)])
         for tok in structure.generators.tokens():
             tagged = _tag_token(tag, tok)
             u_x = nf_of(tok)
@@ -1127,35 +1045,21 @@ def _diagonal_language(nf: CounterAutomaton, symbols) -> CounterAutomaton:
                    alphabet=tuple(pair_alphabet(symbols).letters()))
 
 
-def row_pair_homomorphism(symbols, arity, row_a, row_b,
-                          target=None) -> LetterHomomorphism:
-    """Send each arity-row tuple letter to the pair letter of two of its rows;
-    letters carrying padding in both selected rows erase."""
-    source = tuple(ConvolvedAlphabet(arity, tuple(symbols)).letters())
-    mapping = {}
-    for letter in source:
-        parts = parse_tuple_token(letter)
-        a, b = parts[row_a], parts[row_b]
-        mapping[letter] = () if a is None and b is None \
-            else (tuple_token((a, b)),)
-    if target is None:
-        target = tuple(pair_alphabet(symbols).letters())
-    return LetterHomomorphism(source, tuple(target), mapping)
-
-
 def _composed_multiplier(structure, word, name) -> CounterAutomaton:
     symbols = structure.symbols
     k = len(word)
+    rows = tuple(ConvolvedAlphabet(k + 1, symbols).letters())
 
     layers = []
     for i, x in enumerate(word, start=1):
         machine = structure.multiplier(x)
-        phi = row_pair_homomorphism(symbols, k + 1, i - 1, i,
-                                    target=machine.alphabet)
+        phi = row_homomorphism(rows, parse_tuple_token, (i - 1, i),
+                               machine.alphabet)
         layers.append(preimage(machine, phi, name=f"{name}~A{i}"))
     combined = reduce(lambda a, b: intersect(a, b), layers)
 
-    psi = row_pair_homomorphism(symbols, k + 1, 0, k)
+    psi = row_homomorphism(rows, parse_tuple_token, (0, k),
+                           pair_alphabet(symbols).letters())
     return image(combined, psi, name=name)
 
 

@@ -158,6 +158,21 @@ class LetterHomomorphism:
         return tuple(out)
 
 
+def row_homomorphism(source, rows_of, rows, target) -> LetterHomomorphism:
+    """Project each source letter onto the selected rows of ``rows_of(letter)``:
+    one row gives its symbol, two rows their pair letter, and a letter that is
+    padding in every selected row erases."""
+    mapping = {}
+    for letter in source:
+        picked = tuple(rows_of(letter)[r] for r in rows)
+        if all(p is None for p in picked):
+            mapping[letter] = ()
+        else:
+            mapping[letter] = (picked[0] if len(picked) == 1
+                               else tuple_token(picked),)
+    return LetterHomomorphism(tuple(source), tuple(target), mapping)
+
+
 # ---------------------------------------------------------------------------
 # reachable/co-reachable trimming
 
@@ -271,6 +286,15 @@ def intersect(m: CounterAutomaton, n: CounterAutomaton,
     )
 
 
+def embed(m: CounterAutomaton, prefix: str, counters: int):
+    """m's transitions on ``prefix``-ed state names, programs padded to
+    ``counters`` counters."""
+    return [Transition(prefix + t.src, t.label,
+                       pad_program(t.program, m.counters, counters),
+                       prefix + t.dst)
+            for t in m.transitions]
+
+
 def union(m: CounterAutomaton, n: CounterAutomaton, name=None) -> CounterAutomaton:
     """Fresh start with epsilon edges into both machines; counters padded to
     max(k, l) with no-ops."""
@@ -286,11 +310,7 @@ def union(m: CounterAutomaton, n: CounterAutomaton, name=None) -> CounterAutomat
     for src, machine in (("m!", m), ("n!", n)):
         states.extend(src + s for s in machine.states)
         accepts.extend(src + s for s in machine.accepts)
-        for t in machine.transitions:
-            transitions.append(Transition(
-                src + t.src, t.label,
-                pad_program(t.program, machine.counters, total, 0), src + t.dst,
-            ))
+        transitions.extend(embed(machine, src, total))
     return CounterAutomaton(
         name or f"({m.name}|{n.name})", m.alphabet, total, states, "u!start",
         accepts, transitions, blind=m.declared_blind and n.declared_blind,

@@ -13,9 +13,8 @@ from .automata import (
     CounterAutomaton,
     Transition,
     delta_program,
-    pad_program,
 )
-from .langops import explore, pair_alphabet, tuple_token, trim
+from .langops import embed, explore, pair_alphabet, tuple_token, trim
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +123,12 @@ def concat_machines(a: CounterAutomaton, b: CounterAutomaton,
     accept state of a."""
     counters = max(a.counters, b.counters)
     alphabet = tuple(dict.fromkeys(a.alphabet + b.alphabet))
-    transitions = []
-    for t in a.transitions:
-        transitions.append(Transition(
-            "a." + t.src, t.label, pad_program(t.program, a.counters, counters),
-            "a." + t.dst))
-    b_start_out = []
-    for t in b.transitions:
-        prog = pad_program(t.program, b.counters, counters)
-        transitions.append(Transition("b." + t.src, t.label, prog, "b." + t.dst))
-        if t.src == b.start:
-            b_start_out.append((t.label, prog, "b." + t.dst))
+    b_moves = embed(b, "b.", counters)
+    transitions = embed(a, "a.", counters) + b_moves
+    b_start_out = [t for t in b_moves if t.src == "b." + b.start]
     for fa in (s for s in a.states if s in a.accepts):
-        for label, prog, dst in b_start_out:
-            transitions.append(Transition("a." + fa, label, prog, dst))
+        for t in b_start_out:
+            transitions.append(Transition("a." + fa, t.label, t.program, t.dst))
     accepts = ["b." + s for s in b.accepts]
     if b.start in b.accepts:
         accepts.extend("a." + s for s in a.accepts)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cga.automata import accepts, program_reads_counters, validate
 from cga.gastructure import (
+    GraphAutomaticStructure,
     StructureError,
     accepted_candidates,
     candidate_trie,
@@ -409,19 +410,17 @@ def test_free_product_counter_count_bs_z():
         assert fb.multiplier(tok).counters <= factor_max
 
 
-def test_free_product_empty_block_replacement():
-    # a factor whose identity word is nonempty leaves the empty string inside
-    # the block language; it must be replaced by a non-member
-    from cga.automata import CounterAutomaton, EMPTY_PROGRAM, accepts
-    from cga.groups import _nonempty_block_language
-    two = CounterAutomaton(
-        "two", ("a",), 0, ["e", "g"], "e", ["e", "g"],
-        [("e", "a", EMPTY_PROGRAM, "g")])  # language {EPS, a}
-    blocks = _nonempty_block_language(two, ("a",))
-    assert not accepts(blocks, ())          # empty string replaced
-    assert not accepts(blocks, ("a",))      # identity word removed
-    assert accepts(blocks, ("a", "a"))      # shortlex-first non-member
-    assert not accepts(blocks, ("a", "a", "a"))
+def test_free_product_rejects_empty_word_with_nonempty_identity():
+    # Z with identity normal form a- keeps EPS in L (it spells a); a block
+    # language cannot hold EPS, so the free product refuses the factor
+    z = z_structure()
+    shifted = GraphAutomaticStructure(
+        "zshift", z.symbols, z.generators, z.nf_automaton,
+        {tok: z.multiplier(tok) for tok in z.generators.tokens()},
+        seed_q=("a-",), quasigeodesic_c=1, growth=z.growth)
+    assert shifted.mu == ("a-",)
+    with pytest.raises(StructureError, match="empty word"):
+        free_product(shifted, z)
 
 
 def test_finf_restricted_quasigeodesic_constant(finf3):

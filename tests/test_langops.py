@@ -22,6 +22,7 @@ from cga.langops import (
     parse_tuple_token,
     preimage,
     project,
+    row_homomorphism,
     swap_rows,
     tuple_token,
     union,
@@ -278,13 +279,13 @@ def test_preimage_keeps_epsilon_acceptance():
 
 def test_preimage_row_pair_projection_on_triples(bs23, bs23_oracle):
     # radius-3 sample sweep of the change-of-generators building block
-    from cga.groups import row_pair_homomorphism
     la = bs23.multiplier("a")
     lt = bs23.multiplier("t")
-    a1 = preimage(la, row_pair_homomorphism(bs23.symbols, 3, 0, 1,
-                                            target=la.alphabet))
-    a2 = preimage(lt, row_pair_homomorphism(bs23.symbols, 3, 1, 2,
-                                            target=lt.alphabet))
+    triples = tuple(ConvolvedAlphabet(3, bs23.symbols).letters())
+    a1 = preimage(la, row_homomorphism(triples, parse_tuple_token, (0, 1),
+                                       la.alphabet))
+    a2 = preimage(lt, row_homomorphism(triples, parse_tuple_token, (1, 2),
+                                       lt.alphabet))
     words = [(), ("a",), ("t",), ("a", "t-"), ("t", "a"), ("a-", "a-")]
     for w in words:
         v0 = bs23.normal_form(w)
