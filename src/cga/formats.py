@@ -66,6 +66,16 @@ def _natural(text):
     return int(text) if text.isascii() and text.isdigit() else None
 
 
+def _read_text(path):
+    """A file's UTF-8 text; other bytes are a ParseError naming the file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"not UTF-8 text: {exc.reason} at byte {exc.start}", path=path)
+
+
 def _directive_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -79,7 +89,7 @@ _PROGRAM_ENTRIES = {".": NO_OP, "=0": TEST0, "!0": TESTN0, "Z": SETZ}
 _ENTRY_TEXT = {instr.kind: text for text, instr in _PROGRAM_ENTRIES.items()}
 
 
-def parse_program(text, counters, lineno=None):
+def parse_program(text, counters, lineno=None, path=None):
     if text == "-":
         return EMPTY_PROGRAM
     steps = []
@@ -88,7 +98,7 @@ def parse_program(text, counters, lineno=None):
         if len(entries) != counters:
             raise ParseError(
                 f"program step {step_text!r} has {len(entries)} entries, "
-                f"expected {counters}", line=lineno)
+                f"expected {counters}", line=lineno, path=path)
         step = []
         for entry in entries:
             entry = entry.strip()
@@ -99,7 +109,8 @@ def parse_program(text, counters, lineno=None):
             elif entry[:1] == "-" and _natural(entry[1:]):
                 step.append(dec(int(entry[1:])))
             else:
-                raise ParseError(f"unknown program token {entry!r}", line=lineno)
+                raise ParseError(f"unknown program token {entry!r}",
+                                 line=lineno, path=path)
         steps.append(tuple(step))
     if all(instr is NO_OP for step in steps for instr in step):
         return EMPTY_PROGRAM
@@ -184,7 +195,7 @@ def parse_automaton(text, path=None) -> CounterAutomaton:
             label = EPSILON
         elif label not in alphabet_set:
             raise ParseError(f"label {label!r} not in alphabet", lineno, path=path)
-        program = parse_program(program_text, counters, lineno)
+        program = parse_program(program_text, counters, lineno, path)
         transitions.append(Transition(src, label, program, dst))
     for s in [start] + accepts:
         if s not in state_set:
@@ -213,8 +224,7 @@ def format_automaton(machine: CounterAutomaton) -> str:
 
 
 def load_automaton(path) -> CounterAutomaton:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_automaton(handle.read(), path=str(path))
+    return parse_automaton(_read_text(path), path=str(path))
 
 
 def _chunks(items, size):
@@ -295,8 +305,7 @@ def parse_generators_line(args):
 
 def load_structure(directory) -> GraphAutomaticStructure:
     path = os.path.join(directory, MANIFEST_NAME)
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read_text(path)
 
     name = None
     symbols = None

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import groupby
+from operator import itemgetter
 
 from .automata import (
     EPSILON,
@@ -1048,17 +1050,17 @@ def _diagonal_language(nf: CounterAutomaton, symbols) -> CounterAutomaton:
 def _composed_multiplier(structure, word, name) -> CounterAutomaton:
     symbols = structure.symbols
     k = len(word)
-    rows = tuple(ConvolvedAlphabet(k + 1, symbols).letters())
+    tuples = tuple(ConvolvedAlphabet(k + 1, symbols).letters())
 
     layers = []
     for i, x in enumerate(word, start=1):
         machine = structure.multiplier(x)
-        phi = row_homomorphism(rows, parse_tuple_token, (i - 1, i),
+        phi = row_homomorphism(tuples, parse_tuple_token, (i - 1, i),
                                machine.alphabet)
         layers.append(preimage(machine, phi, name=f"{name}~A{i}"))
     combined = reduce(lambda a, b: intersect(a, b), layers)
 
-    psi = row_homomorphism(rows, parse_tuple_token, (0, k),
+    psi = row_homomorphism(tuples, parse_tuple_token, (0, k),
                            pair_alphabet(symbols).letters())
     return image(combined, psi, name=name)
 
@@ -1100,24 +1102,21 @@ class FreeProductOracle(ProductOracle):
 
     def canonicalize(self, word):
         blocks = []  # (side tag, canonical block word)
-        for tok in word:
-            side, raw = tok[:2], tok[2:]
+        for side, run in groupby(word, itemgetter(slice(2))):
             if side not in ("1.", "2."):
-                raise StructureError(f"unknown free-product generator {tok!r}")
+                raise StructureError(
+                    f"unknown free-product generator {next(run)!r}")
+            merged = tuple([tok[2:] for tok in run])
             if blocks and blocks[-1][0] == side:
-                merged = blocks.pop()[1] + (raw,)
-            else:
-                merged = (raw,)
+                merged = blocks.pop()[1] + merged
             factor = self.left if side == "1." else self.right
             canon = factor.canonicalize(merged)
             if canon:
                 blocks.append((side, canon))
             # an emptied block just disappears; alternation is preserved, and
-            # later same-side letters merge with the block now on top
-        out = []
-        for side, block in blocks:
-            out.extend(_tag_token(side, t) for t in block)
-        return tuple(out)
+            # the next run merges with the block now on top
+        return tuple([_tag_token(side, t) for side, block in blocks
+                      for t in block])
 
 
 class RegenOracle(GroupOracle):
@@ -1210,9 +1209,12 @@ def _parse_expr(text):
         return ("finf", None)
     if text.startswith("finf:"):
         try:
-            return ("finf", int(text[5:]))
+            bound = int(text[5:])
         except ValueError:
-            raise ExprError(f"bad builtin {text!r}")
+            bound = 0
+        if bound < 1:
+            raise ExprError(f"bad builtin {text!r} (finf:<K> needs K >= 1)")
+        return ("finf", bound)
     if text.startswith("bs:"):
         try:
             m, n = (int(v) for v in text[3:].split(","))

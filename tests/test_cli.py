@@ -103,6 +103,16 @@ def test_nf_bad_builtin_index_exits_2(capsys):
     assert "finf:x" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "finf:-1", "--radius", "2"],
+    ["shortlex-nf", "--oracle", "finf:0", "EPS"],
+])
+def test_finf_bound_below_one_exits_2(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and "K >= 1" in captured.err and captured.out == ""
+
+
 def test_verify_negative_radius_exits_2(capsys):
     code = main(["verify", "--group", "z", "--radius", "-1", "--porcelain"])
     captured = capsys.readouterr()
@@ -148,7 +158,7 @@ def test_build_round_trip(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("expr", ["bs:2,3", "free(z,z)"])
+@pytest.mark.parametrize("expr", ["bs:2,3", "free(z,z)", "product(z,z)"])
 def test_build_is_identical_under_different_hash_seeds(expr, tmp_path):
     src = os.path.dirname(os.path.dirname(cga.__file__))
     dirs = []
@@ -204,6 +214,23 @@ def test_accept_zero_counter_amount_exits_2(entry, tmp_path, capsys):
     code = main(["accept", str(path), "a"])
     captured = capsys.readouterr()
     assert code == 2 and entry in captured.err
+    assert f"{path}:7:" in captured.err
+
+
+def test_accept_non_utf8_automaton_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.aut"
+    path.write_bytes(b"automaton x\xff\n")
+    code = main(["accept", str(path), "a"])
+    captured = capsys.readouterr()
+    assert code == 2 and str(path) in captured.err and captured.out == ""
+
+
+def test_nf_non_utf8_manifest_exits_2(tmp_path, capsys):
+    (tmp_path / "structure.txt").write_bytes(b"structure \xff\n")
+    code = main(["nf", "--structure", str(tmp_path), "a"])
+    captured = capsys.readouterr()
+    assert code == 2 and "structure.txt" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("line, broken", [

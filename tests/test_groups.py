@@ -247,6 +247,17 @@ def test_free_product_verifies_as_rank_two_free_group(f2):
     assert report2.ok
 
 
+def test_free_product_oracle_matches_free_reduction(f2):
+    # Z*Z is free of rank two, so free reduction is an independent reference
+    oracle = oracle_from_expr("free(z,z)")
+    reference = FreeGroupOracle(f2.generators)
+    letters = f2.generators.tokens()
+    rng = random.Random(7)
+    for _ in range(500):
+        word = tuple(rng.choice(letters) for _ in range(rng.randrange(13)))
+        assert oracle.canonicalize(word) == reference.canonicalize(word), word
+
+
 def test_free_product_with_bs_keeps_relator():
     fb = structure_from_expr("free(bs:2,3,z)")
     assert fb.word_problem(toks("1.t 1.a 1.a 1.t- 1.a- 1.a- 1.a-"))
