@@ -19,6 +19,9 @@ from .groups import ExprError, oracle_from_expr, structure_from_expr
 from .shortlex import OrderedAlphabet, SearchCapExceeded, geodesic_normal_form
 
 OK, NO, USAGE, BOUND, INVALID = 0, 1, 2, 3, 4
+# errors of a malformed word or structure; a manifest's multiplier files are
+# read when a command first uses them, so these can come from any command
+_USAGE_ERRORS = (ParseError, OSError, StructureError)
 
 
 class _Exit(Exception):
@@ -45,7 +48,7 @@ def _load_ref(args):
             raise _Exit(USAGE, str(exc))
     try:
         return load_structure(args.structure)
-    except (ParseError, OSError, StructureError) as exc:
+    except _USAGE_ERRORS as exc:
         raise _Exit(USAGE, str(exc))
 
 
@@ -87,14 +90,20 @@ def cmd_nf(args):
     except SearchBoundExceeded as exc:
         _emit(args, f"bound-exceeded {exc.bound}", str(exc))
         return BOUND
-    except StructureError as exc:
+    except _USAGE_ERRORS as exc:
         raise _Exit(USAGE, str(exc))
     nf, trace = result if args.trace else (result, None)
     rendered = " ".join(nf) if nf else "EPS"
     _emit(args, f"normal-form {rendered}", rendered)
-    if trace is not None and not args.porcelain:
+    if trace is not None:
         for step in trace.steps:
-            print(f"# step {step.generator}: levels={step.levels} "
+            _emit(args,
+                  f"step {step.generator} levels {step.levels} "
+                  f"max_s {step.max_s} max_t {step.max_t} "
+                  f"D {step.machine_states} E {step.machine_degree} "
+                  f"F {step.machine_growth} K {step.machine_eps_bound} "
+                  f"k {step.machine_counters}",
+                  f"# step {step.generator}: levels={step.levels} "
                   f"max|S_j|={step.max_s} max|T_j|={step.max_t} "
                   f"D={step.machine_states} E={step.machine_degree} "
                   f"F={step.machine_growth} K={step.machine_eps_bound} "
@@ -109,7 +118,7 @@ def cmd_wp(args):
     except SearchBoundExceeded as exc:
         _emit(args, f"bound-exceeded {exc.bound}", str(exc))
         return BOUND
-    except StructureError as exc:
+    except _USAGE_ERRORS as exc:
         raise _Exit(USAGE, str(exc))
     _emit(args, f"trivial {'true' if trivial else 'false'}",
           "trivial" if trivial else "nontrivial")
@@ -123,7 +132,7 @@ def cmd_eq(args):
     except SearchBoundExceeded as exc:
         _emit(args, f"bound-exceeded {exc.bound}", str(exc))
         return BOUND
-    except StructureError as exc:
+    except _USAGE_ERRORS as exc:
         raise _Exit(USAGE, str(exc))
     _emit(args, f"equal {'true' if equal else 'false'}",
           "equal" if equal else "distinct")
@@ -135,7 +144,7 @@ def cmd_verify(args):
     oracle = _oracle_for(args, structure)
     try:
         report = verify(structure, args.radius, oracle)
-    except StructureError as exc:
+    except _USAGE_ERRORS as exc:
         raise _Exit(USAGE, str(exc))
     failures = sorted(report.failures, key=lambda f: (f.witness, f.kind))
     if args.porcelain:

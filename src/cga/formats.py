@@ -184,6 +184,7 @@ def parse_automaton(text, path=None) -> CounterAutomaton:
     alphabet_set = set(alphabet)
     state_set = set(states)
     transitions = []
+    programs = {}  # program text -> parsed program; big files repeat few
     for lineno, args in raw_transitions:
         src, label, dst = args[0], args[1], args[-1]
         program_text = "".join(args[2:-1])
@@ -195,7 +196,10 @@ def parse_automaton(text, path=None) -> CounterAutomaton:
             label = EPSILON
         elif label not in alphabet_set:
             raise ParseError(f"label {label!r} not in alphabet", lineno, path=path)
-        program = parse_program(program_text, counters, lineno, path)
+        program = programs.get(program_text)
+        if program is None:
+            program = programs[program_text] = parse_program(
+                program_text, counters, lineno, path)
         transitions.append(Transition(src, label, program, dst))
     for s in [start] + accepts:
         if s not in state_set:
@@ -304,6 +308,9 @@ def parse_generators_line(args):
 
 
 def load_structure(directory) -> GraphAutomaticStructure:
+    """The structure of a manifest directory.  Every directive is checked and
+    nf.aut parsed now; each multiplier file must exist, but is read only
+    when the structure first uses its generator."""
     path = os.path.join(directory, MANIFEST_NAME)
     text = _read_text(path)
 
@@ -337,7 +344,11 @@ def load_structure(directory) -> GraphAutomaticStructure:
         elif directive == "nf":
             nf = load_automaton(os.path.join(directory, args[0]))
         elif directive == "mult":
-            multipliers[args[0]] = load_automaton(os.path.join(directory, args[1]))
+            mult_path = os.path.join(directory, args[1])
+            if not os.path.isfile(mult_path):
+                raise ParseError(f"no multiplier file {mult_path}", lineno,
+                                 path=path)
+            multipliers[args[0]] = _multiplier_loader(mult_path)
         elif directive == "lmult":
             pass  # left multipliers are not used; the file is not read
         elif directive == "seed-p":
@@ -363,6 +374,19 @@ def load_structure(directory) -> GraphAutomaticStructure:
     except (AutomatonError, ShortlexError) as exc:
         # tokens outside an alphabet, repeated order letters
         raise ParseError(str(exc), path=path)
+
+
+def _multiplier_loader(path):
+    """Reads a multiplier file when the structure first needs it; a file
+    that cannot be read is a ParseError naming it."""
+
+    def load():
+        try:
+            return load_automaton(path)
+        except OSError as exc:
+            raise ParseError(exc.strerror or str(exc), path=path) from exc
+
+    return load
 
 
 def _safe_filename(token):

@@ -193,9 +193,12 @@ def _pair_index(machine: CounterAutomaton):
     per machine."""
     index = getattr(machine, "_cga_pair_index", None)
     if index is None:
+        table = machine.by_state_letter
+        rows = {letter: parse_tuple_token(letter)
+                for letter in {letter for _, letter in table}}
         index = {}
-        for (state, letter), arrows in machine.by_state_letter.items():
-            top, bottom = parse_tuple_token(letter)
+        for (state, letter), arrows in table.items():
+            top, bottom = rows[letter]
             index.setdefault((state, top), {})[bottom] = arrows
         machine._cga_pair_index = index
     return index
@@ -402,6 +405,10 @@ def accepted_candidates(machine: CounterAutomaton, u, trie):
 class GraphAutomaticStructure:
     """Normal-form automaton, per-generator multipliers, and a seed pair.
 
+    A multiplier is given either as a machine or as a loader, a callable
+    that makes the machine; a loader runs once, when its generator is first
+    used, so a command pays only for the multipliers its words touch.
+
     The seed (p, q) gives one known correspondence: q is a normal form for the
     element spelled by the generator word p.  The identity's normal form is
     computed once from it at load time and cached; all multiplications then
@@ -417,7 +424,13 @@ class GraphAutomaticStructure:
         self.symbols = tuple(symbols)
         self.generators = generators
         self.nf_automaton = nf_automaton
-        self._multipliers = dict(multipliers)
+        self._multipliers = {}
+        self._loaders = {}
+        for tok, machine in multipliers.items():
+            if isinstance(machine, CounterAutomaton):
+                self._multipliers[tok] = machine
+            else:
+                self._loaders[tok] = machine
         self._family_cache = {}
         self.seed_p = tuple(seed_p)
         self.seed_q = tuple(seed_q)
@@ -432,21 +445,33 @@ class GraphAutomaticStructure:
     # -- bookkeeping ---------------------------------------------------------
 
     def _check(self):
-        pairs = pair_alphabet(self.symbols)
-        for tok, machine in self._multipliers.items():
+        for tok in [*self._multipliers, *self._loaders]:
             if tok not in self.generators:
                 raise StructureError(f"multiplier for unknown generator {tok!r}")
-            for letter in machine.alphabet:
-                if letter not in pairs:
-                    raise StructureError(
-                        f"multiplier {tok!r} uses letter {letter!r} outside the "
-                        "pair alphabet")
+        for tok, machine in self._multipliers.items():
+            self._check_letters(tok, machine)
         if not self.nf_automaton.accepts_word(self.seed_q):
             raise StructureError("seed word q is not in the normal form language")
+
+    def _check_letters(self, token, machine):
+        pairs = pair_alphabet(self.symbols)
+        for letter in machine.alphabet:
+            if letter not in pairs:
+                raise StructureError(
+                    f"multiplier {token!r} uses letter {letter!r} outside the "
+                    "pair alphabet")
 
     def multiplier(self, token) -> CounterAutomaton:
         machine = self._multipliers.get(token)
         if machine is not None:
+            return machine
+        loader = self._loaders.get(token)
+        if loader is not None:
+            machine = loader()
+            self._check_letters(token, machine)
+            # stored before the loader goes: a concurrent caller finds one
+            machine = self._multipliers.setdefault(token, machine)
+            self._loaders.pop(token, None)
             return machine
         family = self.generators.family
         if family is not None and family.factory is not None:

@@ -1020,7 +1020,9 @@ def change_generators(structure: GraphAutomaticStructure, assignments,
             machine = _composed_multiplier(structure, word, f"regen_L_{y}")
         longest = max(longest, max(len(word), 1))
         multipliers[y] = machine
-        multipliers[y_inv] = swap_rows(machine, f"regen_L_{y_inv}")
+        # built when y- is first used
+        multipliers[y_inv] = (lambda machine=machine, name=f"regen_L_{y_inv}":
+                              swap_rows(machine, name))
 
     alpha = structure.growth.alpha
     beta = structure.step_beta(
@@ -1220,6 +1222,8 @@ def _parse_expr(text):
             m, n = (int(v) for v in text[3:].split(","))
         except ValueError:
             raise ExprError(f"bad builtin {text!r}")
+        if not 2 <= m < n:
+            raise ExprError(f"bad builtin {text!r} (bs:<m>,<n> needs 2 <= m < n)")
         return ("bs", m, n)
     raise ExprError(f"unknown structure expression {text!r}")
 
@@ -1244,7 +1248,10 @@ def _lex_generator_word(text, generators):
 def _regen_assignments(raw, base):
     """(assignments, trivial) of a regen node, read against the generator
     tokens of its base structure or oracle."""
-    gens = base.generators.tokens()
+    try:
+        gens = base.generators.tokens()
+    except StructureError as exc:  # an unbounded family
+        raise ExprError(f"regen base: {exc}")
     assignments = {}
     trivial = []
     for y, text in raw:
@@ -1252,6 +1259,8 @@ def _regen_assignments(raw, base):
             trivial.append(y)
         else:
             assignments[y] = _lex_generator_word(text, gens)
+            if not assignments[y]:
+                raise ExprError(f"generator word for {y!r} must be nonempty")
     return assignments, trivial
 
 

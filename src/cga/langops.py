@@ -248,23 +248,29 @@ def intersect(m: CounterAutomaton, n: CounterAutomaton,
     k, l = m.counters, n.counters
     total = k + l
 
-    m_eps = m.eps_by_state
-    n_eps = n.eps_by_state
-    m_letters = {}
-    for t in m.transitions:
-        if t.label is not EPSILON:
-            m_letters.setdefault(t.src, {}).setdefault(t.label, []).append(t)
-    n_letters = {}
-    for t in n.transitions:
-        if t.label is not EPSILON:
-            n_letters.setdefault(t.src, {}).setdefault(t.label, []).append(t)
+    # each side's arrows with their programs padded once: m's counters
+    # first, n's after them
+    def padded(machine, offset):
+        eps, letters = {}, {}
+        for t in machine.transitions:
+            arrow = (pad_program(t.program, machine.counters, total, offset),
+                     t.dst)
+            if t.label is EPSILON:
+                eps.setdefault(t.src, []).append(arrow)
+            else:
+                letters.setdefault(t.src, {}).setdefault(
+                    t.label, []).append(arrow)
+        return eps, letters
+
+    m_eps, m_letters = padded(m, 0)
+    n_eps, n_letters = padded(n, k)
 
     def expand(key):
         s, t = key
         for prog, dst in m_eps.get(s, ()):
-            yield EPSILON, pad_program(prog, k, total, 0), (dst, t)
+            yield EPSILON, prog, (dst, t)
         for prog, dst in n_eps.get(t, ()):
-            yield EPSILON, pad_program(prog, l, total, k), (s, dst)
+            yield EPSILON, prog, (s, dst)
         mine = m_letters.get(s)
         theirs = n_letters.get(t)
         if not mine or not theirs:
@@ -272,11 +278,9 @@ def intersect(m: CounterAutomaton, n: CounterAutomaton,
         for label, arrows in mine.items():
             if label not in theirs:
                 continue
-            for tm in arrows:
-                pm = pad_program(tm.program, k, total, 0)
-                for tn in theirs[label]:
-                    yield label, pm + pad_program(tn.program, l, total, k), \
-                        (tm.dst, tn.dst)
+            for pm, dm in arrows:
+                for pn, dn in theirs[label]:
+                    yield label, pm + pn, (dm, dn)
 
     m_acc, n_acc = m.accepts, n.accepts
     return explore(

@@ -96,6 +96,19 @@ def test_nf_trace_lines_are_fixed(capsys):
     assert code == 0 and out == "at at- # -1 # -1 # # -1\n"
 
 
+def test_nf_trace_porcelain_prints_step_records(capsys):
+    code, out = run(capsys, "nf", "--group", "bs:2,3", "a t", "--trace",
+                    "--porcelain")
+    assert code == 0
+    assert out.splitlines() == [
+        "normal-form at # # # #",
+        "step a levels 6 max_s 14 max_t 14 D 275 E 16 F 27 K 3 k 3",
+        "step t levels 6 max_s 27 max_t 12 D 957 E 9 F 117 K 13 k 3",
+    ]
+    code, out = run(capsys, "nf", "--group", "bs:2,3", "a t", "--porcelain")
+    assert code == 0 and out == "normal-form at # # # #\n"
+
+
 def test_nf_bad_builtin_index_exits_2(capsys):
     code = main(["nf", "--group", "finf:x", "x1"])
     captured = capsys.readouterr()
@@ -111,6 +124,18 @@ def test_finf_bound_below_one_exits_2(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and "K >= 1" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("oracle", ["bs:0,3", "regen(finf; y=x1)"])
+def test_verify_malformed_oracle_exits_2(oracle, tmp_path, capsys):
+    out_dir = str(tmp_path / "z")
+    assert main(["build", "z", "--out", out_dir]) == 0
+    capsys.readouterr()
+    code = main(["verify", "--structure", out_dir, "--oracle", oracle,
+                 "--radius", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_verify_negative_radius_exits_2(capsys):
@@ -342,3 +367,51 @@ def test_usage_error_exit_code():
 def test_build_rejects_unbounded_family(tmp_path, capsys):
     code = main(["build", "finf", "--out", str(tmp_path / "x")])
     assert code == 4
+
+
+@pytest.fixture
+def z_manifest(tmp_path, capsys):
+    out_dir = tmp_path / "z"
+    assert main(["build", "z", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    return out_dir
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf", "a-"],
+    ["wp", "a-"],
+    ["eq", "a-", "a"],
+    ["verify", "--oracle", "z", "--radius", "1"],
+])
+def test_malformed_multiplier_file_fails_when_first_used(argv, z_manifest,
+                                                         capsys):
+    # multiplier files are read on first use: a word without a- never
+    # reads the broken file, and the first command that does exits 2
+    (z_manifest / "mult_a-.aut").write_text("automaton broken\nbogus\n")
+    code, out = run(capsys, "nf", "--structure", str(z_manifest), "a")
+    assert code == 0 and out == "a\n"
+    code = main([argv[0], "--structure", str(z_manifest), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(
+        f"error: {z_manifest / 'mult_a-.aut'}:2:")
+
+
+def test_multiplier_outside_the_pair_alphabet_fails_when_first_used(
+        z_manifest, capsys):
+    # nf.aut reads single symbols, not pair letters
+    (z_manifest / "mult_a-.aut").write_text((z_manifest / "nf.aut").read_text())
+    code, out = run(capsys, "nf", "--structure", str(z_manifest), "a")
+    assert code == 0 and out == "a\n"
+    code = main(["nf", "--structure", str(z_manifest), "a-"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: multiplier 'a-' uses letter")
+
+
+def test_missing_multiplier_file_fails_at_load(z_manifest, capsys):
+    os.remove(z_manifest / "mult_a-.aut")
+    code = main(["nf", "--structure", str(z_manifest), "a"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "mult_a-.aut" in captured.err

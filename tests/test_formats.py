@@ -1,10 +1,14 @@
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cga import formats
 from cga.automata import EPSILON, accepts, validate
 from cga.formats import (
     ParseError,
     format_automaton,
+    load_automaton,
     load_structure,
     parse_automaton,
     parse_homomorphism,
@@ -19,6 +23,7 @@ from cga.groups import (
     structure_from_expr,
     z_structure,
 )
+from cga.langops import LangOpError
 
 from conftest import toks
 
@@ -123,18 +128,36 @@ def test_structure_round_trip(tmp_path, bs23):
 
 
 def test_round_trip_verify_report_matches(tmp_path):
-    structure = structure_from_expr("free(z,z)")
-    out = tmp_path / "f2"
-    write_structure(structure, out)
+    for i, (expr, radius) in enumerate([("free(z,z)", 3),
+                                        ("regen(bs:2,3; a=a; t=t; u=a a)", 2)]):
+        structure = structure_from_expr(expr)
+        out = tmp_path / f"structure{i}"
+        write_structure(structure, out)
+        loaded = load_structure(out)
+        oracle = oracle_from_expr(expr)
+        direct = verify(structure, radius, oracle)
+        reloaded = verify(loaded, radius, oracle)
+        assert direct.ok and reloaded.ok
+        assert direct.words_checked == reloaded.words_checked
+        assert direct.elements == reloaded.elements
+        assert [(f.kind, f.witness) for f in direct.failures] == \
+            [(f.kind, f.witness) for f in reloaded.failures]
+
+
+def test_load_reads_only_the_multipliers_a_word_uses(tmp_path, bs23,
+                                                     monkeypatch):
+    out = tmp_path / "bs"
+    write_structure(bs23, out)
+    read = []
+
+    def counting_load(path):
+        read.append(os.path.basename(path))
+        return load_automaton(path)
+
+    monkeypatch.setattr(formats, "load_automaton", counting_load)
     loaded = load_structure(out)
-    oracle = oracle_from_expr("free(z,z)")
-    direct = verify(structure, 3, oracle)
-    reloaded = verify(loaded, 3, oracle)
-    assert direct.ok and reloaded.ok
-    assert direct.words_checked == reloaded.words_checked
-    assert direct.elements == reloaded.elements
-    assert [(f.kind, f.witness) for f in direct.failures] == \
-        [(f.kind, f.witness) for f in reloaded.failures]
+    assert loaded.normal_form(("a",)) == bs23.normal_form(("a",))
+    assert read == ["nf.aut", "mult_a.aut"]
 
 
 def test_serialized_machines_revalidate(tmp_path, bs23):
@@ -221,6 +244,23 @@ def test_manifest_text_fails_only_with_load_errors(z_files, data):
     text = data.draw(mutated_lines(valid, MANIFEST_WORDS))
     (out / "structure.txt").write_text(text, encoding="utf-8")
     try:
-        load_structure(out)
+        loaded = load_structure(out)
+        # multiplier files are read on first use
+        for tok in loaded.generators.tokens():
+            loaded.multiplier(tok)
     except LOAD_ERRORS:
+        pass
+
+
+HOM_TEXT = "map a -> p 1\nmap b -> EPS\n"
+HOM_WORDS = st.sampled_from(["map", "a", "b", "c", "p", "1", "->", "EPS"]) \
+    | st.text(max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_lines(HOM_TEXT, HOM_WORDS))
+def test_homomorphism_text_fails_only_with_parse_errors(text):
+    try:
+        parse_homomorphism(text, ("a", "b"), ("p", "1"))
+    except (ParseError, LangOpError):
         pass

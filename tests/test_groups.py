@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cga.automata import accepts, program_reads_counters, validate
 from cga.gastructure import (
@@ -15,6 +15,7 @@ from cga.groups import (
     BSDecodeError,
     BSNormalPair,
     BSOracle,
+    ExprError,
     FreeGroupOracle,
     FreeProductOracle,
     ProductOracle,
@@ -469,3 +470,38 @@ def test_random_deep_finf_words_match_reduction_encoding(finf):
         word = tuple(rng.choice(gens) for _ in range(rng.randint(0, 8)))
         reduced = free_reduce(word, finf.generators.inverse_of)
         assert finf.normal_form(word) == encode(reduced)
+
+
+# -- malformed expressions only ever give ExprError -----------------------------
+
+EXPRESSIONS = [
+    "z", "finf", "finf:3", "bs:2,3", "product(z,z)", "free(bs:2,3,z)",
+    "regen(bs:2,3; a=a; t=t; u=at)", "regen(z; b=EPS; c=a a-)",
+    "product(finf:2,regen(z; y=a a))",
+]
+EXPR_PIECES = st.sampled_from(list("(),;:=-_ 0123") + [
+    "a", "t", "x1", "z", "EPS", "bs:", "finf", "product(", "free(",
+    "regen(", "y="]) | st.characters()
+
+
+@st.composite
+def mutated_expressions(draw):
+    """A valid expression with a few pieces inserted, deleted or replaced."""
+    text = draw(st.sampled_from(EXPRESSIONS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + draw(st.just("") | EXPR_PIECES) + text[j:]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_expressions())
+@example(text="free(bs:28,3,z)")     # m >= n reached the BS oracle
+@example(text="regen(finf; y=x1)")   # an unbounded family has no token list
+@example(text="regen(z; y=)")        # an empty generator word
+def test_expression_text_fails_only_with_expr_errors(text):
+    try:
+        oracle_from_expr(text)
+    except ExprError:
+        pass
