@@ -16,6 +16,7 @@ from .automata import AutomatonError, accepts, validate
 from .formats import ParseError, load_automaton, load_structure, write_structure
 from .gastructure import SearchBoundExceeded, StructureError, verify
 from .groups import ExprError, oracle_from_expr, structure_from_expr
+from .langops import LangOpError
 from .shortlex import OrderedAlphabet, SearchCapExceeded, geodesic_normal_form
 
 OK, NO, USAGE, BOUND, INVALID = 0, 1, 2, 3, 4
@@ -25,9 +26,12 @@ _USAGE_ERRORS = (ParseError, OSError, StructureError)
 
 
 class _Exit(Exception):
+    """Ends a command with ``code``; a None message: already reported."""
+
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
+        self.message = message
 
 
 def _tokens(text):
@@ -41,13 +45,22 @@ def _emit(args, porcelain_line, human_line):
 
 
 def _load_ref(args):
-    if getattr(args, "group", None):
-        try:
-            return structure_from_expr(args.group)
-        except (ExprError, StructureError) as exc:
-            raise _Exit(USAGE, str(exc))
     try:
+        if getattr(args, "group", None):
+            return structure_from_expr(args.group)
         return load_structure(args.structure)
+    except (ExprError, LangOpError, *_USAGE_ERRORS) as exc:
+        raise _Exit(USAGE, str(exc))
+
+
+def _searched(args, compute):
+    """compute() for nf, wp and eq: an exceeded search bound is reported as
+    bound-exceeded with exit 3, a malformed word or structure exits 2."""
+    try:
+        return compute()
+    except SearchBoundExceeded as exc:
+        _emit(args, f"bound-exceeded {exc.bound}", str(exc))
+        raise _Exit(BOUND, None)
     except _USAGE_ERRORS as exc:
         raise _Exit(USAGE, str(exc))
 
@@ -84,14 +97,8 @@ def cmd_accept(args):
 
 def cmd_nf(args):
     structure = _load_ref(args)
-    try:
-        result = structure.normal_form(
-            _tokens(args.word), algo=args.algo, with_trace=args.trace)
-    except SearchBoundExceeded as exc:
-        _emit(args, f"bound-exceeded {exc.bound}", str(exc))
-        return BOUND
-    except _USAGE_ERRORS as exc:
-        raise _Exit(USAGE, str(exc))
+    result = _searched(args, lambda: structure.normal_form(
+        _tokens(args.word), algo=args.algo, with_trace=args.trace))
     nf, trace = result if args.trace else (result, None)
     rendered = " ".join(nf) if nf else "EPS"
     _emit(args, f"normal-form {rendered}", rendered)
@@ -108,18 +115,18 @@ def cmd_nf(args):
                   f"D={step.machine_states} E={step.machine_degree} "
                   f"F={step.machine_growth} K={step.machine_eps_bound} "
                   f"k={step.machine_counters}")
+            if args.porcelain:
+                # the paper's bound on |S_j|: 2*D*(2*F*j + 1)**k
+                for j, size, edges, cmax in step.per_level:
+                    bound = 2 * step.machine_states * (
+                        2 * step.machine_growth * j + 1) ** step.machine_counters
+                    print(f"level {j} S {size} T {edges} c {cmax} bound {bound}")
     return OK
 
 
 def cmd_wp(args):
     structure = _load_ref(args)
-    try:
-        trivial = structure.word_problem(_tokens(args.word))
-    except SearchBoundExceeded as exc:
-        _emit(args, f"bound-exceeded {exc.bound}", str(exc))
-        return BOUND
-    except _USAGE_ERRORS as exc:
-        raise _Exit(USAGE, str(exc))
+    trivial = _searched(args, lambda: structure.word_problem(_tokens(args.word)))
     _emit(args, f"trivial {'true' if trivial else 'false'}",
           "trivial" if trivial else "nontrivial")
     return OK if trivial else NO
@@ -127,13 +134,8 @@ def cmd_wp(args):
 
 def cmd_eq(args):
     structure = _load_ref(args)
-    try:
-        equal = structure.are_equal(_tokens(args.word1), _tokens(args.word2))
-    except SearchBoundExceeded as exc:
-        _emit(args, f"bound-exceeded {exc.bound}", str(exc))
-        return BOUND
-    except _USAGE_ERRORS as exc:
-        raise _Exit(USAGE, str(exc))
+    equal = _searched(args, lambda: structure.are_equal(
+        _tokens(args.word1), _tokens(args.word2)))
     _emit(args, f"equal {'true' if equal else 'false'}",
           "equal" if equal else "distinct")
     return OK if equal else NO
@@ -166,7 +168,7 @@ def cmd_build(args):
     try:
         structure = structure_from_expr(args.expr)
         write_structure(structure, args.out)
-    except ExprError as exc:
+    except (ExprError, LangOpError) as exc:
         raise _Exit(USAGE, str(exc))
     except StructureError as exc:
         raise _Exit(INVALID, str(exc))
@@ -264,7 +266,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except _Exit as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if exc.message is not None:
+            print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
 
 

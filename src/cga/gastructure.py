@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from .automata import CounterAutomaton, apply_program, counter_growth_bound
-from .langops import pair_alphabet, parse_tuple_token
+from .langops import pair_alphabet, parse_tuple_token, swap_rows
 from .shortlex import OrderedAlphabet
 
 
@@ -53,10 +54,11 @@ class GeneratorInfo:
 @dataclass
 class FamilySpec:
     """Parameterized generator family like x1, x2, ... with formal inverses
-    x1-, x2-, ....  The factory builds both multipliers for one index."""
+    x1-, x2-, ....  The factory builds the multiplier of x_i from i; the
+    structure derives x_i-'s as its row swap."""
 
     base: str
-    factory: Optional[Callable[[int], dict]] = None
+    factory: Optional[Callable[[int], CounterAutomaton]] = None
     max_index: Optional[int] = None
 
     def __post_init__(self):
@@ -407,7 +409,10 @@ class GraphAutomaticStructure:
 
     A multiplier is given either as a machine or as a loader, a callable
     that makes the machine; a loader runs once, when its generator is first
-    used, so a command pays only for the multipliers its words touch.
+    used, so a command pays only for the multipliers its words touch.  A
+    generator with neither, and no family factory, gets the row swap of its
+    inverse's multiplier, since L_{x-} = {(v, u) : (u, v) in L_x}; one
+    generator of each inverse pair is enough.
 
     The seed (p, q) gives one known correspondence: q is a normal form for the
     element spelled by the generator word p.  The identity's normal form is
@@ -424,14 +429,10 @@ class GraphAutomaticStructure:
         self.symbols = tuple(symbols)
         self.generators = generators
         self.nf_automaton = nf_automaton
-        self._multipliers = {}
-        self._loaders = {}
-        for tok, machine in multipliers.items():
-            if isinstance(machine, CounterAutomaton):
-                self._multipliers[tok] = machine
-            else:
-                self._loaders[tok] = machine
-        self._family_cache = {}
+        self._multipliers = {tok: m for tok, m in multipliers.items()
+                             if isinstance(m, CounterAutomaton)}
+        self._loaders = {tok: m for tok, m in multipliers.items()
+                         if tok not in self._multipliers}
         self.seed_p = tuple(seed_p)
         self.seed_q = tuple(seed_q)
         self.quasigeodesic_c = quasigeodesic_c
@@ -462,31 +463,41 @@ class GraphAutomaticStructure:
                     "pair alphabet")
 
     def multiplier(self, token) -> CounterAutomaton:
+        machine = self._own_multiplier(token)
+        if machine is None and token in self.generators:
+            inverse = self._own_multiplier(self.generators.inverse_of(token))
+            if inverse is not None:
+                machine = self._multipliers.setdefault(
+                    token, swap_rows(inverse, inverse.name + "-"))
+        if machine is None:
+            raise StructureError(
+                f"no multiplier available for generator {token!r}")
+        return machine
+
+    def _own_multiplier(self, token):
+        """token's multiplier from its own machine, loader or family factory,
+        made once and stored; None if it has none of these."""
         machine = self._multipliers.get(token)
         if machine is not None:
             return machine
         loader = self._loaders.get(token)
-        if loader is not None:
-            machine = loader()
-            self._check_letters(token, machine)
-            # stored before the loader goes: a concurrent caller finds one
-            machine = self._multipliers.setdefault(token, machine)
-            self._loaders.pop(token, None)
-            return machine
         family = self.generators.family
-        if family is not None and family.factory is not None:
+        if loader is None and family is not None and family.factory is not None:
             parsed = family.parse(token)
-            if parsed is not None:
-                index, _ = parsed
-                built = self._family_cache.get(index)
-                if built is None:
-                    built = family.factory(index)
-                    self._family_cache[index] = built
-                return built[token]
-        raise StructureError(f"no multiplier available for generator {token!r}")
+            if parsed is not None and not parsed[1]:
+                loader = partial(family.factory, parsed[0])
+        if loader is None:
+            return None
+        machine = loader()
+        self._check_letters(token, machine)
+        # stored before the loader goes: a concurrent caller finds one
+        machine = self._multipliers.setdefault(token, machine)
+        self._loaders.pop(token, None)
+        return machine
 
     def instantiated_family_indices(self):
-        return sorted(self._family_cache)
+        parsed = map(self.generators.family.parse, self._multipliers)
+        return sorted({p[0] for p in parsed if p is not None})
 
     def step_cap(self, length, token) -> int:
         extra = 0

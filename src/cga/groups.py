@@ -38,7 +38,6 @@ from .langops import (
     preimage,
     relabel,
     row_homomorphism,
-    swap_rows,
     trim,
     tuple_token,
     union,
@@ -512,9 +511,9 @@ def bs_case_machines(m, n):
 
 
 def bs_multipliers(m, n, nf: CounterAutomaton):
-    """Right-multiplication machines for a, t and their inverses: unions of
-    run-shape case languages intersected with the convolution square of L
-    and a (language-neutral) length-gap guard."""
+    """Right-multiplication machines for a and t (the structure derives
+    their inverses): unions of run-shape case languages intersected with the
+    convolution square of L and a (language-neutral) length-gap guard."""
     symbols = bs_symbols(m, n)
     cases = bs_case_machines(m, n)
     cases_a = [machine for key, machine in cases.items() if key.startswith("a:")]
@@ -529,12 +528,7 @@ def bs_multipliers(m, n, nf: CounterAutomaton):
     lt = intersect(
         intersect(union_all(cases_t, name="Lt_cases"), conv2),
         _gap_guard(symbols, gap, sides=("top",)), name=f"bs{m}_{n}_Lt")
-    return {
-        "a": la,
-        "a-": swap_rows(la, f"bs{m}_{n}_La-"),
-        "t": lt,
-        "t-": swap_rows(lt, f"bs{m}_{n}_Lt-"),
-    }
+    return {"a": la, "t": lt}
 
 
 def bs_structure(m, n, seed_p=None, seed_q=None,
@@ -608,7 +602,7 @@ def finf_nf_machine() -> CounterAutomaton:
 
 def finf_structure(max_index=None) -> GraphAutomaticStructure:
     """Free group on x1, x2, ...; x_i encodes to p 1^i, its inverse to n 1^i.
-    Multiplier machines are built on demand per generator index and cached."""
+    The factory builds x_i's multiplier when x_i or x_i- is first used."""
     symbols = ("p", "n", "1")
     nf = finf_nf_machine()
     pairs = tuple(pair_alphabet(symbols).letters())
@@ -621,11 +615,10 @@ def finf_structure(max_index=None) -> GraphAutomaticStructure:
                      repeat(lit(tuple_token((None, "1"))), i))
         cancel = seq(star(diag), lit(tuple_token(("n", None))),
                      repeat(lit(tuple_token(("1", None))), i))
-        machine = union(
+        return union(
             intersect(build(append, f"finf_x{i}+", pairs), lifted_right),
             intersect(build(cancel, f"finf_x{i}-", pairs), lifted_left),
             name=f"finf_Lx{i}")
-        return {f"x{i}": machine, f"x{i}-": swap_rows(machine, f"finf_Lx{i}inv")}
 
     gens = GeneratorSet([], FamilySpec("x", factory, max_index))
     name = "finf" if max_index is None else f"finf:{max_index}"
@@ -655,7 +648,7 @@ def z_structure() -> GraphAutomaticStructure:
     la = build(alt(grow, shrink), "z_La", pairs)
     return GraphAutomaticStructure(
         "z", symbols, GeneratorSet.from_pairs([("a", "a-")]), nf,
-        {"a": la, "a-": swap_rows(la, "z_La-")},
+        {"a": la},
         seed_p=(), seed_q=(), quasigeodesic_c=1, growth=GrowthPolicy(1, 1),
         order=symbols)
 
@@ -679,22 +672,20 @@ def _retag_pair_letter(tag):
 def _generator_pairs(generators: GeneratorSet):
     """(token, inverse) pairs covering every concrete generator, family
     members up to their bound included."""
-    pairs = []
-    seen = set()
+    pairs = {}
     for tok in generators.tokens():
-        if tok in seen:
-            continue
         inv = generators.inverse_of(tok)
-        seen.update((tok, inv))
-        pairs.append((tok, inv))
-    return pairs
+        if inv not in pairs:
+            pairs[tok] = inv
+    return list(pairs.items())
 
 
 def _tagged_parts(structure: GraphAutomaticStructure, tag):
     """Relabel a structure's alphabet and machines with a distinguishing
-    prefix; returns (symbols, nf, multipliers, generator pairs, mu).
-    Materializes bounded generator families; unbounded ones cannot enter
-    product constructions."""
+    prefix; returns (symbols, nf, multipliers, generator pairs, mu), with a
+    multiplier for the first generator of each pair only (the product
+    structure derives the other).  Materializes bounded generator families;
+    unbounded ones cannot enter product constructions."""
     family = structure.generators.family
     if family is not None and family.max_index is None:
         raise StructureError(
@@ -703,14 +694,14 @@ def _tagged_parts(structure: GraphAutomaticStructure, tag):
     nf = relabel(structure.nf_automaton, lambda s: _tag_token(tag, s),
                  name=f"{tag}{structure.nf_automaton.name}", alphabet=symbols)
     retag = _retag_pair_letter(tag)
+    pairs = _generator_pairs(structure.generators)
     multipliers = {}
-    for tok in structure.generators.tokens():
+    for tok, _ in pairs:
         machine = structure.multiplier(tok)
         multipliers[_tag_token(tag, tok)] = relabel(
             machine, retag, name=f"{tag}{machine.name}",
             alphabet=tuple(pair_alphabet(symbols).letters()))
-    pairs = [(_tag_token(tag, a), _tag_token(tag, b))
-             for a, b in _generator_pairs(structure.generators)]
+    pairs = [(_tag_token(tag, a), _tag_token(tag, b)) for a, b in pairs]
     mu = tuple(_tag_token(tag, s) for s in structure.mu)
     return symbols, nf, multipliers, pairs, mu
 
@@ -799,14 +790,11 @@ def direct_product(sg: GraphAutomaticStructure,
                              pair_alphabet(lam_h).letters())
 
     multipliers = {}
-    for tok, machine in mult_g.items():
-        multipliers[tok] = intersect(
-            intersect(eq_h, other_h), preimage(machine, hom_g),
-            name=f"prod_L_{tok}")
-    for tok, machine in mult_h.items():
-        multipliers[tok] = intersect(
-            intersect(eq_g, other_g), preimage(machine, hom_h),
-            name=f"prod_L_{tok}")
+    for mults, others, hom in ((mult_g, intersect(eq_h, other_h), hom_g),
+                               (mult_h, intersect(eq_g, other_g), hom_h)):
+        for tok, machine in mults.items():
+            multipliers[tok] = intersect(others, preimage(machine, hom),
+                                         name=f"prod_L_{tok}")
 
     quasi = None
     if sg.quasigeodesic_c is not None and sh.quasigeodesic_c is not None:
@@ -966,10 +954,10 @@ def free_product(sg: GraphAutomaticStructure,
             preimage(not_mu, row_homomorphism(lam_pairs, parse_tuple_token,
                                               (row,), lam))
             for row in (0, 1)])
-        for tok in structure.generators.tokens():
+        for tok, inv in _generator_pairs(structure.generators):
             tagged = _tag_token(tag, tok)
             u_x = nf_of(tok)
-            u_xinv = nf_of(structure.generators.inverse_of(tok))
+            u_xinv = nf_of(inv)
             longest_block = max(longest_block, len(u_x), len(u_xinv))
             multipliers[tagged] = _free_product_multiplier(
                 nf, sep, side, intersect(mults[tagged], no_identity_block),
@@ -1008,8 +996,7 @@ def change_generators(structure: GraphAutomaticStructure, assignments,
     longest = 1
     for y, word in list(assignments.items()) + [(y, ()) for y in trivial]:
         word = tuple(word)
-        y_inv = y + "-"
-        new_pairs.append((y, y_inv))
+        new_pairs.append((y, y + "-"))
         if y in trivial:
             machine = _diagonal_language(structure.nf_automaton, symbols)
         elif len(word) == 0:
@@ -1020,9 +1007,6 @@ def change_generators(structure: GraphAutomaticStructure, assignments,
             machine = _composed_multiplier(structure, word, f"regen_L_{y}")
         longest = max(longest, max(len(word), 1))
         multipliers[y] = machine
-        # built when y- is first used
-        multipliers[y_inv] = (lambda machine=machine, name=f"regen_L_{y_inv}":
-                              swap_rows(machine, name))
 
     alpha = structure.growth.alpha
     beta = structure.step_beta(

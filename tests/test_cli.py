@@ -6,7 +6,7 @@ import pytest
 
 import cga
 from cga.cli import main
-from cga.formats import format_automaton, write_structure
+from cga.formats import format_automaton, load_automaton, write_structure
 from cga.groups import bs_nf_machine, bs_structure
 
 
@@ -103,8 +103,24 @@ def test_nf_trace_porcelain_prints_step_records(capsys):
     assert out.splitlines() == [
         "normal-form at # # # #",
         "step a levels 6 max_s 14 max_t 14 D 275 E 16 F 27 K 3 k 3",
+        "level 0 S 7 T 0 c 0 bound 550",
+        "level 1 S 4 T 4 c 1 bound 91506250",
+        "level 2 S 2 T 2 c 1 bound 712265950",
+        "level 3 S 2 T 2 c 1 bound 2381910850",
+        "level 4 S 4 T 4 c 3 bound 5620072150",
+        "level 5 S 8 T 8 c 5 bound 10946381050",
+        "level 6 S 14 T 14 c 7 bound 18880468750",
         "step t levels 6 max_s 27 max_t 12 D 957 E 9 F 117 K 13 k 3",
+        "level 0 S 27 T 0 c 0 bound 1914",
+        "level 1 S 10 T 10 c 1 bound 24839652750",
+        "level 2 S 5 T 5 c 1 bound 197451511026",
+        "level 3 S 5 T 5 c 1 bound 664978966278",
+        "level 4 S 10 T 10 c 2 bound 1574565408042",
+        "level 5 S 12 T 12 c 4 bound 3073354225854",
+        "level 6 S 10 T 10 c 6 bound 5308488809250",
     ]
+    # bound = 2*D*(2*F*j + 1)**k
+    assert 2 * 957 * (2 * 117 * 6 + 1) ** 3 == 5308488809250
     code, out = run(capsys, "nf", "--group", "bs:2,3", "a t", "--porcelain")
     assert code == 0 and out == "normal-form at # # # #\n"
 
@@ -183,7 +199,8 @@ def test_build_round_trip(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("expr", ["bs:2,3", "free(z,z)", "product(z,z)"])
+@pytest.mark.parametrize("expr", ["bs:2,3", "finf:3", "free(z,z)",
+                                  "product(z,z)"])
 def test_build_is_identical_under_different_hash_seeds(expr, tmp_path):
     src = os.path.dirname(os.path.dirname(cga.__file__))
     dirs = []
@@ -199,6 +216,17 @@ def test_build_is_identical_under_different_hash_seeds(expr, tmp_path):
     assert names == sorted(os.listdir(second)) and "structure.txt" in names
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("expr", ["bs:2,3", "finf:3", "free(z,z)"])
+def test_built_automata_round_trip(expr, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["build", expr, "--out", str(out_dir)]) == 0
+    names = sorted(n for n in os.listdir(out_dir) if n.endswith(".aut"))
+    assert "nf.aut" in names and len(names) > 1
+    for name in names:
+        text = (out_dir / name).read_text()
+        assert format_automaton(load_automaton(str(out_dir / name))) == text
 
 
 def test_verify_structure_requires_oracle(tmp_path, capsys):
@@ -355,6 +383,40 @@ def test_porcelain_is_stable(capsys):
     _, first = run(capsys, *argv)
     _, second = run(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf", "--group", "regen(bs:2,3; y=a- a)", "y"],
+    ["build", "regen(bs:2,3; y=t- t)", "--out", "never-written"],
+])
+def test_closure_that_cannot_be_built_exits_2(argv, tmp_path, monkeypatch,
+                                              capsys):
+    # composing a generator with its inverse erases whole strings, so the
+    # image has an epsilon cycle and no multiplier can be built
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: erasing homomorphism introduced an "
+                            "epsilon cycle; quasi-realtime image not "
+                            "constructible\n")
+    assert not os.path.exists(tmp_path / "never-written")
+
+
+@pytest.mark.parametrize("argv", [["nf", "a a"], ["wp", "a a-"],
+                                  ["eq", "a", "a a"]])
+def test_exceeded_search_bound_exits_3(argv, z_manifest, capsys):
+    # a growth term of 0 forbids any step that lengthens the normal form
+    manifest = z_manifest / "structure.txt"
+    manifest.write_text(manifest.read_text().replace("growth 1 1",
+                                                     "growth 1 0"))
+    ref = ["--structure", str(z_manifest)]
+    code, out = run(capsys, argv[0], *ref, *argv[1:], "--porcelain")
+    assert code == 3 and out == "bound-exceeded 0\n"
+    code = main([argv[0], *ref, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == ""
+    assert "exceeded growth bound 0" in captured.out
 
 
 def test_usage_error_exit_code():

@@ -127,6 +127,23 @@ def test_structure_round_trip(tmp_path, bs23):
     assert loaded.normal_form(("a", "t")) == bs23.normal_form(("a", "t"))
 
 
+def test_manifest_without_inverse_multipliers(tmp_path, bs23):
+    # a manifest may omit the mult lines of inverse generators: the
+    # structure derives each as the row swap of its partner's
+    out = tmp_path / "bs"
+    write_structure(bs23, out)
+    manifest = out / "structure.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(
+        line for line in lines if not line.startswith(("mult a-", "mult t-"))))
+    os.remove(out / "mult_a-.aut")
+    os.remove(out / "mult_t-.aut")
+    loaded = load_structure(out)
+    report = verify(loaded, 2, BSOracle(2, 3))
+    assert report.ok and report.words_checked == 21
+    assert loaded.multiplier("t-").name == "bs2_3_Lt-"
+
+
 def test_round_trip_verify_report_matches(tmp_path):
     for i, (expr, radius) in enumerate([("free(z,z)", 3),
                                         ("regen(bs:2,3; a=a; t=t; u=a a)", 2)]):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cga import gastructure, groups
 from cga.automata import accepts, program_reads_counters, validate
 from cga.gastructure import (
     GraphAutomaticStructure,
@@ -34,7 +35,7 @@ from cga.groups import (
     z_structure,
 )
 from cga.gastructure import GeneratorSet
-from cga.langops import convolve
+from cga.langops import convolve, preimage, swap_rows
 
 from conftest import ball_normal_forms, toks
 
@@ -179,6 +180,47 @@ def test_bs_encode_always_accepted(bs23, bs23_oracle):
         encoded = bs_encode(bs23_oracle.pair(word), 2, 3)
         assert accepts(bs23.nf_automaton, encoded)
         assert bs23.normal_form(word) == encoded
+
+
+def test_positive_steps_build_no_row_swap(monkeypatch):
+    # builders give one multiplier per inverse pair; the structure makes the
+    # other as the row swap, once, when a word first uses it
+    swapped = []
+
+    def counting_swap(machine, name=None):
+        swapped.append(machine.name)
+        return swap_rows(machine, name)
+
+    monkeypatch.setattr(gastructure, "swap_rows", counting_swap)
+    for expr in ("bs:2,3", "z", "finf:3", "product(z,z)", "free(z,z)"):
+        structure = structure_from_expr(expr)
+        # a free product reads each factor's normal form of a- off the
+        # factor, which swaps the factor's own a multiplier
+        built = ["z_La", "z_La"] if expr == "free(z,z)" else []
+        assert swapped == built, expr
+        positive = [x for x in structure.generators.tokens()
+                    if not x.endswith("-")]
+        for x in positive:
+            structure.normal_form((x, x))
+        assert swapped == built, expr
+        inverse = structure.generators.inverse_of(positive[0])
+        structure.normal_form((inverse, inverse))
+        made = structure.multiplier(inverse)
+        assert swapped == built + [structure.multiplier(positive[0]).name]
+        assert made.name == structure.multiplier(positive[0]).name + "-"
+        swapped.clear()
+
+
+def test_product_builds_one_multiplier_preimage_per_pair(monkeypatch):
+    images = []
+
+    def counting_preimage(machine, hom, name=None):
+        images.append(machine.name)
+        return preimage(machine, hom, name)
+
+    monkeypatch.setattr(groups, "preimage", counting_preimage)
+    direct_product(z_structure(), z_structure())
+    assert sorted(images) == ["1.z_L", "1.z_La", "2.z_L", "2.z_La"]
 
 
 def test_finf_lazy_instantiation(finf):
