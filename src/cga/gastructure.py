@@ -496,7 +496,8 @@ class GraphAutomaticStructure:
         return machine
 
     def instantiated_family_indices(self):
-        parsed = map(self.generators.family.parse, self._multipliers)
+        family = self.generators.family
+        parsed = map(family.parse, self._multipliers) if family else ()
         return sorted({p[0] for p in parsed if p is not None})
 
     def step_cap(self, length, token) -> int:

@@ -391,8 +391,8 @@ def test_porcelain_is_stable(capsys):
 ])
 def test_closure_that_cannot_be_built_exits_2(argv, tmp_path, monkeypatch,
                                               capsys):
-    # composing a generator with its inverse erases whole strings, so the
-    # image has an epsilon cycle and no multiplier can be built
+    # the erasing projection of these compositions has an epsilon cycle,
+    # so no multiplier can be built
     monkeypatch.chdir(tmp_path)
     code = main(argv)
     captured = capsys.readouterr()
