@@ -19,8 +19,9 @@ from .langops import (
     pad_lift,
     preimage,
     project,
+    quotient,
     swap_rows,
-    union,
+    union_all,
 )
 from .shortlex import (
     OrderedAlphabet,

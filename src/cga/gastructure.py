@@ -89,6 +89,7 @@ class GeneratorSet:
         self.entries = tuple(entries)
         self.family = family
         self._by_token = {}
+        self._family_inverses = {}  # family token -> inverse, parsed once
         for info in self.entries:
             self._by_token[info.token] = info
             if info.self_inverse:
@@ -117,12 +118,16 @@ class GeneratorSet:
         info = self._by_token.get(token)
         if info is not None:
             return info.inverse
-        if self.family is not None:
+        inverse = self._family_inverses.get(token)
+        if inverse is None and self.family is not None:
             parsed = self.family.parse(token)
             if parsed is not None:
                 index, inv = parsed
-                return f"{self.family.base}{index}" + ("" if inv else "-")
-        raise StructureError(f"unknown generator {token!r}")
+                inverse = f"{self.family.base}{index}" + ("" if inv else "-")
+                self._family_inverses[token] = inverse
+        if inverse is None:
+            raise StructureError(f"unknown generator {token!r}")
+        return inverse
 
     def tokens(self):
         """All concrete generator tokens; family tokens only up to max_index."""

@@ -36,11 +36,11 @@ from .langops import (
     pair_alphabet,
     parse_tuple_token,
     preimage,
+    quotient,
     relabel,
     row_homomorphism,
     trim,
     tuple_token,
-    union,
     union_all,
 )
 from .patterns import (
@@ -384,9 +384,12 @@ def bs_nf_machine(m, n) -> CounterAutomaton:
 
 
 def _gap_guard(symbols, bound, sides=("top", "bottom")) -> CounterAutomaton:
-    """Regular guard: once a bounded row has ended, at most ``bound`` more
-    letters may follow.  Language-neutral for relations with bounded length
-    difference; makes that bound structural."""
+    """Regular guard on pair words: once a row named in ``sides`` ("top" for
+    the first row, "bottom" for the second) has ended, at most ``bound`` more
+    letters may follow; after a row not named there the other runs on
+    freely.  Language-neutral for relations whose normal forms differ in
+    length by at most ``bound`` on the bounded sides; it makes that bound
+    structural, so a search never carries a row past it."""
     letters = list(pair_alphabet(symbols).letters())
     split = [(tok,) + parse_tuple_token(tok) for tok in letters]
     t = []
@@ -409,7 +412,7 @@ def _gap_guard(symbols, bound, sides=("top", "bottom")) -> CounterAutomaton:
         if a is not None and b is not None:
             t.append(("live", tok, EMPTY_PROGRAM, "live"))
     chain("top", lambda a, b: a is None)
-    chain("bot", lambda a, b: b is None)
+    chain("bottom", lambda a, b: b is None)
     return CounterAutomaton(
         "gap_guard", letters, 0, states, "live", states, t,
         blind=True)
@@ -513,7 +516,8 @@ def bs_case_machines(m, n):
 def bs_multipliers(m, n, nf: CounterAutomaton):
     """Right-multiplication machines for a and t (the structure derives
     their inverses): unions of run-shape case languages intersected with the
-    convolution square of L and a (language-neutral) length-gap guard."""
+    convolution square of L and a (language-neutral) length-gap guard, which
+    bounds both rows for a and the top row for t, then quotiented."""
     symbols = bs_symbols(m, n)
     cases = bs_case_machines(m, n)
     cases_a = [machine for key, machine in cases.items() if key.startswith("a:")]
@@ -528,7 +532,7 @@ def bs_multipliers(m, n, nf: CounterAutomaton):
     lt = intersect(
         intersect(union_all(cases_t, name="Lt_cases"), conv2),
         _gap_guard(symbols, gap, sides=("top",)), name=f"bs{m}_{n}_Lt")
-    return {"a": la, "t": lt}
+    return {"a": quotient(la), "t": quotient(lt)}
 
 
 def bs_structure(m, n, seed_p=None, seed_q=None,
@@ -615,10 +619,10 @@ def finf_structure(max_index=None) -> GraphAutomaticStructure:
                      repeat(lit(tuple_token((None, "1"))), i))
         cancel = seq(star(diag), lit(tuple_token(("n", None))),
                      repeat(lit(tuple_token(("1", None))), i))
-        return union(
+        return union_all([
             intersect(build(append, f"finf_x{i}+", pairs), lifted_right),
             intersect(build(cancel, f"finf_x{i}-", pairs), lifted_left),
-            name=f"finf_Lx{i}")
+        ], name=f"finf_Lx{i}")
 
     gens = GeneratorSet([], FamilySpec("x", factory, max_index))
     name = "finf" if max_index is None else f"finf:{max_index}"
@@ -1275,10 +1279,12 @@ def _build_oracle(ast):
             GeneratorSet([], FamilySpec("x", None, ast[1])), name="finf")
     if kind == "bs":
         return BSOracle(ast[1], ast[2])
-    if kind == "product":
-        return ProductOracle(_build_oracle(ast[1]), _build_oracle(ast[2]))
-    if kind == "free":
-        return FreeProductOracle(_build_oracle(ast[1]), _build_oracle(ast[2]))
+    if kind in ("product", "free"):
+        cls = ProductOracle if kind == "product" else FreeProductOracle
+        try:
+            return cls(_build_oracle(ast[1]), _build_oracle(ast[2]))
+        except StructureError as exc:  # a factor with an unbounded family
+            raise ExprError(f"{kind} factor: {exc}")
     if kind == "regen":
         base = _build_oracle(ast[1])
         return RegenOracle(base, *_regen_assignments(ast[2], base))

@@ -299,35 +299,102 @@ def embed(m: CounterAutomaton, prefix: str, counters: int):
             for t in m.transitions]
 
 
-def union(m: CounterAutomaton, n: CounterAutomaton, name=None) -> CounterAutomaton:
-    """Fresh start with epsilon edges into both machines; counters padded to
-    max(k, l) with no-ops."""
-    if m.alphabet_set != n.alphabet_set:
-        raise AlphabetMismatch(f"{m.name} and {n.name} have different alphabets")
-    total = max(m.counters, n.counters)
+def union_all(machines, name=None) -> CounterAutomaton:
+    """Fresh start with one epsilon edge into each machine, whose states are
+    prefixed ``u<i>!``; counters padded to the largest k with no-ops."""
+    first = machines[0]
+    for other in machines[1:]:
+        if other.alphabet_set != first.alphabet_set:
+            raise AlphabetMismatch(
+                f"{first.name} and {other.name} have different alphabets")
+    total = max(machine.counters for machine in machines)
     states = ["u!start"]
-    transitions = [
-        Transition("u!start", EPSILON, EMPTY_PROGRAM, "m!" + m.start),
-        Transition("u!start", EPSILON, EMPTY_PROGRAM, "n!" + n.start),
-    ]
+    transitions = [Transition("u!start", EPSILON, EMPTY_PROGRAM,
+                              f"u{i}!{machine.start}")
+                   for i, machine in enumerate(machines)]
     accepts = []
-    for src, machine in (("m!", m), ("n!", n)):
-        states.extend(src + s for s in machine.states)
-        accepts.extend(src + s for s in machine.accepts)
-        transitions.extend(embed(machine, src, total))
+    for i, machine in enumerate(machines):
+        prefix = f"u{i}!"
+        states.extend(prefix + s for s in machine.states)
+        accepts.extend(prefix + s for s in machine.accepts)
+        transitions.extend(embed(machine, prefix, total))
     return CounterAutomaton(
-        name or f"({m.name}|{n.name})", m.alphabet, total, states, "u!start",
-        accepts, transitions, blind=m.declared_blind and n.declared_blind,
+        name or "(" + "|".join(machine.name for machine in machines) + ")",
+        first.alphabet, total, states, "u!start", accepts, transitions,
+        blind=all(machine.declared_blind for machine in machines),
     )
 
 
-def union_all(machines, name=None) -> CounterAutomaton:
-    out = machines[0]
-    for other in machines[1:]:
-        out = union(out, other)
-    if name is not None:
-        out.name = name
-    return out
+# ---------------------------------------------------------------------------
+# bisimulation quotient
+
+
+def quotient(m: CounterAutomaton, name=None) -> CounterAutomaton:
+    """Merge states with the same future: the coarsest partition in which two
+    states of a block both accept or both reject and have the same set of
+    (label, program, target block) moves, epsilon moves included.
+
+    Counters are global, so merging keeps every run and the language; an
+    epsilon path of the result lifts to one of m, so no epsilon cycle can
+    appear and the epsilon bound cannot grow.  Refinement keeps a worklist
+    of blocks that may be unstable: a split moves all but the largest piece
+    to new blocks and marks the blocks of their predecessors.  The coarsest
+    partition is unique, and each block is named after its first state in
+    ``m.states``, so the result does not depend on the refinement order.
+    """
+    index = {s: i for i, s in enumerate(m.states)}
+    moves = {}  # (label, program) -> small int
+    out = [[] for _ in m.states]
+    preds = [set() for _ in m.states]
+    for t in m.transitions:
+        src, dst = index[t.src], index[t.dst]
+        out[src].append((moves.setdefault((t.label, t.program), len(moves)), dst))
+        preds[dst].add(src)
+
+    accepting = [s in m.accepts for s in m.states]
+    block = [int(a) for a in accepting]
+    members = [[i for i, a in enumerate(accepting) if not a],
+               [i for i, a in enumerate(accepting) if a]]
+    dirty = {0, 1}
+    while dirty:
+        b = dirty.pop()
+        group = members[b]
+        if len(group) < 2:
+            continue
+        by_future = {}
+        for s in group:
+            future = frozenset([(move, block[d]) for move, d in out[s]])
+            by_future.setdefault(future, []).append(s)
+        if len(by_future) == 1:
+            continue
+        pieces = sorted(by_future.values(), key=len, reverse=True)
+        members[b] = pieces[0]
+        moved = []
+        for piece in pieces[1:]:
+            fresh = len(members)
+            members.append(piece)
+            for s in piece:
+                block[s] = fresh
+            moved.extend(piece)
+        for s in moved:
+            dirty.update(block[p] for p in preds[s])
+
+    names = {}
+    for i, s in enumerate(m.states):
+        if block[i] not in names:
+            names[block[i]] = (s, i)
+    by_id = list(moves)
+    transitions = []
+    for rep, i in names.values():
+        for move, target in dict.fromkeys((move, block[d]) for move, d in out[i]):
+            label, prog = by_id[move]
+            transitions.append(Transition(rep, label, prog, names[target][0]))
+    return CounterAutomaton(
+        name or m.name, m.alphabet, m.counters,
+        [rep for rep, _ in names.values()], names[block[index[m.start]]][0],
+        [rep for rep, i in names.values() if accepting[i]],
+        transitions, blind=m.declared_blind,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -87,10 +87,10 @@ def test_nf_trace_lines_are_fixed(capsys):
     assert code == 0
     assert out.splitlines() == [
         "at at- # -1 # -1 # # -1",
-        "# step a: levels=6 max|S_j|=14 max|T_j|=14 D=275 E=16 F=27 K=3 k=3",
-        "# step t: levels=6 max|S_j|=27 max|T_j|=12 D=957 E=9 F=117 K=13 k=3",
-        "# step a-: levels=7 max|S_j|=14 max|T_j|=14 D=275 E=16 F=27 K=3 k=3",
-        "# step t-: levels=9 max|S_j|=27 max|T_j|=24 D=957 E=9 F=117 K=13 k=3",
+        "# step a: levels=6 max|S_j|=14 max|T_j|=14 D=184 E=16 F=9 K=1 k=3",
+        "# step t: levels=6 max|S_j|=15 max|T_j|=10 D=251 E=14 F=9 K=1 k=3",
+        "# step a-: levels=7 max|S_j|=14 max|T_j|=14 D=184 E=16 F=9 K=1 k=3",
+        "# step t-: levels=9 max|S_j|=22 max|T_j|=24 D=251 E=14 F=9 K=1 k=3",
     ]
     code, out = run(capsys, "nf", "--group", "bs:2,3", "a t a- t-")
     assert code == 0 and out == "at at- # -1 # -1 # # -1\n"
@@ -102,25 +102,25 @@ def test_nf_trace_porcelain_prints_step_records(capsys):
     assert code == 0
     assert out.splitlines() == [
         "normal-form at # # # #",
-        "step a levels 6 max_s 14 max_t 14 D 275 E 16 F 27 K 3 k 3",
-        "level 0 S 7 T 0 c 0 bound 550",
-        "level 1 S 4 T 4 c 1 bound 91506250",
-        "level 2 S 2 T 2 c 1 bound 712265950",
-        "level 3 S 2 T 2 c 1 bound 2381910850",
-        "level 4 S 4 T 4 c 3 bound 5620072150",
-        "level 5 S 8 T 8 c 5 bound 10946381050",
-        "level 6 S 14 T 14 c 7 bound 18880468750",
-        "step t levels 6 max_s 27 max_t 12 D 957 E 9 F 117 K 13 k 3",
-        "level 0 S 27 T 0 c 0 bound 1914",
-        "level 1 S 10 T 10 c 1 bound 24839652750",
-        "level 2 S 5 T 5 c 1 bound 197451511026",
-        "level 3 S 5 T 5 c 1 bound 664978966278",
-        "level 4 S 10 T 10 c 2 bound 1574565408042",
-        "level 5 S 12 T 12 c 4 bound 3073354225854",
-        "level 6 S 10 T 10 c 6 bound 5308488809250",
+        "step a levels 6 max_s 14 max_t 14 D 184 E 16 F 9 K 1 k 3",
+        "level 0 S 5 T 0 c 0 bound 368",
+        "level 1 S 4 T 4 c 1 bound 2524112",
+        "level 2 S 2 T 2 c 1 bound 18640304",
+        "level 3 S 2 T 2 c 1 bound 61226000",
+        "level 4 S 4 T 4 c 3 bound 143158256",
+        "level 5 S 8 T 8 c 5 bound 277314128",
+        "level 6 S 14 T 14 c 7 bound 476570672",
+        "step t levels 6 max_s 15 max_t 10 D 251 E 14 F 9 K 1 k 3",
+        "level 0 S 15 T 0 c 0 bound 502",
+        "level 1 S 6 T 10 c 1 bound 3443218",
+        "level 2 S 3 T 3 c 1 bound 25427806",
+        "level 3 S 3 T 3 c 1 bound 83520250",
+        "level 4 S 6 T 6 c 2 bound 195286534",
+        "level 5 S 6 T 6 c 4 bound 378292642",
+        "level 6 S 5 T 5 c 6 bound 650104558",
     ]
     # bound = 2*D*(2*F*j + 1)**k
-    assert 2 * 957 * (2 * 117 * 6 + 1) ** 3 == 5308488809250
+    assert 2 * 251 * (2 * 9 * 6 + 1) ** 3 == 650104558
     code, out = run(capsys, "nf", "--group", "bs:2,3", "a t", "--porcelain")
     assert code == 0 and out == "normal-form at # # # #\n"
 
@@ -142,7 +142,8 @@ def test_finf_bound_below_one_exits_2(argv, capsys):
     assert code == 2 and "K >= 1" in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("oracle", ["bs:0,3", "regen(finf; y=x1)"])
+@pytest.mark.parametrize("oracle", ["bs:0,3", "regen(finf; y=x1)",
+                                    "product(finf,z)"])
 def test_verify_malformed_oracle_exits_2(oracle, tmp_path, capsys):
     out_dir = str(tmp_path / "z")
     assert main(["build", "z", "--out", out_dir]) == 0
@@ -199,7 +200,7 @@ def test_build_round_trip(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("expr", ["bs:2,3", "finf:3", "free(z,z)",
+@pytest.mark.parametrize("expr", ["bs:2,3", "bs:4,7", "finf:3", "free(z,z)",
                                   "product(z,z)"])
 def test_build_is_identical_under_different_hash_seeds(expr, tmp_path):
     src = os.path.dirname(os.path.dirname(cga.__file__))
@@ -386,7 +387,7 @@ def test_porcelain_is_stable(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["nf", "--group", "regen(bs:2,3; y=a- a)", "y"],
+    ["nf", "--group", "regen(bs:2,3; y=t- t)", "y"],
     ["build", "regen(bs:2,3; y=t- t)", "--out", "never-written"],
 ])
 def test_closure_that_cannot_be_built_exits_2(argv, tmp_path, monkeypatch,

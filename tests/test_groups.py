@@ -35,7 +35,7 @@ from cga.groups import (
     z_structure,
 )
 from cga.gastructure import GeneratorSet
-from cga.langops import convolve, preimage, swap_rows
+from cga.langops import convolve, parse_tuple_token, preimage, swap_rows
 
 from conftest import ball_normal_forms, toks
 
@@ -166,6 +166,41 @@ def test_bs_structure_multipliers_are_blind(bs23):
         machine = bs23.multiplier(tok)
         assert not any(program_reads_counters(t.program)
                        for t in machine.transitions)
+
+
+def _letters_after_row_end(machine, row):
+    """Most letters a pair machine can read once row ``row`` has ended, the
+    first padded letter included; None if it can read them forever."""
+    edges = {}
+    for t in machine.transitions:
+        if t.label is None or parse_tuple_token(t.label)[row] is None:
+            edges.setdefault(t.src, []).append(
+                (0 if t.label is None else 1, t.dst))
+    indegree = dict.fromkeys(edges, 0)
+    for out in edges.values():
+        for _, dst in out:
+            indegree[dst] = indegree.get(dst, 0) + 1
+    order = [q for q, d in indegree.items() if d == 0]
+    for q in order:
+        for _, dst in edges.get(q, ()):
+            indegree[dst] -= 1
+            if indegree[dst] == 0:
+                order.append(dst)
+    if len(order) < len(indegree):
+        return None  # a cycle, and epsilon moves alone cannot close one
+    longest = {}
+    for q in reversed(order):
+        longest[q] = max((w + longest[dst] for w, dst in edges.get(q, ())),
+                         default=0)
+    return max(longest.values(), default=0)
+
+
+@pytest.mark.parametrize("fixture,m,n", [("bs23", 2, 3), ("bs47", 4, 7)])
+def test_bs_a_multiplier_bounds_both_rows(fixture, m, n, request):
+    machine = request.getfixturevalue(fixture).multiplier("a")
+    for row in (0, 1):
+        bound = _letters_after_row_end(machine, row)
+        assert bound is not None and bound <= m + n + 2, (row, bound)
 
 
 def test_bs_relator_normal_forms(bs23):
@@ -357,6 +392,17 @@ def test_regen_verifies_against_substitution_oracle(regen_bs):
     assert report.ok, [f.detail for f in report.failures[:3]]
 
 
+@pytest.mark.parametrize("expr", ["regen(bs:2,3; y=a- a)",
+                                  "regen(bs:2,3; a=a; t=t; y=a- a)"])
+def test_regen_inverse_then_generator_builds_and_verifies(expr):
+    # the middle row of a- a is bounded past both outer rows by the a
+    # multiplier's two-sided gap guard, so erasing it leaves no epsilon cycle
+    structure = structure_from_expr(expr)
+    assert structure.normal_form(("y",)) == structure.mu
+    report = verify(structure, 3, oracle_from_expr(expr))
+    assert report.ok, [f.detail for f in report.failures[:3]]
+
+
 def test_regen_composed_multiplier_agrees_with_direct_membership(
         regen_bs, bs23, bs23_oracle):
     mu_mult = regen_bs.multiplier("u")
@@ -542,6 +588,7 @@ def mutated_expressions(draw):
 @example(text="free(bs:28,3,z)")     # m >= n reached the BS oracle
 @example(text="regen(finf; y=x1)")   # an unbounded family has no token list
 @example(text="regen(z; y=)")        # an empty generator word
+@example(text="product(finf,z)")     # an unbounded family as a product factor
 def test_expression_text_fails_only_with_expr_errors(text):
     try:
         oracle_from_expr(text)

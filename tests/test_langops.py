@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,10 +24,11 @@ from cga.langops import (
     parse_tuple_token,
     preimage,
     project,
+    quotient,
     row_homomorphism,
     swap_rows,
     tuple_token,
-    union,
+    union_all,
 )
 from cga.groups import bs_encode, bs_structure, finf_nf_machine, z_structure
 from cga.shortlex import OrderedAlphabet, iter_shortlex
@@ -139,7 +142,7 @@ def test_intersection_and_union_meet_boolean_spec(m, n, data):
     assert both.counters == m.counters + n.counters
     assert accepts(both, word) == (
         brute_force_accepts(m, word) and brute_force_accepts(n, word))
-    either = union(m, n)
+    either = union_all([m, n])
     assert accepts(either, word) == (
         brute_force_accepts(m, word) or brute_force_accepts(n, word))
 
@@ -161,14 +164,14 @@ def test_blindness_preserved_iff_both_blind():
 def test_union_with_empty_language(bs23):
     machine = bs23.nf_automaton
     empty = CounterAutomaton("none", machine.alphabet, 0, ["q"], "q", [], [])
-    got = union(machine, empty)
+    got = union_all([machine, empty])
     for word in [toks("# # # #"), toks("t # # # #"), toks("1 #")]:
         assert accepts(got, word) == accepts(machine, word)
 
 
 def test_union_idempotent_on_language(bs23):
     machine = bs23.nf_automaton
-    got = union(machine, machine)
+    got = union_all([machine, machine])
     assert got.epsilon_bound() == machine.epsilon_bound() + 1
     for word in [toks("# # # #"), toks("at- # # # #"), toks("# 1 # 1 #")]:
         assert accepts(got, word) == accepts(machine, word)
@@ -176,7 +179,6 @@ def test_union_idempotent_on_language(bs23):
 
 def test_union_of_case_machines_accepts_case1_witnesses():
     from cga.groups import BSNormalPair, bs_case_machines
-    from cga.langops import union_all
     cases = bs_case_machines(2, 3)
     u_cases = union_all([m for k, m in cases.items() if k.startswith("t:U")])
     m, n = 2, 3
@@ -188,6 +190,111 @@ def test_union_of_case_machines_accepts_case1_witnesses():
                 v_p = p_word + ("a" * s + "t",)
                 v = bs_encode(BSNormalPair(v_p, q * m), m, n)
                 assert accepts(u_cases, convolve(u, v)), (u, v)
+
+
+# -- quotient --------------------------------------------------------------------
+
+@st.composite
+def epsilon_machine(draw):
+    """Small machine with letters a, b and forward-only epsilon moves."""
+    n_states = draw(st.integers(1, 4))
+    states = [f"q{i}" for i in range(n_states)]
+    counters = draw(st.integers(0, 1))
+    programs = [EMPTY_PROGRAM]
+    if counters:
+        programs += [((inc(1),),), ((dec(1),),)]
+    transitions = []
+    for _ in range(draw(st.integers(0, 8))):
+        src = draw(st.integers(0, n_states - 1))
+        label = draw(st.sampled_from(("a", "b", EPSILON)))
+        if label is EPSILON:
+            if src == n_states - 1:
+                continue
+            dst = draw(st.integers(src + 1, n_states - 1))
+        else:
+            dst = draw(st.integers(0, n_states - 1))
+        transitions.append((states[src], label,
+                            draw(st.sampled_from(programs)), states[dst]))
+    accept = draw(st.sets(st.sampled_from(states)))
+    return CounterAutomaton("rand", ("a", "b"), counters, states, states[0],
+                            accept, transitions, blind=True)
+
+
+def _assert_quotient_of(machine, words):
+    merged = quotient(machine)
+    assert merged.epsilon_bound() is not None
+    assert merged.epsilon_bound() <= machine.epsilon_bound()
+    assert set(merged.states) <= set(machine.states)
+    for word in words:
+        assert accepts(merged, word) == accepts(machine, word), word
+    again = quotient(merged)
+    assert (again.states, again.start, again.accepts, again.transitions) == (
+        merged.states, merged.start, merged.accepts, merged.transitions)
+    return merged
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=epsilon_machine())
+def test_quotient_keeps_language_on_random_machines(m):
+    merged = _assert_quotient_of(m, ())
+    for word in all_words(("a", "b"), 4):
+        assert accepts(merged, word) == brute_force_accepts(m, word), word
+
+
+def _bs_pairs(m, n, x, count, seed):
+    """Seeded convolved normal-form pairs (u, v): v is u's step by x, a step
+    by another word, or the normal form of an unrelated word."""
+    from cga.groups import BSOracle
+    oracle = BSOracle(m, n)
+    gens = ("a", "a-", "t", "t-")
+    rng = random.Random(seed)
+
+    def nf(word):
+        return bs_encode(oracle.pair(word), m, n)
+
+    def word():
+        return tuple(rng.choice(gens) for _ in range(rng.randint(0, 7)))
+
+    pairs = []
+    for i in range(count):
+        w = word()
+        if i % 3 == 0:
+            v = nf(w + (x,))
+        elif i % 3 == 1:
+            v = nf(w + (x, rng.choice(gens)))
+        else:
+            v = nf(word())
+        pairs.append(convolve(nf(w), v))
+    return pairs
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (4, 7)])
+def test_quotient_keeps_bs_multiplier_languages(m, n, monkeypatch):
+    from cga import groups
+    monkeypatch.setattr(groups, "quotient", lambda machine, name=None: machine)
+    built = groups.bs_multipliers(m, n, groups.bs_nf_machine(m, n))
+    for x, machine in built.items():
+        words = _bs_pairs(m, n, x, 45, seed=m * 100 + n)
+        merged = _assert_quotient_of(machine, words)
+        assert len(merged.states) < len(machine.states)
+        assert sum(accepts(merged, w) for w in words) >= 15
+
+
+def test_quotient_keeps_product_multiplier_language():
+    from cga.groups import structure_from_expr
+    structure = structure_from_expr("product(bs:2,3,z)")
+    machine = structure.multiplier("1.t")
+    gens = structure.generators.tokens()
+    rng = random.Random(5)
+    words = []
+    for i in range(20):
+        w = tuple(rng.choice(gens) for _ in range(rng.randint(0, 4)))
+        u = structure.normal_form(w)
+        tail = ("1.t",) if i % 2 == 0 else ("1.t", rng.choice(gens))
+        words.append(convolve(u, structure.normal_form(w + tail)))
+    merged = _assert_quotient_of(machine, words)
+    assert len(merged.states) < len(machine.states)
+    assert sum(accepts(merged, w) for w in words) >= 10
 
 
 # -- image / preimage --------------------------------------------------------------
