@@ -107,11 +107,13 @@ def cmd_nf(args):
             _emit(args,
                   f"step {step.generator} levels {step.levels} "
                   f"max_s {step.max_s} max_t {step.max_t} "
+                  f"pruned {step.pruned} "
                   f"D {step.machine_states} E {step.machine_degree} "
                   f"F {step.machine_growth} K {step.machine_eps_bound} "
                   f"k {step.machine_counters}",
                   f"# step {step.generator}: levels={step.levels} "
                   f"max|S_j|={step.max_s} max|T_j|={step.max_t} "
+                  f"pruned={step.pruned} "
                   f"D={step.machine_states} E={step.machine_degree} "
                   f"F={step.machine_growth} K={step.machine_eps_bound} "
                   f"k={step.machine_counters}")

@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-from .automata import CounterAutomaton, apply_program, counter_growth_bound
+from .automata import (
+    DEC,
+    INC,
+    SET_ZERO,
+    CounterAutomaton,
+    apply_program,
+    counter_growth_bound,
+)
 from .langops import pair_alphabet, parse_tuple_token, swap_rows
 from .shortlex import OrderedAlphabet
 
@@ -167,6 +174,7 @@ class StepTrace:
     input_length: int
     output: tuple
     levels: int
+    pruned: int              # configurations dropped as dead (stuck_counters)
     machine_states: int      # D of the multiplier driving this step
     machine_degree: int      # E
     machine_growth: int      # F = 3*max(K,1)*max transition delta
@@ -232,13 +240,100 @@ def _accepts_padded(machine, index, configs, u, depth):
     return machine.accepting(configs)
 
 
+def _program_directions(prog):
+    """Bit masks (raise, lower) of the counters a program can move up or
+    down; SET_ZERO can do both, tests do neither."""
+    up = down = 0
+    for step in prog:
+        for i, instr in enumerate(step):
+            kind = instr.kind
+            if kind == INC:
+                up |= 1 << i
+            elif kind == DEC:
+                down |= 1 << i
+            elif kind == SET_ZERO:
+                up |= 1 << i
+                down |= 1 << i
+    return up, down
+
+
+def stuck_counters(machine: CounterAutomaton):
+    """dict state -> (counters no path from the state to acceptance can
+    lower, counters no such path can raise), built once per machine; a
+    state that cannot reach acceptance is absent.
+
+    Acceptance needs every counter at zero, so a configuration (q, c) is dead
+    when q is absent, or some c_i > 0 that q cannot lower, or some c_i < 0
+    that q cannot raise; every successor of a dead configuration is dead.
+    The masks are a fixpoint over the transitions, sources taking the union
+    of their targets' masks and their programs' directions.
+    """
+    table = getattr(machine, "_cga_stuck", None)
+    if table is None:
+        effects = {}  # id(program) -> its directions
+        reach = dict.fromkeys(machine.accepts, (0, 0))
+        changed = True
+        while changed:
+            changed = False
+            for src, _, prog, dst in reversed(machine.transitions):
+                after = reach.get(dst)
+                if after is None:
+                    continue
+                effect = effects.get(id(prog))
+                if effect is None:
+                    effect = effects[id(prog)] = _program_directions(prog)
+                masks = (after[0] | effect[0], after[1] | effect[1])
+                before = reach.get(src)
+                if before is not None:
+                    masks = (masks[0] | before[0], masks[1] | before[1])
+                    if masks == before:
+                        continue
+                reach[src] = masks
+                changed = True
+        entries = {}  # (raise, lower) -> the one entry every such state shares
+        table = {}
+        for state, masks in reach.items():
+            entry = entries.get(masks)
+            if entry is None:
+                up, down = masks
+                entry = entries[masks] = (
+                    tuple(i for i in range(machine.counters) if not down >> i & 1),
+                    tuple(i for i in range(machine.counters) if not up >> i & 1))
+            table[state] = entry
+        machine._cga_stuck = table
+    return table
+
+
+def _dead(stuck, state, counters):
+    """Whether no continuation accepts (state, counters); see stuck_counters."""
+    entry = stuck.get(state)
+    if entry is None:
+        return True
+    cannot_lower, cannot_raise = entry
+    for i in cannot_lower:
+        if counters[i] > 0:
+            return True
+    for i in cannot_raise:
+        if counters[i] < 0:
+            return True
+    return False
+
+
 def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
     """Levelled configuration search for the unique v with (u, v) accepted.
 
-    Level j holds every configuration reachable by reading j tuple letters of
-    a convolution whose first row is u, flagged once the second row has been
-    exhausted; edges remember the second-row letter so the accepted word can
-    be read off backwards.  Returns (v, trace rows).
+    Level j holds every live configuration reachable by reading j tuple
+    letters of a convolution whose first row is u, flagged once the second
+    row has been exhausted; edges remember the second-row letter so the
+    accepted word can be read off backwards.  Returns (v, trace rows,
+    configurations pruned).
+
+    A configuration stuck_counters calls dead is dropped.  No configuration
+    on an accepting path is dead, and a dead one has only dead successors, so
+    the kept configurations, their edges and v are those of the unpruned
+    search.  The table is built once the machine's earlier searches have
+    recorded as many edges as it has transitions: a machine searched only
+    briefly would not repay the build.
     """
     u = tuple(u)
     s = len(u)
@@ -246,8 +341,15 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
     index = _pair_index(machine)
     accepts = machine.accepts
     closure = machine.eps_closure
+    eps = machine.eps_by_state
+    stuck = getattr(machine, "_cga_stuck", None)
+    if stuck is None and getattr(machine, "_cga_edges", 0) >= len(machine.transitions):
+        stuck = stuck_counters(machine)
 
-    level = {(state, counters, False) for state, counters in machine.initial_configs()}
+    start = machine.initial_configs()
+    level = {(state, counters, False) for state, counters in start
+             if stuck is None or not _dead(stuck, state, counters)}
+    pruned = len(start) - len(level)
     preds = []  # preds[j-1]: config at level j -> set of (config at j-1, sigma)
     per_level = [(0, len(level), 0, _max_counter(level))]
     level_cap = max(s, length_cap)
@@ -261,7 +363,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
             ]
             if found:
                 v = _backtrack(found, preds)
-                return v, per_level
+                return v, per_level, pruned
             if j == s:
                 level = {cfg for cfg in level if not cfg[2]}
         if j >= level_cap:
@@ -269,6 +371,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
 
         top = u[j] if j < s else None
         nxt = {}
+        dead = set()
         edge_count = 0
         for cfg in level:
             state, counters, flag = cfg
@@ -283,14 +386,31 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
                 new_flag = flag or bottom is None
                 edge = (cfg, bottom)
                 for prog, dst in arrows:
-                    after = apply_program(prog, counters)
-                    if after is None:
-                        continue
-                    for q, c in closure({(dst, after)}):
-                        bucket = nxt.setdefault((q, c, new_flag), set())
+                    if prog:
+                        after = apply_program(prog, counters)
+                        if after is None:
+                            continue
+                    else:
+                        after = counters
+                    reached = ((dst, after),)
+                    if dst in eps:
+                        reached = closure(reached)
+                    for q, c in reached:
+                        key = (q, c, new_flag)
+                        bucket = nxt.get(key)
+                        if bucket is None:
+                            if key in dead:
+                                continue
+                            if stuck is not None and _dead(stuck, q, c):
+                                dead.add(key)
+                                continue
+                            bucket = nxt[key] = set()
                         if edge not in bucket:
                             bucket.add(edge)
                             edge_count += 1
+        pruned += len(dead)
+        if stuck is None:
+            machine._cga_edges = getattr(machine, "_cga_edges", 0) + edge_count
         if not nxt:
             raise SearchBoundExceeded(machine.name, length_cap, j)
         level = set(nxt)
@@ -520,13 +640,14 @@ class GraphAutomaticStructure:
         return max((self.step_cap(0, x) for x in tokens),
                    default=self.growth.beta)
 
-    def _step_trace(self, token, u, v, per_level) -> StepTrace:
+    def _step_trace(self, token, u, v, per_level, pruned) -> StepTrace:
         machine = self.multiplier(token)
         return StepTrace(
             generator=token,
             input_length=len(u),
             output=v,
             levels=len(per_level) - 1,
+            pruned=pruned,
             machine_states=len(machine.states),
             machine_degree=machine.degree_bound(),
             machine_growth=counter_growth_bound(machine, 1),
@@ -556,9 +677,10 @@ class GraphAutomaticStructure:
         if not self.nf_automaton.accepts_word(u):
             raise StructureError(f"word {' '.join(u) or 'EPS'} is not in L")
         machine = self.multiplier(x)
-        v, per_level = multiplier_graph_search(machine, u, self.step_cap(len(u), x))
+        v, per_level, pruned = multiplier_graph_search(
+            machine, u, self.step_cap(len(u), x))
         if trace_sink is not None:
-            trace_sink.append(self._step_trace(x, u, v, per_level))
+            trace_sink.append(self._step_trace(x, u, v, per_level, pruned))
         return v
 
     def step_normal_form_enumerative(self, u, x):

@@ -87,10 +87,10 @@ def test_nf_trace_lines_are_fixed(capsys):
     assert code == 0
     assert out.splitlines() == [
         "at at- # -1 # -1 # # -1",
-        "# step a: levels=6 max|S_j|=14 max|T_j|=14 D=184 E=16 F=9 K=1 k=3",
-        "# step t: levels=6 max|S_j|=15 max|T_j|=10 D=251 E=14 F=9 K=1 k=3",
-        "# step a-: levels=7 max|S_j|=14 max|T_j|=14 D=184 E=16 F=9 K=1 k=3",
-        "# step t-: levels=9 max|S_j|=22 max|T_j|=24 D=251 E=14 F=9 K=1 k=3",
+        "# step a: levels=6 max|S_j|=14 max|T_j|=14 pruned=0 D=184 E=16 F=9 K=1 k=3",
+        "# step t: levels=6 max|S_j|=15 max|T_j|=10 pruned=0 D=251 E=14 F=9 K=1 k=3",
+        "# step a-: levels=7 max|S_j|=14 max|T_j|=14 pruned=0 D=184 E=16 F=9 K=1 k=3",
+        "# step t-: levels=9 max|S_j|=22 max|T_j|=24 pruned=0 D=251 E=14 F=9 K=1 k=3",
     ]
     code, out = run(capsys, "nf", "--group", "bs:2,3", "a t a- t-")
     assert code == 0 and out == "at at- # -1 # -1 # # -1\n"
@@ -102,7 +102,7 @@ def test_nf_trace_porcelain_prints_step_records(capsys):
     assert code == 0
     assert out.splitlines() == [
         "normal-form at # # # #",
-        "step a levels 6 max_s 14 max_t 14 D 184 E 16 F 9 K 1 k 3",
+        "step a levels 6 max_s 14 max_t 14 pruned 0 D 184 E 16 F 9 K 1 k 3",
         "level 0 S 5 T 0 c 0 bound 368",
         "level 1 S 4 T 4 c 1 bound 2524112",
         "level 2 S 2 T 2 c 1 bound 18640304",
@@ -110,7 +110,7 @@ def test_nf_trace_porcelain_prints_step_records(capsys):
         "level 4 S 4 T 4 c 3 bound 143158256",
         "level 5 S 8 T 8 c 5 bound 277314128",
         "level 6 S 14 T 14 c 7 bound 476570672",
-        "step t levels 6 max_s 15 max_t 10 D 251 E 14 F 9 K 1 k 3",
+        "step t levels 6 max_s 15 max_t 10 pruned 0 D 251 E 14 F 9 K 1 k 3",
         "level 0 S 15 T 0 c 0 bound 502",
         "level 1 S 6 T 10 c 1 bound 3443218",
         "level 2 S 3 T 3 c 1 bound 25427806",

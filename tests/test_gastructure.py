@@ -1,19 +1,37 @@
-import pytest
+import itertools
+import random
 
-from cga.automata import CounterAutomaton
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cga.automata import (
+    EPSILON,
+    NO_OP,
+    SETZ,
+    TEST0,
+    TESTN0,
+    CounterAutomaton,
+    apply_program,
+    dec,
+    inc,
+)
 from cga.gastructure import (
     GeneratorSet,
     SearchBoundExceeded,
     StructureError,
+    _dead,
     accepted_candidates,
     candidate_trie,
     multiplier_enumerative_search,
+    multiplier_graph_search,
+    stuck_counters,
     verify,
 )
 from cga.groups import (
     BSNormalPair,
     BSOracle,
     FreeGroupOracle,
+    bs_decode,
     bs_encode,
     bs_structure,
     structure_from_expr,
@@ -267,6 +285,156 @@ def test_backtracking_is_unique_and_deterministic(bs47):
     first = bs47.step_normal_form(u, "a")
     second = bs47.step_normal_form(u, "a")
     assert first == second
+
+
+# -- dead-configuration pruning -------------------------------------------------------
+
+def test_stuck_counter_table_on_hand_built_machine():
+    machine = CounterAutomaton(
+        "stuck", ("x", "y"), 2, ["s0", "s1", "s2", "s3", "trap"], "s0", ["s3"],
+        [("s0", "x", ((inc(), NO_OP),), "s1"),
+         ("s0", "y", ((NO_OP, SETZ),), "s2"),
+         ("s1", EPSILON, ((NO_OP, TEST0),), "s2"),   # tests change nothing
+         ("s2", "y", ((dec(), NO_OP),), "s2"),       # a decrement-only tail
+         ("s2", "y", (), "s3"),
+         ("s1", "x", ((NO_OP, inc()),), "trap"),
+         ("trap", "x", (), "trap")])
+    table = stuck_counters(machine)
+    # (counters the state cannot lower, counters it cannot raise)
+    assert table == {"s0": ((), ()), "s1": ((1,), (0, 1)), "s2": ((1,), (0, 1)),
+                     "s3": ((0, 1), (0, 1))}
+    assert table["s1"] is table["s2"]  # one entry per distinct pair of masks
+    assert stuck_counters(machine) is table  # built once
+    assert not _dead(table, "s2", (3, 0))
+    assert _dead(table, "s2", (-1, 0))   # counter 0 can only fall from s2
+    assert _dead(table, "s1", (0, 2))
+    assert _dead(table, "trap", (0, 0))  # cannot reach acceptance
+    assert not _dead(table, "s0", (5, -3))
+
+
+@st.composite
+def counter_machines(draw):
+    """Small machines over one or two counters; epsilon edges go up in state
+    order, so they are structurally acyclic."""
+    n_states = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 2))
+    states = [f"q{i}" for i in range(n_states)]
+    instruction = st.sampled_from(
+        [NO_OP, inc(1), inc(2), dec(1), dec(2), TEST0, TESTN0, SETZ])
+    programs = st.lists(st.tuples(*[instruction] * k), max_size=2).map(tuple)
+    transitions = []
+    for _ in range(draw(st.integers(0, 10))):
+        src = draw(st.integers(0, n_states - 1))
+        if draw(st.booleans()) and src < n_states - 1:
+            label, dst = EPSILON, draw(st.integers(src + 1, n_states - 1))
+        else:
+            label = draw(st.sampled_from(("x", "y")))
+            dst = draw(st.integers(0, n_states - 1))
+        transitions.append((states[src], label, draw(programs), states[dst]))
+    accepting = draw(st.sets(st.sampled_from(states)))
+    return CounterAutomaton("rand", ("x", "y"), k, states, states[0],
+                            accepting, transitions)
+
+
+def accepted_within(machine, config, letters):
+    """Whether some word of at most ``letters`` letters is accepted from
+    config, by exhaustive exploration of the transition list."""
+    frontier = {config}
+    for depth in range(letters + 1):
+        closed, stack = set(frontier), list(frontier)
+        while stack:
+            state, counters = stack.pop()
+            for t in machine.transitions:
+                if t.src == state and t.label is EPSILON:
+                    after = apply_program(t.program, counters)
+                    if after is not None and (t.dst, after) not in closed:
+                        closed.add((t.dst, after))
+                        stack.append((t.dst, after))
+        if any(q in machine.accepts and not any(c) for q, c in closed):
+            return True
+        frontier = set()
+        for state, counters in closed:
+            for t in machine.transitions:
+                if t.src == state and t.label is not EPSILON:
+                    after = apply_program(t.program, counters)
+                    if after is not None:
+                        frontier.add((t.dst, after))
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(machine=counter_machines())
+def test_dead_configurations_are_never_accepted(machine):
+    table = stuck_counters(machine)
+    values = range(-2, 3)
+    for state in machine.states:
+        for counters in itertools.product(values, repeat=machine.counters):
+            if _dead(table, state, counters):
+                assert not accepted_within(machine, (state, counters), 4)
+
+
+@pytest.mark.parametrize("expr, max_len", [
+    ("bs:2,3", 10), ("bs:4,7", 8), ("regen(bs:2,3; a=a; t=t; u=a a)", 4),
+    ("product(bs:2,3,z)", 8), ("free(bs:2,3,z)", 8), ("finf:3", 8)])
+def test_pruned_and_unpruned_searches_agree(expr, max_len, monkeypatch):
+    import cga.gastructure
+    rng = random.Random(expr)
+    warmed = structure_from_expr(expr)
+    tokens = warmed.generators.tokens()
+    words = [tuple(rng.choice(tokens) for _ in range(rng.randint(1, max_len)))
+             for _ in range(8)]
+    for x in tokens:
+        stuck_counters(warmed.multiplier(x))
+    runs = [warmed.normal_form(w, with_trace=True) for w in words]
+    assert sum(step.pruned for _, trace in runs for step in trace.steps) > 0
+    # a fresh structure whose searches never get a table
+    monkeypatch.setattr(cga.gastructure, "stuck_counters", lambda machine: None)
+    fresh = structure_from_expr(expr)
+    assert [fresh.normal_form(w) for w in words] == [nf for nf, _ in runs]
+
+
+def test_table_waits_until_searches_would_repay_it():
+    bs23 = bs_structure(2, 3)
+    _, trace = bs23.normal_form(("a",) * 16, with_trace=True)
+    pruned = [step.pruned for step in trace.steps]
+    assert pruned[0] == 0  # a fresh machine is searched unpruned
+    assert pruned[-1] > 0
+
+
+def test_pruning_shrinks_a64():
+    bs23 = bs_structure(2, 3)
+    bs23.normal_form(("a",) * 16)
+    nf, trace = bs23.normal_form(("a",) * 64, with_trace=True)
+    assert bs_decode(nf, 2, 3) == BSOracle(2, 3).pair(("a",) * 64)
+    assert trace.steps[-1].max_s <= 16  # 1168 unpruned
+
+
+def test_concurrent_searches_agree_while_tables_are_built():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    words = [toks("a t a- t-"), ("a",) * 12, toks("t t a t- a"),
+             toks("a- t a a t-"), ("t-",) * 3 + ("a",) * 5] * 3
+    expected = [bs_structure(2, 3).normal_form(w) for w in words]
+    shared = bs_structure(2, 3)  # its tables appear while the threads search
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(shared.normal_form, words, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    _, trace = shared.normal_form(("a",) * 8, with_trace=True)
+    assert sum(step.pruned for step in trace.steps) > 0
+
+
+def test_search_of_dead_configurations_stops_early():
+    machine = bs_structure(2, 3).multiplier("a")
+    stuck_counters(machine)
+    u = toks("# 1 # # #")  # not in L, but its configurations live on unpruned
+    with pytest.raises(SearchBoundExceeded) as info:
+        multiplier_graph_search(machine, u, 9)
+    assert info.value.reached == 5  # unpruned, the search reaches level 9
 
 
 # -- verify ---------------------------------------------------------------------------
