@@ -1,5 +1,4 @@
-"""Textual file formats: automaton definitions, letter homomorphisms, and
-structure manifests.
+"""Textual file formats: automaton definitions and structure manifests.
 
 Automaton format, one directive per line, '#'-prefixed comment lines ignored,
 tokens whitespace-separated::
@@ -36,12 +35,12 @@ from .automata import (
     dec,
     inc,
 )
-from .langops import LetterHomomorphism
 from .gastructure import (
     FamilySpec,
     GeneratorSet,
     GraphAutomaticStructure,
     GrowthPolicy,
+    StructureError,
 )
 from .shortlex import ShortlexError
 
@@ -240,27 +239,6 @@ def _chunks(items, size):
 
 
 # ---------------------------------------------------------------------------
-# homomorphism files: lines "map <letter> -> <string|EPS>"
-
-
-def parse_homomorphism(text, source, target, path=None) -> LetterHomomorphism:
-    mapping = {}
-    for lineno, words in _directive_lines(text):
-        if words[0] != "map" or "->" not in words:
-            raise ParseError("expected: map <letter> -> <string|EPS>",
-                             lineno, path=path)
-        arrow = words.index("->")
-        if arrow != 2:
-            raise ParseError("map takes a single source letter", lineno, path=path)
-        letter = words[1]
-        image = words[arrow + 1:]
-        if image == ["EPS"]:
-            image = []
-        mapping[letter] = tuple(image)
-    return LetterHomomorphism(tuple(source), tuple(target), mapping)
-
-
-# ---------------------------------------------------------------------------
 # structure manifests
 
 
@@ -280,7 +258,7 @@ def _format_word(word):
     return " ".join(word) if word else "EPS"
 
 
-def parse_generators_line(args):
+def parse_generators_line(args, lineno=None, path=None):
     tokens = []
     family = None
     if "|" in args:
@@ -288,7 +266,8 @@ def parse_generators_line(args):
         tokens = args[:split]
         fam = args[split + 1:]
         if len(fam) != 3 or fam[0] != "family" or fam[2] != "INT":
-            raise ParseError("family clause must be: | family <base> INT")
+            raise ParseError("family clause must be: | family <base> INT",
+                             lineno, path=path)
         family = FamilySpec(fam[1])
     else:
         tokens = args
@@ -301,7 +280,8 @@ def parse_generators_line(args):
             continue  # handled with its positive partner
         inv = tok + "-"
         if inv not in tokens:
-            raise ParseError(f"generator {tok!r} has no inverse token")
+            raise ParseError(f"generator {tok!r} has no inverse token",
+                             lineno, path=path)
         seen.update((tok, inv))
         pairs.append((tok, inv))
     return pairs, family
@@ -340,7 +320,7 @@ def load_structure(directory) -> GraphAutomaticStructure:
         elif directive == "lambda":
             symbols = (symbols or ()) + tuple(args)
         elif directive == "generators":
-            pairs, family = parse_generators_line(args)
+            pairs, family = parse_generators_line(args, lineno, path)
         elif directive == "nf":
             nf = load_automaton(os.path.join(directory, args[0]))
         elif directive == "mult":
@@ -358,7 +338,10 @@ def load_structure(directory) -> GraphAutomaticStructure:
         elif directive == "quasigeodesic-C":
             quasi = None if args == ["none"] else int(args[0])
         elif directive == "growth":
-            growth = GrowthPolicy(*map(int, args))
+            try:
+                growth = GrowthPolicy(*map(int, args))
+            except StructureError as exc:
+                raise ParseError(str(exc), lineno, path=path)
         elif directive == "order":
             order = (order or ()) + tuple(args)
         else:
@@ -371,8 +354,9 @@ def load_structure(directory) -> GraphAutomaticStructure:
         return GraphAutomaticStructure(
             name, symbols, generators, nf, multipliers, seed_p=seed_p,
             seed_q=seed_q, quasigeodesic_c=quasi, growth=growth, order=order)
-    except (AutomatonError, ShortlexError) as exc:
-        # tokens outside an alphabet, repeated order letters
+    except (AutomatonError, ShortlexError, StructureError) as exc:
+        # tokens outside an alphabet, repeated order letters, seed words
+        # outside L, multipliers of unknown generators
         raise ParseError(str(exc), path=path)
 
 

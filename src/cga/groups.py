@@ -43,19 +43,6 @@ from .langops import (
     tuple_token,
     union_all,
 )
-from .patterns import (
-    alt,
-    build,
-    concat_machines,
-    convolution_product_shared,
-    eps_frag,
-    lit,
-    one_of,
-    repeat,
-    row_pattern,
-    seq,
-    star,
-)
 from .gastructure import (
     FamilySpec,
     GeneratorSet,
@@ -418,31 +405,64 @@ def _gap_guard(symbols, bound, sides=("top", "bottom")) -> CounterAutomaton:
         blind=True)
 
 
-def _bs_case(name, pairs, prefix, pivot, row_a, row_b, adjust, token, symbols):
-    head = seq(prefix, lit(tuple_token(pivot), delta_program(1, 0, adjust)))
-    head_machine = build(head, name + "~head", pairs, counters=1)
-    tail = convolution_product_shared(
-        row_pattern(row_a[0], row_a[1], token),
-        row_pattern(row_b[0], row_b[1], token),
-        symbols, name + "~tail")
-    return concat_machines(head_machine, tail, name)
+def _bs_case(m, n, name, last, pivot, row_a, row_b, adjust, token):
+    """One case language: diagonal stable letters (the last one, if any, in
+    ``last`` unless that is None), the pivot letter adding ``adjust``, then
+    the two rows side by side with one shared blind counter.  A row is
+    (lead '#', four (exact length or None, per-letter delta) runs); its key
+    is (run index, letters read in that run), index -1 before a lead '#' and
+    None once the row pads."""
+    pi = bs_pi_tokens(m, n)
+
+    def row_moves(row, key):
+        # (letter or None for padding, counter delta, next key)
+        runs = row[1]
+        if key is None:
+            yield None, 0, None
+            return
+        i, read = key
+        if i < 0:
+            yield "#", 0, (0, 0)
+            return
+        exact, delta = runs[i]
+        if exact is None or read < exact:
+            yield token, delta, (i, 0 if exact is None else read + 1)
+        if exact is None or read == exact:
+            yield ("#", 0, (i + 1, 0)) if i + 1 < len(runs) else (None, 0, None)
+
+    def done(row, key):
+        return any(letter is None for letter, _, _ in row_moves(row, key))
+
+    tail_start = tuple((-1, 0) if lead else (0, 0) for lead, _ in (row_a, row_b))
+
+    def expand(key):
+        if key[0] == "pre":
+            for x in pi:
+                yield (tuple_token((x, x)), EMPTY_PROGRAM,
+                       ("pre", last is None or x in last))
+            if key[1]:
+                yield tuple_token(pivot), delta_program(1, 0, adjust), tail_start
+            return
+        for ca, da, na in row_moves(row_a, key[0]):
+            for cb, db, nb in row_moves(row_b, key[1]):
+                if ca is not None or cb is not None:
+                    yield (tuple_token((ca, cb)), delta_program(1, 0, da + db),
+                           (na, nb))
+
+    def accepting(key):
+        return key[0] != "pre" and done(row_a, key[0]) and done(row_b, key[1])
+
+    return explore(name, tuple(pair_alphabet(bs_symbols(m, n)).letters()),
+                   1, ("pre", True), expand, accepting, blind=True)
 
 
 def bs_case_machines(m, n):
     """The named case languages behind the a- and t-multipliers, before
     intersection with the convolution square; keys are like ``a:L0``,
     ``t:U2``."""
-    symbols = bs_symbols(m, n)
-    pairs = tuple(pair_alphabet(symbols).letters())
     pi = bs_pi_tokens(m, n)
-    diag_any = one_of([tuple_token((x, x)) for x in pi])
-    prefix_any = star(diag_any)
-    prefix_t = alt(eps_frag(), seq(
-        star(diag_any),
-        one_of([tuple_token((x, x)) for x in pi if _is_t_type(x)])))
-    prefix_tinv = alt(eps_frag(), seq(
-        star(diag_any),
-        one_of([tuple_token((x, x)) for x in pi if not _is_t_type(x)])))
+    t_type = frozenset(x for x in pi if _is_t_type(x))
+    tinv_type = frozenset(pi) - t_type
 
     free_runs = [(None, 0), (None, 0)]
 
@@ -459,46 +479,46 @@ def bs_case_machines(m, n):
     cases = {}
     for r in range(m - 1):
         row_a, row_b = rows(r, r + 1, 2)
-        cases[f"a:L{r}"] = _bs_case(f"La_L{r}", pairs, prefix_any, ("#", "#"),
-                                    row_a, row_b, 0, "1", symbols)
+        cases[f"a:L{r}"] = _bs_case(m, n, f"La_L{r}", None, ("#", "#"),
+                                    row_a, row_b, 0, "1")
     row_a, row_b = rows(m - 1, 0, 2)
-    cases[f"a:L{m - 1}"] = _bs_case(f"La_L{m - 1}", pairs, prefix_any,
-                                    ("#", "#"), row_a, row_b, 1, "1", symbols)
+    cases[f"a:L{m - 1}"] = _bs_case(m, n, f"La_L{m - 1}", None,
+                                    ("#", "#"), row_a, row_b, 1, "1")
     for j in range(1, m):
         row_a, row_b = rows(j, j - 1, 2)
-        cases[f"a:K{j}"] = _bs_case(f"La_K{j}", pairs, prefix_any, ("#", "#"),
-                                    row_a, row_b, 0, "-1", symbols)
+        cases[f"a:K{j}"] = _bs_case(m, n, f"La_K{j}", None, ("#", "#"),
+                                    row_a, row_b, 0, "-1")
     row_a, row_b = rows(0, m - 1, 2)
-    cases["a:K0"] = _bs_case("La_K0", pairs, prefix_any, ("#", "#"),
-                             row_a, row_b, -1, "-1", symbols)
+    cases["a:K0"] = _bs_case(m, n, "La_K0", None, ("#", "#"),
+                             row_a, row_b, -1, "-1")
 
     for s in range(n):  # U_s: positive exponent, P ending in t (or empty)
         row_a, row_b = rows(s, 0, 4)
-        cases[f"t:U{s}"] = _bs_case(f"Lt_U{s}", pairs, prefix_t,
+        cases[f"t:U{s}"] = _bs_case(m, n, f"Lt_U{s}", t_type,
                                     ("#", _pi_token(s, True)),
-                                    row_a, row_b, 0, "1", symbols)
+                                    row_a, row_b, 0, "1")
     for s in range(1, n):  # V_s: negative exponent with remainder
         row_a, row_b = rows(s, 0, 4)
-        cases[f"t:V{s}"] = _bs_case(f"Lt_V{s}", pairs, prefix_t,
+        cases[f"t:V{s}"] = _bs_case(m, n, f"Lt_V{s}", t_type,
                                     ("#", _pi_token(n - s, True)),
-                                    row_a, row_b, 1, "-1", symbols)
+                                    row_a, row_b, 1, "-1")
     row_a, row_b = rows(0, 0, 4)  # V_0: negative exponent divisible by n
-    cases["t:V0"] = _bs_case("Lt_V0", pairs, prefix_t, ("#", "t"),
-                             row_a, row_b, 0, "-1", symbols)
+    cases["t:V0"] = _bs_case(m, n, "Lt_V0", t_type, ("#", "t"),
+                             row_a, row_b, 0, "-1")
     for s in range(1, n):  # W_s / X_s: same shapes after a trailing t inverse
         row_a, row_b = rows(s, 0, 4)
-        cases[f"t:W{s}"] = _bs_case(f"Lt_W{s}", pairs, prefix_tinv,
+        cases[f"t:W{s}"] = _bs_case(m, n, f"Lt_W{s}", tinv_type,
                                     ("#", _pi_token(s, True)),
-                                    row_a, row_b, 0, "1", symbols)
-        cases[f"t:X{s}"] = _bs_case(f"Lt_X{s}", pairs, prefix_tinv,
+                                    row_a, row_b, 0, "1")
+        cases[f"t:X{s}"] = _bs_case(m, n, f"Lt_X{s}", tinv_type,
                                     ("#", _pi_token(n - s, True)),
-                                    row_a, row_b, 1, "-1", symbols)
+                                    row_a, row_b, 1, "-1")
     for c in range(m):  # Y_c: trailing t inverse cancels, positive exponent
         row_a = (True, [(None, 0), (None, 0), (0, 0), (None, 1)])
         row_b = (False, [(c, 0), (None, -1)] + free_runs)
-        cases[f"t:Y{c}"] = _bs_case(f"Lt_Y{c}", pairs, prefix_any,
+        cases[f"t:Y{c}"] = _bs_case(m, n, f"Lt_Y{c}", None,
                                     (_pi_token(c, False), "#"),
-                                    row_a, row_b, 0, "1", symbols)
+                                    row_a, row_b, 0, "1")
     for c in range(m):  # Z_c: trailing t inverse cancels, negative exponent
         row_a = (True, [(None, 0), (None, 0), (0, 0), (None, 1)])
         if c == 0:
@@ -507,9 +527,9 @@ def bs_case_machines(m, n):
         else:
             row_b = (False, [(m - c, 0), (None, -1)] + free_runs)
             adjust = -1
-        cases[f"t:Z{c}"] = _bs_case(f"Lt_Z{c}", pairs, prefix_any,
+        cases[f"t:Z{c}"] = _bs_case(m, n, f"Lt_Z{c}", None,
                                     (_pi_token(c, False), "#"),
-                                    row_a, row_b, adjust, "-1", symbols)
+                                    row_a, row_b, adjust, "-1")
     return cases
 
 
@@ -612,17 +632,22 @@ def finf_structure(max_index=None) -> GraphAutomaticStructure:
     pairs = tuple(pair_alphabet(symbols).letters())
     lifted_right = pad_lift(nf, "right")  # second row constrained to L
     lifted_left = pad_lift(nf, "left")
-    diag = one_of([tuple_token((x, x)) for x in symbols])
+
+    def diag_then(name, chain):
+        # (x|x)* followed by the pair letters of ``chain``
+        t = [("d", tuple_token((x, x)), EMPTY_PROGRAM, "d") for x in symbols]
+        states = ["d"] + [f"c{j}" for j in range(len(chain))]
+        t += [(src, tuple_token(letter), EMPTY_PROGRAM, dst)
+              for src, letter, dst in zip(states, chain, states[1:])]
+        return CounterAutomaton(name, pairs, 0, states, "d", [states[-1]], t,
+                                blind=True)
 
     def factory(i):
-        append = seq(star(diag), lit(tuple_token((None, "p"))),
-                     repeat(lit(tuple_token((None, "1"))), i))
-        cancel = seq(star(diag), lit(tuple_token(("n", None))),
-                     repeat(lit(tuple_token(("1", None))), i))
-        return union_all([
-            intersect(build(append, f"finf_x{i}+", pairs), lifted_right),
-            intersect(build(cancel, f"finf_x{i}-", pairs), lifted_left),
-        ], name=f"finf_Lx{i}")
+        append = diag_then(f"finf_x{i}+", [(None, "p")] + [(None, "1")] * i)
+        cancel = diag_then(f"finf_x{i}-", [("n", None)] + [("1", None)] * i)
+        return union_all([intersect(append, lifted_right),
+                          intersect(cancel, lifted_left)],
+                         name=f"finf_Lx{i}")
 
     gens = GeneratorSet([], FamilySpec("x", factory, max_index))
     name = "finf" if max_index is None else f"finf:{max_index}"
@@ -645,11 +670,19 @@ def z_structure() -> GraphAutomaticStructure:
     ]
     nf = CounterAutomaton("z_L", symbols, 0, ["z0", "zp", "zn"], "z0",
                           ["z0", "zp", "zn"], t, blind=True)
-    pairs = tuple(pair_alphabet(symbols).letters())
-    grow = seq(star(lit(tuple_token(("a", "a")))), lit(tuple_token((None, "a"))))
-    shrink = seq(star(lit(tuple_token(("a-", "a-")))),
-                 lit(tuple_token(("a-", None))))
-    la = build(alt(grow, shrink), "z_La", pairs)
+    # (a|a)* (_|a) or (a-|a-)* (a-|_)
+    up, grow = tuple_token(("a", "a")), tuple_token((None, "a"))
+    down, shrink = tuple_token(("a-", "a-")), tuple_token(("a-", None))
+    t = [
+        ("m0", up, EMPTY_PROGRAM, "mp"), ("mp", up, EMPTY_PROGRAM, "mp"),
+        ("m0", grow, EMPTY_PROGRAM, "grown"), ("mp", grow, EMPTY_PROGRAM, "grown"),
+        ("m0", down, EMPTY_PROGRAM, "mn"), ("mn", down, EMPTY_PROGRAM, "mn"),
+        ("m0", shrink, EMPTY_PROGRAM, "shrunk"),
+        ("mn", shrink, EMPTY_PROGRAM, "shrunk"),
+    ]
+    la = CounterAutomaton("z_La", tuple(pair_alphabet(symbols).letters()), 0,
+                          ["m0", "mp", "mn", "grown", "shrunk"], "m0",
+                          ["grown", "shrunk"], t, blind=True)
     return GraphAutomaticStructure(
         "z", symbols, GeneratorSet.from_pairs([("a", "a-")]), nf,
         {"a": la},

@@ -88,9 +88,9 @@ def test_nf_trace_lines_are_fixed(capsys):
     assert out.splitlines() == [
         "at at- # -1 # -1 # # -1",
         "# step a: levels=6 max|S_j|=14 max|T_j|=14 pruned=0 D=184 E=16 F=9 K=1 k=3",
-        "# step t: levels=6 max|S_j|=15 max|T_j|=10 pruned=0 D=251 E=14 F=9 K=1 k=3",
+        "# step t: levels=6 max|S_j|=15 max|T_j|=10 pruned=0 D=245 E=14 F=9 K=1 k=3",
         "# step a-: levels=7 max|S_j|=14 max|T_j|=14 pruned=0 D=184 E=16 F=9 K=1 k=3",
-        "# step t-: levels=9 max|S_j|=22 max|T_j|=24 pruned=0 D=251 E=14 F=9 K=1 k=3",
+        "# step t-: levels=9 max|S_j|=16 max|T_j|=18 pruned=0 D=245 E=14 F=9 K=1 k=3",
     ]
     code, out = run(capsys, "nf", "--group", "bs:2,3", "a t a- t-")
     assert code == 0 and out == "at at- # -1 # -1 # # -1\n"
@@ -110,17 +110,17 @@ def test_nf_trace_porcelain_prints_step_records(capsys):
         "level 4 S 4 T 4 c 3 bound 143158256",
         "level 5 S 8 T 8 c 5 bound 277314128",
         "level 6 S 14 T 14 c 7 bound 476570672",
-        "step t levels 6 max_s 15 max_t 10 pruned 0 D 251 E 14 F 9 K 1 k 3",
-        "level 0 S 15 T 0 c 0 bound 502",
-        "level 1 S 6 T 10 c 1 bound 3443218",
-        "level 2 S 3 T 3 c 1 bound 25427806",
-        "level 3 S 3 T 3 c 1 bound 83520250",
-        "level 4 S 6 T 6 c 2 bound 195286534",
-        "level 5 S 6 T 6 c 4 bound 378292642",
-        "level 6 S 5 T 5 c 6 bound 650104558",
+        "step t levels 6 max_s 15 max_t 10 pruned 0 D 245 E 14 F 9 K 1 k 3",
+        "level 0 S 15 T 0 c 0 bound 490",
+        "level 1 S 6 T 10 c 1 bound 3360910",
+        "level 2 S 3 T 3 c 1 bound 24819970",
+        "level 3 S 3 T 3 c 1 bound 81523750",
+        "level 4 S 6 T 6 c 2 bound 190618330",
+        "level 5 S 6 T 6 c 4 bound 369249790",
+        "level 6 S 5 T 5 c 6 bound 634564210",
     ]
     # bound = 2*D*(2*F*j + 1)**k
-    assert 2 * 251 * (2 * 9 * 6 + 1) ** 3 == 650104558
+    assert 2 * 245 * (2 * 9 * 6 + 1) ** 3 == 634564210
     code, out = run(capsys, "nf", "--group", "bs:2,3", "a t", "--porcelain")
     assert code == 0 and out == "normal-form at # # # #\n"
 
@@ -308,6 +308,37 @@ def test_malformed_manifest_exits_2(line, broken, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("line, broken, on_line, message", [
+    ("generators a a-", "generators a", True,
+     "generator 'a' has no inverse token"),
+    ("generators a a-", "generators a a- | family x", True,
+     "family clause must be: | family <base> INT"),
+    ("growth 1 1", "growth 0 1", True,
+     "growth policy needs alpha >= 1 and beta >= 0"),
+    ("seed-q EPS", "seed-q a a- a", False,
+     "seed word q is not in the normal form language"),
+    ("order a a-", "order a a-\nmult q mult_a.aut", False,
+     "multiplier for unknown generator 'q'"),
+], ids=["no-inverse", "family-clause", "growth", "seed-q", "unknown-mult"])
+def test_manifest_error_names_the_manifest(line, broken, on_line, message,
+                                           tmp_path, capsys):
+    # an error of one directive names the manifest and its line; one the
+    # structure raises when it is put together names the manifest
+    out_dir = tmp_path / "z"
+    assert main(["build", "z", "--out", str(out_dir)]) == 0
+    manifest = out_dir / "structure.txt"
+    lines = manifest.read_text().splitlines()
+    lineno = lines.index(line) + 1
+    lines[lineno - 1] = broken
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["nf", "--structure", str(out_dir), "a"])
+    captured = capsys.readouterr()
+    where = f"{manifest}:{lineno}:" if on_line else f"{manifest}:"
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {where} {message}\n"
 
 
 def test_shortlex_nf_negative_max_len_exits_2(capsys):

@@ -11,7 +11,6 @@ from cga.formats import (
     load_automaton,
     load_structure,
     parse_automaton,
-    parse_homomorphism,
     parse_program,
     write_structure,
 )
@@ -23,7 +22,6 @@ from cga.groups import (
     structure_from_expr,
     z_structure,
 )
-from cga.langops import LangOpError
 
 from conftest import toks
 
@@ -106,14 +104,6 @@ trans t 1 - t
     machine = parse_automaton(text)
     assert accepts(machine, ("#", "1"))
     assert not accepts(machine, ("1",))
-
-
-def test_parse_homomorphism():
-    phi = parse_homomorphism(
-        "map a -> p 1\nmap b -> EPS\n", ("a", "b"), ("p", "1"))
-    assert phi.mapping["a"] == ("p", "1")
-    assert phi.mapping["b"] == ()
-    assert not phi.epsilon_free
 
 
 def test_structure_round_trip(tmp_path, bs23):
@@ -266,18 +256,4 @@ def test_manifest_text_fails_only_with_load_errors(z_files, data):
         for tok in loaded.generators.tokens():
             loaded.multiplier(tok)
     except LOAD_ERRORS:
-        pass
-
-
-HOM_TEXT = "map a -> p 1\nmap b -> EPS\n"
-HOM_WORDS = st.sampled_from(["map", "a", "b", "c", "p", "1", "->", "EPS"]) \
-    | st.text(max_size=4)
-
-
-@settings(max_examples=200, deadline=None)
-@given(text=mutated_lines(HOM_TEXT, HOM_WORDS))
-def test_homomorphism_text_fails_only_with_parse_errors(text):
-    try:
-        parse_homomorphism(text, ("a", "b"), ("p", "1"))
-    except (ParseError, LangOpError):
         pass

@@ -207,6 +207,13 @@ def test_bs_relator_normal_forms(bs23):
     assert bs23.normal_form(toks("t a a t-")) == bs23.normal_form(toks("a a a"))
 
 
+@pytest.mark.parametrize("m,n", [(3, 4), (2, 5), (3, 5)])
+def test_bs_verifies_beyond_the_fixture_parameters(m, n):
+    # case index ranges other than those of bs:2,3 and bs:4,7
+    report = verify(bs_structure(m, n), 4, BSOracle(m, n))
+    assert report.ok, [f.detail for f in report.failures[:3]]
+
+
 def test_bs_encode_always_accepted(bs23, bs23_oracle):
     rng = random.Random(9)
     gens = ("a", "a-", "t", "t-")
