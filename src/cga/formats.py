@@ -46,17 +46,14 @@ from .shortlex import ShortlexError
 
 
 class ParseError(Exception):
-    def __init__(self, message, line=None, column=None, path=None):
+    def __init__(self, message, line=None, path=None):
         where = ""
         if path:
             where += f"{path}:"
         if line is not None:
             where += f"{line}:"
-        if column is not None:
-            where += f"{column}:"
         super().__init__(f"{where} {message}" if where else message)
         self.line = line
-        self.column = column
         self.path = path
 
 
@@ -362,7 +359,8 @@ def load_structure(directory) -> GraphAutomaticStructure:
 
 def _multiplier_loader(path):
     """Reads a multiplier file when the structure first needs it; a file
-    that cannot be read is a ParseError naming it."""
+    that cannot be read is a ParseError naming it, and the loader's ``path``
+    lets the structure name it too."""
 
     def load():
         try:
@@ -370,6 +368,7 @@ def _multiplier_loader(path):
         except OSError as exc:
             raise ParseError(exc.strerror or str(exc), path=path) from exc
 
+    load.path = path
     return load
 
 

@@ -537,7 +537,8 @@ class GraphAutomaticStructure:
     used, so a command pays only for the multipliers its words touch.  A
     generator with neither, and no family factory, gets the row swap of its
     inverse's multiplier, since L_{x-} = {(v, u) : (u, v) in L_x}; one
-    generator of each inverse pair is enough.
+    generator of each inverse pair is enough.  A loader with a ``path``
+    attribute names that file when its machine fails a check.
 
     The seed (p, q) gives one known correspondence: q is a normal form for the
     element spelled by the generator word p.  The identity's normal form is
@@ -579,11 +580,12 @@ class GraphAutomaticStructure:
         if not self.nf_automaton.accepts_word(self.seed_q):
             raise StructureError("seed word q is not in the normal form language")
 
-    def _check_letters(self, token, machine):
+    def _check_letters(self, token, machine, path=None):
         pairs = pair_alphabet(self.symbols)
         for letter in machine.alphabet:
             if letter not in pairs:
                 raise StructureError(
+                    (f"{path}: " if path else "") +
                     f"multiplier {token!r} uses letter {letter!r} outside the "
                     "pair alphabet")
 
@@ -614,7 +616,7 @@ class GraphAutomaticStructure:
         if loader is None:
             return None
         machine = loader()
-        self._check_letters(token, machine)
+        self._check_letters(token, machine, getattr(loader, "path", None))
         # stored before the loader goes: a concurrent caller finds one
         machine = self._multipliers.setdefault(token, machine)
         self._loaders.pop(token, None)

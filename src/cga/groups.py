@@ -370,96 +370,14 @@ def bs_nf_machine(m, n) -> CounterAutomaton:
                      name=f"bs{m}_{n}_L")
 
 
-def _gap_guard(symbols, bound, sides=("top", "bottom")) -> CounterAutomaton:
-    """Regular guard on pair words: once a row named in ``sides`` ("top" for
-    the first row, "bottom" for the second) has ended, at most ``bound`` more
-    letters may follow; after a row not named there the other runs on
-    freely.  Language-neutral for relations whose normal forms differ in
-    length by at most ``bound`` on the bounded sides; it makes that bound
-    structural, so a search never carries a row past it."""
-    letters = list(pair_alphabet(symbols).letters())
-    split = [(tok,) + parse_tuple_token(tok) for tok in letters]
-    t = []
-    states = ["live"]
-
-    def chain(side, selector):
-        limited = side in sides
-        names = [f"{side}{i}" for i in range(1, bound + 1)] if limited else [side]
-        states.extend(names)
-        for tok, a, b in split:
-            if selector(a, b):
-                t.append(("live", tok, EMPTY_PROGRAM, names[0]))
-                if limited:
-                    for i in range(len(names) - 1):
-                        t.append((names[i], tok, EMPTY_PROGRAM, names[i + 1]))
-                else:
-                    t.append((names[0], tok, EMPTY_PROGRAM, names[0]))
-
-    for tok, a, b in split:
-        if a is not None and b is not None:
-            t.append(("live", tok, EMPTY_PROGRAM, "live"))
-    chain("top", lambda a, b: a is None)
-    chain("bottom", lambda a, b: b is None)
-    return CounterAutomaton(
-        "gap_guard", letters, 0, states, "live", states, t,
-        blind=True)
-
-
-def _bs_case(m, n, name, last, pivot, row_a, row_b, adjust, token):
-    """One case language: diagonal stable letters (the last one, if any, in
-    ``last`` unless that is None), the pivot letter adding ``adjust``, then
-    the two rows side by side with one shared blind counter.  A row is
-    (lead '#', four (exact length or None, per-letter delta) runs); its key
-    is (run index, letters read in that run), index -1 before a lead '#' and
-    None once the row pads."""
-    pi = bs_pi_tokens(m, n)
-
-    def row_moves(row, key):
-        # (letter or None for padding, counter delta, next key)
-        runs = row[1]
-        if key is None:
-            yield None, 0, None
-            return
-        i, read = key
-        if i < 0:
-            yield "#", 0, (0, 0)
-            return
-        exact, delta = runs[i]
-        if exact is None or read < exact:
-            yield token, delta, (i, 0 if exact is None else read + 1)
-        if exact is None or read == exact:
-            yield ("#", 0, (i + 1, 0)) if i + 1 < len(runs) else (None, 0, None)
-
-    def done(row, key):
-        return any(letter is None for letter, _, _ in row_moves(row, key))
-
-    tail_start = tuple((-1, 0) if lead else (0, 0) for lead, _ in (row_a, row_b))
-
-    def expand(key):
-        if key[0] == "pre":
-            for x in pi:
-                yield (tuple_token((x, x)), EMPTY_PROGRAM,
-                       ("pre", last is None or x in last))
-            if key[1]:
-                yield tuple_token(pivot), delta_program(1, 0, adjust), tail_start
-            return
-        for ca, da, na in row_moves(row_a, key[0]):
-            for cb, db, nb in row_moves(row_b, key[1]):
-                if ca is not None or cb is not None:
-                    yield (tuple_token((ca, cb)), delta_program(1, 0, da + db),
-                           (na, nb))
-
-    def accepting(key):
-        return key[0] != "pre" and done(row_a, key[0]) and done(row_b, key[1])
-
-    return explore(name, tuple(pair_alphabet(bs_symbols(m, n)).letters()),
-                   1, ("pre", True), expand, accepting, blind=True)
-
-
-def bs_case_machines(m, n):
-    """The named case languages behind the a- and t-multipliers, before
-    intersection with the convolution square; keys are like ``a:L0``,
-    ``t:U2``."""
+def bs_cases(m, n):
+    """The run-shape case languages behind the a- and t-multipliers, as
+    plain data: for each generator a list of (last, pivot, row_a, row_b,
+    adjust, token).  A case reads diagonal stable letters (the last one, if
+    any, in ``last`` unless that is None), the pivot letter adding
+    ``adjust``, then the two rows side by side with one shared blind
+    counter, each run letter being ``token``.  A row is (lead '#', four
+    (exact length or None, per-letter delta) runs)."""
     pi = bs_pi_tokens(m, n)
     t_type = frozenset(x for x in pi if _is_t_type(x))
     tinv_type = frozenset(pi) - t_type
@@ -476,83 +394,116 @@ def bs_case_machines(m, n):
             row_b = (True, [(run1_b, 0), (None, -1)] + free_runs)
         return row_a, row_b
 
-    cases = {}
-    for r in range(m - 1):
-        row_a, row_b = rows(r, r + 1, 2)
-        cases[f"a:L{r}"] = _bs_case(m, n, f"La_L{r}", None, ("#", "#"),
-                                    row_a, row_b, 0, "1")
-    row_a, row_b = rows(m - 1, 0, 2)
-    cases[f"a:L{m - 1}"] = _bs_case(m, n, f"La_L{m - 1}", None,
-                                    ("#", "#"), row_a, row_b, 1, "1")
-    for j in range(1, m):
-        row_a, row_b = rows(j, j - 1, 2)
-        cases[f"a:K{j}"] = _bs_case(m, n, f"La_K{j}", None, ("#", "#"),
-                                    row_a, row_b, 0, "-1")
-    row_a, row_b = rows(0, m - 1, 2)
-    cases["a:K0"] = _bs_case(m, n, "La_K0", None, ("#", "#"),
-                             row_a, row_b, -1, "-1")
+    cases_a = []
+    for r in range(m - 1):  # L_r
+        cases_a.append((None, ("#", "#"), *rows(r, r + 1, 2), 0, "1"))
+    cases_a.append((None, ("#", "#"), *rows(m - 1, 0, 2), 1, "1"))  # L_{m-1}
+    for j in range(1, m):  # K_j
+        cases_a.append((None, ("#", "#"), *rows(j, j - 1, 2), 0, "-1"))
+    cases_a.append((None, ("#", "#"), *rows(0, m - 1, 2), -1, "-1"))  # K_0
 
+    cases_t = []
     for s in range(n):  # U_s: positive exponent, P ending in t (or empty)
-        row_a, row_b = rows(s, 0, 4)
-        cases[f"t:U{s}"] = _bs_case(m, n, f"Lt_U{s}", t_type,
-                                    ("#", _pi_token(s, True)),
-                                    row_a, row_b, 0, "1")
+        cases_t.append((t_type, ("#", _pi_token(s, True)), *rows(s, 0, 4),
+                        0, "1"))
     for s in range(1, n):  # V_s: negative exponent with remainder
-        row_a, row_b = rows(s, 0, 4)
-        cases[f"t:V{s}"] = _bs_case(m, n, f"Lt_V{s}", t_type,
-                                    ("#", _pi_token(n - s, True)),
-                                    row_a, row_b, 1, "-1")
-    row_a, row_b = rows(0, 0, 4)  # V_0: negative exponent divisible by n
-    cases["t:V0"] = _bs_case(m, n, "Lt_V0", t_type, ("#", "t"),
-                             row_a, row_b, 0, "-1")
+        cases_t.append((t_type, ("#", _pi_token(n - s, True)),
+                        *rows(s, 0, 4), 1, "-1"))
+    # V_0: negative exponent divisible by n
+    cases_t.append((t_type, ("#", "t"), *rows(0, 0, 4), 0, "-1"))
     for s in range(1, n):  # W_s / X_s: same shapes after a trailing t inverse
-        row_a, row_b = rows(s, 0, 4)
-        cases[f"t:W{s}"] = _bs_case(m, n, f"Lt_W{s}", tinv_type,
-                                    ("#", _pi_token(s, True)),
-                                    row_a, row_b, 0, "1")
-        cases[f"t:X{s}"] = _bs_case(m, n, f"Lt_X{s}", tinv_type,
-                                    ("#", _pi_token(n - s, True)),
-                                    row_a, row_b, 1, "-1")
+        cases_t.append((tinv_type, ("#", _pi_token(s, True)), *rows(s, 0, 4),
+                        0, "1"))
+        cases_t.append((tinv_type, ("#", _pi_token(n - s, True)),
+                        *rows(s, 0, 4), 1, "-1"))
+    cancelled = (True, [(None, 0), (None, 0), (0, 0), (None, 1)])
     for c in range(m):  # Y_c: trailing t inverse cancels, positive exponent
-        row_a = (True, [(None, 0), (None, 0), (0, 0), (None, 1)])
-        row_b = (False, [(c, 0), (None, -1)] + free_runs)
-        cases[f"t:Y{c}"] = _bs_case(m, n, f"Lt_Y{c}", None,
-                                    (_pi_token(c, False), "#"),
-                                    row_a, row_b, 0, "1")
+        cases_t.append((None, (_pi_token(c, False), "#"), cancelled,
+                        (False, [(c, 0), (None, -1)] + free_runs), 0, "1"))
     for c in range(m):  # Z_c: trailing t inverse cancels, negative exponent
-        row_a = (True, [(None, 0), (None, 0), (0, 0), (None, 1)])
-        if c == 0:
-            row_b = (False, [(0, 0), (None, -1)] + free_runs)
-            adjust = 0
-        else:
-            row_b = (False, [(m - c, 0), (None, -1)] + free_runs)
-            adjust = -1
-        cases[f"t:Z{c}"] = _bs_case(m, n, f"Lt_Z{c}", None,
-                                    (_pi_token(c, False), "#"),
-                                    row_a, row_b, adjust, "-1")
-    return cases
+        cases_t.append((None, (_pi_token(c, False), "#"), cancelled,
+                        (False, [((m - c) % m, 0), (None, -1)] + free_runs),
+                        -1 if c else 0, "-1"))
+    return {"a": cases_a, "t": cases_t}
+
+
+def bs_case_walk(m, n, cases, bounded):
+    """One machine for the union of ``cases`` (a list from ``bs_cases``):
+    the diagonal prefix is walked once, keyed by its last stable letter, and
+    its end branches into every case that letter allows.  A tail key is
+    (case index, row A key, row B key, letters read since a row named in
+    ``bounded`` (0 top, 1 bottom) ended); a row key is (run index, letters
+    read in that run), index -1 before a lead '#' and None once the row
+    pads.  No move takes that count past m+n+2, which is language-neutral on
+    L x L where the rows' lengths differ by at most that much, and makes the
+    bound structural, so a search never carries a row past it."""
+    pi = bs_pi_tokens(m, n)
+    gap = m + n + 2
+
+    def row_moves(row, key, token):
+        # (letter or None for padding, counter delta, next key)
+        runs = row[1]
+        if key is None:
+            yield None, 0, None
+            return
+        i, read = key
+        if i < 0:
+            yield "#", 0, (0, 0)
+            return
+        exact, delta = runs[i]
+        if exact is None or read < exact:
+            yield token, delta, (i, 0 if exact is None else read + 1)
+        if exact is None or read == exact:
+            yield ("#", 0, (i + 1, 0)) if i + 1 < len(runs) else (None, 0, None)
+
+    def done(row, key, token):
+        return any(letter is None for letter, _, _ in row_moves(row, key, token))
+
+    def expand(key):
+        if key[0] == "pre":
+            for x in pi:
+                yield tuple_token((x, x)), EMPTY_PROGRAM, ("pre", x)
+            for i, (last, pivot, row_a, row_b, adjust, _) in enumerate(cases):
+                if key[1] is None or last is None or key[1] in last:
+                    yield (tuple_token(pivot), delta_program(1, 0, adjust),
+                           (i, *((-1, 0) if lead else (0, 0)
+                                 for lead, _ in (row_a, row_b)), 0))
+            return
+        i, key_a, key_b, after_end = key
+        _, _, row_a, row_b, _, token = cases[i]
+        for ca, da, na in row_moves(row_a, key_a, token):
+            for cb, db, nb in row_moves(row_b, key_b, token):
+                if ca is None and cb is None:
+                    continue
+                read = after_end + ((ca is None and 0 in bounded)
+                                    or (cb is None and 1 in bounded))
+                if read <= gap:
+                    yield (tuple_token((ca, cb)), delta_program(1, 0, da + db),
+                           (i, na, nb, read))
+
+    def accepting(key):
+        if key[0] == "pre":
+            return False
+        _, _, row_a, row_b, _, token = cases[key[0]]
+        return done(row_a, key[1], token) and done(row_b, key[2], token)
+
+    return explore(f"bs{m}_{n}_cases",
+                   tuple(pair_alphabet(bs_symbols(m, n)).letters()),
+                   1, ("pre", None), expand, accepting, blind=True)
 
 
 def bs_multipliers(m, n, nf: CounterAutomaton):
     """Right-multiplication machines for a and t (the structure derives
-    their inverses): unions of run-shape case languages intersected with the
-    convolution square of L and a (language-neutral) length-gap guard, which
-    bounds both rows for a and the top row for t, then quotiented."""
-    symbols = bs_symbols(m, n)
-    cases = bs_case_machines(m, n)
-    cases_a = [machine for key, machine in cases.items() if key.startswith("a:")]
-    cases_t = [machine for key, machine in cases.items() if key.startswith("t:")]
-
+    their inverses): one walk over each generator's run-shape cases,
+    intersected with the convolution square of L and quotiented.  The walk
+    bounds both rows for a and the top row for t."""
     conv2 = intersect(pad_lift(nf, "left"), pad_lift(nf, "right"),
                       name=f"bs{m}_{n}_LL")
-    gap = m + n + 2
-    la = intersect(
-        intersect(union_all(cases_a, name="La_cases"), conv2),
-        _gap_guard(symbols, gap), name=f"bs{m}_{n}_La")
-    lt = intersect(
-        intersect(union_all(cases_t, name="Lt_cases"), conv2),
-        _gap_guard(symbols, gap, sides=("top",)), name=f"bs{m}_{n}_Lt")
-    return {"a": quotient(la), "t": quotient(lt)}
+    cases = bs_cases(m, n)
+    return {gen: quotient(intersect(
+                bs_case_walk(m, n, cases[gen], bounded),
+                conv2, name=f"bs{m}_{n}_L{gen}"))
+            for gen, bounded in (("a", (0, 1)), ("t", (0,)))}
 
 
 def bs_structure(m, n, seed_p=None, seed_q=None,

@@ -87,10 +87,10 @@ def test_nf_trace_lines_are_fixed(capsys):
     assert code == 0
     assert out.splitlines() == [
         "at at- # -1 # -1 # # -1",
-        "# step a: levels=6 max|S_j|=14 max|T_j|=14 pruned=0 D=184 E=16 F=9 K=1 k=3",
-        "# step t: levels=6 max|S_j|=15 max|T_j|=10 pruned=0 D=245 E=14 F=9 K=1 k=3",
-        "# step a-: levels=7 max|S_j|=14 max|T_j|=14 pruned=0 D=184 E=16 F=9 K=1 k=3",
-        "# step t-: levels=9 max|S_j|=16 max|T_j|=18 pruned=0 D=245 E=14 F=9 K=1 k=3",
+        "# step a: levels=6 max|S_j|=14 max|T_j|=14 pruned=0 D=174 E=16 F=9 K=0 k=3",
+        "# step t: levels=6 max|S_j|=6 max|T_j|=6 pruned=0 D=205 E=15 F=9 K=0 k=3",
+        "# step a-: levels=7 max|S_j|=14 max|T_j|=14 pruned=0 D=174 E=16 F=9 K=0 k=3",
+        "# step t-: levels=9 max|S_j|=10 max|T_j|=10 pruned=0 D=205 E=15 F=9 K=0 k=3",
     ]
     code, out = run(capsys, "nf", "--group", "bs:2,3", "a t a- t-")
     assert code == 0 and out == "at at- # -1 # -1 # # -1\n"
@@ -102,25 +102,25 @@ def test_nf_trace_porcelain_prints_step_records(capsys):
     assert code == 0
     assert out.splitlines() == [
         "normal-form at # # # #",
-        "step a levels 6 max_s 14 max_t 14 pruned 0 D 184 E 16 F 9 K 1 k 3",
-        "level 0 S 5 T 0 c 0 bound 368",
-        "level 1 S 4 T 4 c 1 bound 2524112",
-        "level 2 S 2 T 2 c 1 bound 18640304",
-        "level 3 S 2 T 2 c 1 bound 61226000",
-        "level 4 S 4 T 4 c 3 bound 143158256",
-        "level 5 S 8 T 8 c 5 bound 277314128",
-        "level 6 S 14 T 14 c 7 bound 476570672",
-        "step t levels 6 max_s 15 max_t 10 pruned 0 D 245 E 14 F 9 K 1 k 3",
-        "level 0 S 15 T 0 c 0 bound 490",
-        "level 1 S 6 T 10 c 1 bound 3360910",
-        "level 2 S 3 T 3 c 1 bound 24819970",
-        "level 3 S 3 T 3 c 1 bound 81523750",
-        "level 4 S 6 T 6 c 2 bound 190618330",
-        "level 5 S 6 T 6 c 4 bound 369249790",
-        "level 6 S 5 T 5 c 6 bound 634564210",
+        "step a levels 6 max_s 14 max_t 14 pruned 0 D 174 E 16 F 9 K 0 k 3",
+        "level 0 S 1 T 0 c 0 bound 348",
+        "level 1 S 4 T 4 c 1 bound 2386932",
+        "level 2 S 2 T 2 c 1 bound 17627244",
+        "level 3 S 2 T 2 c 1 bound 57898500",
+        "level 4 S 4 T 4 c 3 bound 135377916",
+        "level 5 S 8 T 8 c 5 bound 262242708",
+        "level 6 S 14 T 14 c 7 bound 450670092",
+        "step t levels 6 max_s 6 max_t 6 pruned 0 D 205 E 15 F 9 K 0 k 3",
+        "level 0 S 1 T 0 c 0 bound 410",
+        "level 1 S 6 T 6 c 1 bound 2812190",
+        "level 2 S 3 T 3 c 1 bound 20767730",
+        "level 3 S 3 T 3 c 1 bound 68213750",
+        "level 4 S 6 T 6 c 2 bound 159496970",
+        "level 5 S 6 T 6 c 4 bound 308964110",
+        "level 6 S 5 T 5 c 6 bound 530961890",
     ]
     # bound = 2*D*(2*F*j + 1)**k
-    assert 2 * 245 * (2 * 9 * 6 + 1) ** 3 == 634564210
+    assert 2 * 205 * (2 * 9 * 6 + 1) ** 3 == 530961890
     code, out = run(capsys, "nf", "--group", "bs:2,3", "a t", "--porcelain")
     assert code == 0 and out == "normal-form at # # # #\n"
 
@@ -500,7 +500,8 @@ def test_multiplier_outside_the_pair_alphabet_fails_when_first_used(
     code = main(["nf", "--structure", str(z_manifest), "a-"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: multiplier 'a-' uses letter")
+    assert captured.err.startswith(
+        f"error: {z_manifest / 'mult_a-.aut'}: multiplier 'a-' uses letter 'a'")
 
 
 def test_missing_multiplier_file_fails_at_load(z_manifest, capsys):

@@ -233,7 +233,7 @@ def test_searches_agree_on_free_product(free_zz):
 def test_searches_agree_on_regen_multiplier(regen_aa):
     machine = regen_aa.multiplier("u")
     assert machine.counters == 6
-    assert sum(t.label is None for t in machine.transitions) == 672
+    assert sum(t.label is None for t in machine.transitions) == 652
     one, two = regen_aa.normal_form(("u",)), regen_aa.normal_form(("u", "u"))
     steps = [(regen_aa.mu, "u"), (regen_aa.mu, "u-"), (one, "u-"), (one, "t-"),
              (two, "u"), (two, "u-"), (regen_aa.normal_form(("t",)), "u")]

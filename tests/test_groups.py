@@ -197,10 +197,20 @@ def _letters_after_row_end(machine, row):
 
 @pytest.mark.parametrize("fixture,m,n", [("bs23", 2, 3), ("bs47", 4, 7)])
 def test_bs_a_multiplier_bounds_both_rows(fixture, m, n, request):
-    machine = request.getfixturevalue(fixture).multiplier("a")
-    for row in (0, 1):
-        bound = _letters_after_row_end(machine, row)
-        assert bound is not None and bound <= m + n + 2, (row, bound)
+    # a bounds both rows, t only the top one
+    structure = request.getfixturevalue(fixture)
+    for gen, rows in (("a", (0, 1)), ("t", (0,))):
+        machine = structure.multiplier(gen)
+        for row in rows:
+            bound = _letters_after_row_end(machine, row)
+            assert bound is not None and bound <= m + n + 2, (gen, row, bound)
+
+
+@pytest.mark.parametrize("fixture", ["bs23", "bs47"])
+def test_bs_multipliers_are_epsilon_free(fixture, request):
+    structure = request.getfixturevalue(fixture)
+    for gen in ("a", "t"):
+        assert structure.multiplier(gen).epsilon_bound() == 0, gen
 
 
 def test_bs_relator_normal_forms(bs23):

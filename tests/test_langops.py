@@ -177,11 +177,13 @@ def test_union_idempotent_on_language(bs23):
         assert accepts(got, word) == accepts(machine, word)
 
 
-def test_union_of_case_machines_accepts_case1_witnesses():
-    from cga.groups import BSNormalPair, bs_case_machines
-    cases = bs_case_machines(2, 3)
-    u_cases = union_all([m for k, m in cases.items() if k.startswith("t:U")])
+def test_case_walk_accepts_case1_witnesses():
+    from cga.groups import BSNormalPair, bs_case_walk, bs_cases
     m, n = 2, 3
+    # the U_s cases lead the t table, one per pivot letter (# | a^s t)
+    u_table = bs_cases(m, n)["t"][:n]
+    assert [case[1] for case in u_table] == [("#", "t"), ("#", "at"), ("#", "aat")]
+    u_cases = bs_case_walk(m, n, u_table, (0,))
     for p_word in ((), ("t",)):
         for s in range(n):
             for q in range(4):
