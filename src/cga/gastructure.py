@@ -498,30 +498,52 @@ def candidate_trie(words):
     return trie
 
 
-def accepted_candidates(machine: CounterAutomaton, u, trie):
-    """Candidate words v of a candidate_trie with (u, v) accepted by the
-    multiplier.
+def accepted_candidates(machine: CounterAutomaton, trie):
+    """dict mapping each word u of a candidate_trie to the set of its words
+    v with (u, v) accepted by the multiplier.
 
-    Evaluates the same membership predicate as accepts() on each convolution,
-    sharing work across candidates with a common prefix.
+    One walk over pairs of trie nodes evaluates the same membership predicate
+    as accepts() on every convolution, sharing the configuration set of each
+    pair of prefixes.  A word that has ended is read as padding (None) on its
+    row; the letter with both rows padded is never read.  Configurations
+    that stuck_counters calls dead are dropped once the machine's table is
+    built (see multiplier_graph_search); they have no accepting future.
     """
-    u = tuple(u)
     index = _pair_index(machine)
-    accepted = []
+    stuck = getattr(machine, "_cga_stuck", None)
+    accepted = {}
+    nodes = [trie]
+    while nodes:
+        for key, child in nodes.pop().items():
+            if key == _TERMINAL:
+                accepted[child] = set()
+            else:
+                nodes.append(child)
 
-    def walk(node, depth, configs):
+    def moves(node):
+        """(letter, node after it) for each way a row can go on."""
+        out = [(key, child) for key, child in node.items() if key != _TERMINAL]
         word = node.get(_TERMINAL)
-        if word is not None and _accepts_padded(machine, index, configs, u, depth):
-            accepted.append(word)
-        top = u[depth] if depth < len(u) else None
-        for sigma, child in node.items():
-            if sigma == _TERMINAL:
-                continue
-            nxt = _advance(machine, index, configs, top, sigma)
-            if nxt:
-                walk(child, depth + 1, nxt)
+        if word is not None:
+            out.append((None, {_TERMINAL: word}))
+        return out
 
-    walk(trie, 0, machine.initial_configs())
+    def walk(top_node, bottom_node, configs):
+        u, v = top_node.get(_TERMINAL), bottom_node.get(_TERMINAL)
+        if u is not None and v is not None and machine.accepting(configs):
+            accepted[u].add(v)
+        bottom_moves = moves(bottom_node)
+        for top, top_child in moves(top_node):
+            for bottom, bottom_child in bottom_moves:
+                if top is None and bottom is None:
+                    continue
+                nxt = _advance(machine, index, configs, top, bottom)
+                if stuck is not None:
+                    nxt = {cfg for cfg in nxt if not _dead(stuck, *cfg)}
+                if nxt:
+                    walk(top_child, bottom_child, nxt)
+
+    walk(trie, trie, machine.initial_configs())
     return accepted
 
 
@@ -784,11 +806,13 @@ def verify(structure: GraphAutomaticStructure, radius: int,
     report.elements = len(classes)
 
     trie = candidate_trie(nf for _, nf in classes.values())
+    accepted = {x: accepted_candidates(structure.multiplier(x), trie)
+                for x in gens}
     for _, (u_word, u_nf) in sorted(classes.items()):
         for x in gens:
             target = oracle.canonicalize(u_word + (x,))
             expected = {classes[target][1]} if target in classes else set()
-            got = set(accepted_candidates(structure.multiplier(x), u_nf, trie))
+            got = accepted[x][u_nf]
             for v in sorted(got - expected):
                 report.add("multiplier-sound", u_word,
                            f"M_{x} accepts ({_w(u_nf)}, {_w(v)}) wrongly")

@@ -89,26 +89,64 @@ def geodesic_normal_form(oracle, alphabet: OrderedAlphabet, word, max_len=None):
     Each level extends the previous level's representatives in order, letters
     in alphabet order, so the first word to reach a new element is its
     shortlex-least representative: a prefix of a shortlex-least geodesic is
-    itself shortlex-least.  The input's length bounds the walk; an explicit
-    cap turns a long search into SearchCapExceeded instead.
+    itself shortlex-least.  The walk is kept on the oracle, one per alphabet,
+    and each call resumes it where the last call stopped; a call stops it at
+    the first word of ``word``'s class, as a walk of its own would.  A word
+    outside the alphabet is rejected, so the input's length bounds the walk;
+    an explicit cap turns a long search into SearchCapExceeded instead, and
+    the walk never goes past it.
     """
-    target, start = oracle.canonicalize(tuple(word)), oracle.canonicalize(())
-    if target == start:
-        return ()
-    seen, level, depth = {start}, [()], 0
-    while max_len is None or depth < max_len:
-        depth, nxt = depth + 1, []
-        for rep in level:
-            for letter in alphabet.letters:
-                candidate = rep + (letter,)
-                canon = oracle.canonicalize(candidate)
+    word = tuple(word)
+    for letter in word:
+        if letter not in alphabet.letters:
+            raise ShortlexError(f"letter {letter!r} not in ordered alphabet")
+    walks = getattr(oracle, "_cga_walks", None)
+    if walks is None:
+        walks = oracle._cga_walks = {}
+    walk = walks.get(alphabet.letters)
+    if walk is None:
+        walk = walks[alphabet.letters] = _ElementWalk(oracle, alphabet.letters)
+    return walk.first_word(oracle, oracle.canonicalize(word), max_len)
+
+
+class _ElementWalk:
+    """The breadth-first element walk of geodesic_normal_form, resumable.
+
+    ``first`` maps each class reached to the first word that reached it; the
+    next word to try is letter ``letter`` after ``level[rep]``, and ``nxt``
+    collects the next level's representatives.  The position moves only after
+    ``canonicalize`` returns, so an oracle error leaves the walk as it was.
+    """
+
+    def __init__(self, oracle, letters):
+        self.letters = letters
+        self.first = {oracle.canonicalize(()): ()}
+        self.level, self.nxt, self.rep, self.letter = [()], [], 0, 0
+
+    def first_word(self, oracle, target, max_len):
+        found = self.first.get(target)
+        while found is None:
+            if self.rep == len(self.level):
+                if not self.nxt:  # every element reached, target not among them
+                    raise SearchCapExceeded(max_len)
+                self.level, self.nxt, self.rep = self.nxt, [], 0
+            rep = self.level[self.rep]
+            if max_len is not None and len(rep) >= max_len:
+                raise SearchCapExceeded(max_len)
+            candidate = rep + (self.letters[self.letter],)
+            canon = oracle.canonicalize(candidate)
+            self.letter += 1
+            if self.letter == len(self.letters):
+                self.rep, self.letter = self.rep + 1, 0
+            if canon not in self.first:
+                self.first[canon] = candidate
+                self.nxt.append(candidate)
                 if canon == target:
-                    return candidate
-                if canon not in seen:
-                    seen.add(canon)
-                    nxt.append(candidate)
-        level = nxt
-    raise SearchCapExceeded(max_len)
+                    found = candidate
+        # the empty word is within every cap, as in a walk of its own
+        if found and max_len is not None and len(found) > max_len:
+            raise SearchCapExceeded(max_len)
+        return found
 
 
 def geodesic_length(oracle, alphabet: OrderedAlphabet, word, max_len=None) -> int:

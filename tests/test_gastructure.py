@@ -195,6 +195,11 @@ def free_zz():
 
 
 @pytest.fixture(scope="module")
+def product_zz():
+    return structure_from_expr("product(z,z)")
+
+
+@pytest.fixture(scope="module")
 def regen_aa():
     return structure_from_expr(REGEN_AA)
 
@@ -247,10 +252,11 @@ def test_accepted_candidates_on_epsilon_machines(fixture, tokens, request):
     trie = candidate_trie(ball)
     for x in tokens or structure.generators.tokens():
         machine = structure.multiplier(x)
+        accepted = accepted_candidates(machine, trie)
+        assert set(accepted) == set(ball)
         for u in ball:
-            marked = set(map(tuple, accepted_candidates(machine, u, trie)))
             for v in ball:
-                assert (v in marked) == machine.accepts_word(convolve(u, v))
+                assert (v in accepted[u]) == machine.accepts_word(convolve(u, v))
 
 
 # -- traces and internal bounds ------------------------------------------------------
@@ -531,14 +537,65 @@ def test_verify_quasigeodesic_failure_with_forced_constant(bs23_oracle):
     assert quasi, "a failing witness should appear within radius 1"
 
 
-def test_accepted_candidates_agrees_with_direct_accepts(bs23):
-    machine = bs23.multiplier("t")
-    candidates = ball_normal_forms(bs23, 2)
-    trie = candidate_trie(candidates)
-    for u in candidates[:6]:
-        marked = set(map(tuple, accepted_candidates(machine, u, trie)))
-        for v in candidates:
-            assert (tuple(v) in marked) == machine.accepts_word(convolve(u, v))
+def test_accepted_candidates_agrees_with_direct_accepts(bs23, finf3, product_zz):
+    for structure, tokens in [(bs23, ("t",)), (finf3, None), (product_zz, None)]:
+        candidates = ball_normal_forms(structure, 2)
+        trie = candidate_trie(candidates)
+        for x in tokens or structure.generators.tokens():
+            machine = structure.multiplier(x)
+            accepted = accepted_candidates(machine, trie)
+            assert set(accepted) == set(candidates)
+            for u in candidates:
+                for v in candidates:
+                    assert (v in accepted[u]) == machine.accepts_word(convolve(u, v))
+            stuck_counters(machine)  # the walk prunes dead configurations now
+            assert accepted_candidates(machine, trie) == accepted
+
+
+def test_verify_walks_the_trie_once_per_generator(product_zz, monkeypatch):
+    import cga.gastructure
+    calls = []
+    walk = cga.gastructure.accepted_candidates
+
+    def counted(machine, trie):
+        calls.append(machine.name)
+        return walk(machine, trie)
+
+    monkeypatch.setattr(cga.gastructure, "accepted_candidates", counted)
+    from cga.groups import oracle_from_expr
+    report = verify(product_zz, 6, oracle_from_expr("product(z,z)"))
+    assert report.ok and report.elements == 85
+    assert len(calls) == len(product_zz.generators.tokens()) == 4  # 340 per class
+
+
+def test_verify_quasigeodesic_phase_shares_one_element_walk(product_zz, monkeypatch):
+    # the quasigeodesic phase asks for every class's geodesic length; one walk
+    # shared by the calls canonicalizes each (element, generator) at most once,
+    # plus each class's word and the empty word
+    import cga.shortlex
+    from cga.groups import oracle_from_expr
+    oracle = oracle_from_expr("product(z,z)")
+    phase, calls = [], []
+    canonicalize, geodesic_length = oracle.canonicalize, cga.shortlex.geodesic_length
+
+    def counted(word):
+        if phase:
+            calls.append(word)
+        return canonicalize(word)
+
+    def in_phase(*args, **kwargs):
+        phase.append(1)
+        try:
+            return geodesic_length(*args, **kwargs)
+        finally:
+            phase.pop()
+
+    monkeypatch.setattr(oracle, "canonicalize", counted)
+    monkeypatch.setattr(cga.shortlex, "geodesic_length", in_phase)
+    report = verify(product_zz, 6, oracle)
+    assert report.ok and report.elements == 85
+    gens = product_zz.generators.tokens()
+    assert 0 < len(calls) <= (report.elements + 1) * len(gens)
 
 
 # -- generator sets ---------------------------------------------------------------------

@@ -374,9 +374,10 @@ def test_free_product_multipliers_accept_only_pairs_in_L(expr, identities):
     trie = candidate_trie(candidates)
     in_l = structure.nf_automaton.accepts_word
     for x in structure.generators.tokens():
-        machine = structure.multiplier(x)
+        accepted = accepted_candidates(structure.multiplier(x), trie)
+        assert set(accepted) == set(candidates)
         for u in candidates:
-            for v in accepted_candidates(machine, u, trie):
+            for v in accepted[u]:
                 assert in_l(u) and in_l(v), (x, u, v)
 
 

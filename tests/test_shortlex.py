@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cga.groups import BSOracle, FreeGroupOracle, oracle_from_expr
-from cga.gastructure import GeneratorSet
+from cga.gastructure import GeneratorSet, StructureError
 from cga.shortlex import (
     OrderedAlphabet,
     SearchCapExceeded,
@@ -120,3 +120,52 @@ def test_geodesic_search_max_len_edges():
         geodesic_normal_form(oracle, order, ("a",) * 4, max_len=2)
     with pytest.raises(SearchCapExceeded):
         reference_geodesic(oracle, order, ("a",) * 4, max_len=2)
+
+
+def test_geodesic_search_rejects_a_word_outside_the_alphabet():
+    # the walk over the positive powers of a would never reach a-
+    oracle = oracle_from_expr("z")
+    with pytest.raises(ShortlexError, match="'a-' not in ordered alphabet"):
+        geodesic_normal_form(oracle, OrderedAlphabet(("a",)), ("a-",))
+
+
+def _answer(oracle, order, word, max_len):
+    try:
+        return geodesic_normal_form(oracle, order, word, max_len)
+    except SearchCapExceeded as exc:
+        return ("cap", exc.cap)
+
+
+@pytest.mark.parametrize("expr", ["bs:2,3", "free(z,z)"])
+def test_shared_walk_answers_as_a_fresh_walk(expr):
+    # one oracle keeps one walk per alphabet; queries in any order, with caps
+    # below and above a word's geodesic length, must see what a walk of their
+    # own would see
+    order = OrderedAlphabet(tuple(oracle_from_expr(expr).generators.tokens()))
+    rng = random.Random(11)
+    words = [tuple(rng.choice(order.letters) for _ in range(n))
+             for n in range(7) for _ in range(5)]
+    queries = [(word, cap) for word in words for cap in (None, 0, 1, 2, 3, 5)]
+    rng.shuffle(queries)
+    shared = oracle_from_expr(expr)
+    got = [_answer(shared, order, word, cap) for word, cap in queries]
+    fresh = [_answer(oracle_from_expr(expr), order, word, cap)
+             for word, cap in queries]
+    assert got == fresh
+    capped = [g[:1] == ("cap",) for g in got]
+    assert any(capped) and not all(capped)
+
+
+def test_shared_walk_repeats_the_oracle_error():
+    # (a, q) is the second word of length two; q is unknown to the z oracle
+    # only once it meets a letter before it, so the walk fails there on every
+    # call that needs to pass it, and keeps what it found before
+    oracle = oracle_from_expr("z")
+    order = OrderedAlphabet(("a", "q"))
+    assert geodesic_normal_form(oracle, order, ("a",)) == ("a",)
+    for _ in range(3):
+        with pytest.raises(StructureError, match="unknown generator 'q'"):
+            geodesic_normal_form(oracle, order, ("a", "a", "a"))
+    assert geodesic_normal_form(oracle, order, ("a", "a")) == ("a", "a")
+    with pytest.raises(StructureError, match="unknown generator 'q'"):
+        geodesic_normal_form(oracle_from_expr("z"), order, ("a", "a", "a"))
