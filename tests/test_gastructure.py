@@ -548,7 +548,7 @@ def test_accepted_candidates_agrees_with_direct_accepts(bs23, finf3, product_zz)
             for u in candidates:
                 for v in candidates:
                     assert (v in accepted[u]) == machine.accepts_word(convolve(u, v))
-            stuck_counters(machine)  # the walk prunes dead configurations now
+            stuck_counters(machine)  # from here the walk prunes dead configurations
             assert accepted_candidates(machine, trie) == accepted
 
 
@@ -565,7 +565,7 @@ def test_verify_walks_the_trie_once_per_generator(product_zz, monkeypatch):
     from cga.groups import oracle_from_expr
     report = verify(product_zz, 6, oracle_from_expr("product(z,z)"))
     assert report.ok and report.elements == 85
-    assert len(calls) == len(product_zz.generators.tokens()) == 4  # 340 per class
+    assert len(calls) == len(product_zz.generators.tokens()) == 4  # not 85 x 4 = 340
 
 
 def test_verify_quasigeodesic_phase_shares_one_element_walk(product_zz, monkeypatch):
