@@ -18,7 +18,6 @@ from .langops import (
     intersect,
     pad_lift,
     preimage,
-    project,
     quotient,
     swap_rows,
     union_all,

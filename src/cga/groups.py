@@ -33,6 +33,7 @@ from .langops import (
     image,
     intersect,
     pad_lift,
+    padded_arrows,
     pair_alphabet,
     parse_tuple_token,
     preimage,
@@ -698,22 +699,78 @@ def _tagged_parts(structure: GraphAutomaticStructure, tag):
 # direct product
 
 
-def _advance_outer_row(outer_done, comp, gd, hd, g, h):
-    """Ended-flags of one outer row and its (g, h) rows after one component
-    letter ``comp`` = (g | h); None where padding would be followed by a
-    letter."""
-    if comp is None:
-        return True, gd, hd
-    if outer_done or (g is not None and gd) or (h is not None and hd):
-        return None
-    return False, gd or g is None, hd or h is None
+def _product_multiplier(mult, other, side, alphabet, name):
+    """One walk over the transitions of a factor multiplier ``mult`` and the
+    other factor's normal-form machine ``other``, accepting the pairs
+    ((g1|h), (g2|h)) for (g1|g2) read by ``mult`` and h read by ``other``;
+    ``side`` is the multiplier's row within each component (0 for the
+    G-factor, 1 for the H-factor).
+
+    A key is (mult state, other state, top ended, bottom ended, h ended).
+    Each side's epsilon moves pass through; each letter move of ``mult``
+    pairs with a move of ``other``, or with padding once h has ended; and
+    after both rows of ``mult`` end, ``other`` goes on alone.  A row that
+    has padded never resumes, and a component that pads in both its rows
+    becomes the outer padding.  ``other``'s counters come first."""
+    total = other.counters + mult.counters
+    m_eps, m_letters = padded_arrows(mult, total, other.counters)
+    o_eps, o_letters = padded_arrows(other, total, 0)
+    rows = {label: parse_tuple_token(label)
+            for by_label in m_letters.values() for label in by_label}
+
+    def component(own, h):
+        if own is None and h is None:
+            return None
+        return tuple_token((own, h) if side == 0 else (h, own))
+
+    letters = {}
+
+    def letter(top, bottom, h):
+        key = (top, bottom, h)
+        if key not in letters:
+            letters[key] = tuple_token((component(top, h),
+                                        component(bottom, h)))
+        return letters[key]
+
+    def expand(key):
+        m, o, top_done, bottom_done, h_done = key
+        for prog, dst in m_eps.get(m, ()):
+            yield EPSILON, prog, (dst, o, top_done, bottom_done, h_done)
+        for prog, dst in o_eps.get(o, ()):
+            yield EPSILON, prog, (m, dst, top_done, bottom_done, h_done)
+        h_moves = [] if h_done else [
+            (h, prog, dst) for h, arrows in o_letters.get(o, {}).items()
+            for prog, dst in arrows]
+        with_padding = h_moves + [(None, EMPTY_PROGRAM, o)]
+        for label, arrows in m_letters.get(m, {}).items():
+            top, bottom = rows[label]
+            if ((top_done and top is not None)
+                    or (bottom_done and bottom is not None)):
+                continue
+            for pm, dm in arrows:
+                for h, po, do in with_padding:
+                    yield (letter(top, bottom, h), po + pm,
+                           (dm, do, top is None, bottom is None, h is None))
+        for h, po, do in h_moves:
+            yield letter(None, None, h), po, (m, do, True, True, False)
+
+    start = (mult.start, other.start, False, False, False)
+    return explore(
+        name, alphabet, total, start, expand,
+        lambda key: key[0] in mult.accepts and key[1] in other.accepts,
+        mult.declared_blind and other.declared_blind)
 
 
 def direct_product(sg: GraphAutomaticStructure,
                    sh: GraphAutomaticStructure) -> GraphAutomaticStructure:
-    """Normal forms are convolutions of the factors' normal forms; a
-    multiplier intersects an equal-other-row guard with preimages of the
-    untouched factor's language and of the moving factor's multiplier."""
+    """Normal forms are convolutions of the factors' normal forms.  A factor
+    generator's multiplier is one walk (``_product_multiplier``) over that
+    factor's multiplier and the other factor's normal-form machine, so it
+    reads only letters that some pair of their transitions makes.  Every
+    multiplier still declares the full pair alphabet of the product symbols:
+    ``intersect`` needs equal alphabets, a change of generators over a
+    product takes preimages into it, and the structure checks multiplier
+    letters against it."""
     lam_g, nf_g, mult_g, pairs_g, mu_g = _tagged_parts(sg, "1.")
     lam_h, nf_h, mult_h, pairs_h, mu_h = _tagged_parts(sh, "2.")
 
@@ -730,59 +787,11 @@ def direct_product(sg: GraphAutomaticStructure,
         name=f"({sg.name}x{sh.name})_L")
 
     outer = tuple(pair_alphabet(symbols).letters())
-
-    def parts(letter):
-        c1, c2 = parse_tuple_token(letter)
-        g1, h1 = parse_tuple_token(c1) if c1 is not None else (None, None)
-        g2, h2 = parse_tuple_token(c2) if c2 is not None else (None, None)
-        return g1, h1, g2, h2
-
-    def equal_row_machine(row):
-        keep = []
-        for letter in outer:
-            g1, h1, g2, h2 = parts(letter)
-            if (h1 == h2 if row == "h" else g1 == g2):
-                keep.append(letter)
-        t = [("q", letter, EMPTY_PROGRAM, "q") for letter in keep]
-        return CounterAutomaton(f"prod_eq_{row}", outer, 0, ["q"], "q", ["q"],
-                                t, blind=True)
-
-    # The row-wise preimages cannot see positions erased in their projection,
-    # so alone they admit strings whose inner rows resume after padding; the
-    # guard pins all four inner rows (and both outer rows) to suffix padding,
-    # which restores exactness without changing counters.  A guard state
-    # flags which of outer1, g1, h1, outer2, g2, h2 have ended.
-    split = [(letter, parse_tuple_token(letter), parts(letter))
-             for letter in outer]
-
-    def guard_moves(key):
-        o1, g1d, h1d, o2, g2d, h2d = key
-        for letter, (c1, c2), (g1, h1, g2, h2) in split:
-            first = _advance_outer_row(o1, c1, g1d, h1d, g1, h1)
-            second = _advance_outer_row(o2, c2, g2d, h2d, g2, h2)
-            if first is not None and second is not None:
-                yield letter, EMPTY_PROGRAM, first + second
-
-    guard = explore("prod_valid", outer, 0, (False,) * 6, guard_moves,
-                    lambda key: True, blind=True)
-    eq_h = intersect(equal_row_machine("h"), guard)
-    eq_g = intersect(equal_row_machine("g"), guard)
-    # parts(letter) is (g1, h1, g2, h2)
-    other_h = preimage(nf_h, row_homomorphism(outer, parts, (1,), lam_h),
-                       name="prod_Lh_row")
-    other_g = preimage(nf_g, row_homomorphism(outer, parts, (0,), lam_g),
-                       name="prod_Lg_row")
-    hom_g = row_homomorphism(outer, parts, (0, 2),
-                             pair_alphabet(lam_g).letters())
-    hom_h = row_homomorphism(outer, parts, (1, 3),
-                             pair_alphabet(lam_h).letters())
-
     multipliers = {}
-    for mults, others, hom in ((mult_g, intersect(eq_h, other_h), hom_g),
-                               (mult_h, intersect(eq_g, other_g), hom_h)):
+    for side, mults, other in ((0, mult_g, nf_h), (1, mult_h, nf_g)):
         for tok, machine in mults.items():
-            multipliers[tok] = intersect(others, preimage(machine, hom),
-                                         name=f"prod_L_{tok}")
+            multipliers[tok] = _product_multiplier(machine, other, side, outer,
+                                                   f"prod_L_{tok}")
 
     quasi = None
     if sg.quasigeodesic_c is not None and sh.quasigeodesic_c is not None:

@@ -112,18 +112,6 @@ def convolve(*words):
     return tuple(out)
 
 
-def project(word, coordinate: int):
-    """Row ``coordinate`` of a tuple word, padding removed."""
-    out = []
-    for token in word:
-        parts = parse_tuple_token(token)
-        if coordinate >= len(parts):
-            raise LangOpError(f"coordinate {coordinate} out of range for {token!r}")
-        if parts[coordinate] is not None:
-            out.append(parts[coordinate])
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # letter homomorphisms
 
@@ -239,6 +227,21 @@ def explore(name, alphabet, counters, start, expand, accepting, blind):
 # intersection, union
 
 
+def padded_arrows(machine: CounterAutomaton, total: int, offset: int):
+    """A machine's arrows (program, target) with each program padded once to
+    ``total`` counters, the machine's own at ``offset``: a dict of epsilon
+    arrows by state and a dict of letter arrows by state, then by label, both
+    in transition order."""
+    eps, letters = {}, {}
+    for t in machine.transitions:
+        arrow = (pad_program(t.program, machine.counters, total, offset), t.dst)
+        if t.label is EPSILON:
+            eps.setdefault(t.src, []).append(arrow)
+        else:
+            letters.setdefault(t.src, {}).setdefault(t.label, []).append(arrow)
+    return eps, letters
+
+
 def intersect(m: CounterAutomaton, n: CounterAutomaton,
               name=None) -> CounterAutomaton:
     """Product machine on a shared alphabet; counters are laid side by side,
@@ -247,23 +250,8 @@ def intersect(m: CounterAutomaton, n: CounterAutomaton,
         raise AlphabetMismatch(f"{m.name} and {n.name} have different alphabets")
     k, l = m.counters, n.counters
     total = k + l
-
-    # each side's arrows with their programs padded once: m's counters
-    # first, n's after them
-    def padded(machine, offset):
-        eps, letters = {}, {}
-        for t in machine.transitions:
-            arrow = (pad_program(t.program, machine.counters, total, offset),
-                     t.dst)
-            if t.label is EPSILON:
-                eps.setdefault(t.src, []).append(arrow)
-            else:
-                letters.setdefault(t.src, {}).setdefault(
-                    t.label, []).append(arrow)
-        return eps, letters
-
-    m_eps, m_letters = padded(m, 0)
-    n_eps, n_letters = padded(n, k)
+    m_eps, m_letters = padded_arrows(m, total, 0)
+    n_eps, n_letters = padded_arrows(n, total, k)
 
     def expand(key):
         s, t = key

@@ -219,7 +219,8 @@ def test_build_is_identical_under_different_hash_seeds(expr, tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("expr", ["bs:2,3", "finf:3", "free(z,z)"])
+@pytest.mark.parametrize("expr", ["bs:2,3", "finf:3", "free(z,z)",
+                                  "product(z,z)"])
 def test_built_automata_round_trip(expr, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["build", expr, "--out", str(out_dir)]) == 0

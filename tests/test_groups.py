@@ -35,9 +35,9 @@ from cga.groups import (
     z_structure,
 )
 from cga.gastructure import GeneratorSet
-from cga.langops import convolve, parse_tuple_token, preimage, swap_rows
+from cga.langops import convolve, parse_tuple_token, swap_rows
 
-from conftest import ball_normal_forms, toks
+from conftest import all_words, ball_normal_forms, toks
 
 
 # -- free reduction oracle ------------------------------------------------------
@@ -263,16 +263,19 @@ def test_positive_steps_build_no_row_swap(monkeypatch):
         swapped.clear()
 
 
-def test_product_builds_one_multiplier_preimage_per_pair(monkeypatch):
-    images = []
+def test_product_walks_one_multiplier_per_pair(monkeypatch):
+    # the walk takes each factor's multiplier for the first generator of
+    # each inverse pair, against the other factor's normal-form machine
+    walked = []
+    walk = groups._product_multiplier
 
-    def counting_preimage(machine, hom, name=None):
-        images.append(machine.name)
-        return preimage(machine, hom, name)
+    def counting_walk(mult, other, side, alphabet, name):
+        walked.append((mult.name, other.name, side))
+        return walk(mult, other, side, alphabet, name)
 
-    monkeypatch.setattr(groups, "preimage", counting_preimage)
+    monkeypatch.setattr(groups, "_product_multiplier", counting_walk)
     direct_product(z_structure(), z_structure())
-    assert sorted(images) == ["1.z_L", "1.z_La", "2.z_L", "2.z_La"]
+    assert walked == [("1.z_La", "2.z_L", 0), ("2.z_La", "1.z_L", 1)]
 
 
 def test_finf_lazy_instantiation(finf):
@@ -313,6 +316,37 @@ def test_product_commutation_and_oracle(zxz):
 
 def test_product_verifies_against_componentwise_oracle(zxz):
     report = verify(zxz, 4, oracle_from_expr("product(z,z)"))
+    assert report.ok, [f.detail for f in report.failures[:3]]
+
+
+def assert_multipliers_accept_only_pairs_in_L(structure, candidates):
+    trie = candidate_trie(candidates)
+    in_l = structure.nf_automaton.accepts_word
+    for x in structure.generators.tokens():
+        accepted = accepted_candidates(structure.multiplier(x), trie)
+        assert set(accepted) == set(candidates)
+        for u in candidates:
+            for v in accepted[u]:
+                assert in_l(u) and in_l(v), (x, u, v)
+
+
+@pytest.mark.parametrize("expr, length", [
+    ("product(z,z)", 4), ("product(bs:2,3,z)", 3), ("product(finf:2,z)", 3),
+])
+def test_product_multipliers_accept_only_pairs_in_L(expr, length):
+    # every symbol word up to ``length``, where inner rows pad and resume in
+    # every way, plus the radius-2 ball: each accepted pair lies in L x L
+    structure = structure_from_expr(expr)
+    candidates = list(dict.fromkeys(
+        [*all_words(structure.symbols, length),
+         *ball_normal_forms(structure, 2)]))
+    assert_multipliers_accept_only_pairs_in_L(structure, candidates)
+
+
+@pytest.mark.parametrize("expr", ["product(product(z,z),bs:2,3)",
+                                  "product(z,product(finf:2,z))"])
+def test_three_factor_product_verifies(expr):
+    report = verify(structure_from_expr(expr), 2, oracle_from_expr(expr))
     assert report.ok, [f.detail for f in report.failures[:3]]
 
 
@@ -371,14 +405,7 @@ def test_free_product_multipliers_accept_only_pairs_in_L(expr, identities):
     sep = structure.symbols[0]
     words = ball_normal_forms(structure, 2)
     candidates = words + [w + (sep,) + mu for w in words for mu in identities]
-    trie = candidate_trie(candidates)
-    in_l = structure.nf_automaton.accepts_word
-    for x in structure.generators.tokens():
-        accepted = accepted_candidates(structure.multiplier(x), trie)
-        assert set(accepted) == set(candidates)
-        for u in candidates:
-            for v in accepted[u]:
-                assert in_l(u) and in_l(v), (x, u, v)
+    assert_multipliers_accept_only_pairs_in_L(structure, candidates)
 
 
 def test_free_product_oracle_blocks():

@@ -33,3 +33,46 @@ def test_unused_imports_finds_a_dead_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private(texts):
+    """(module, line, name) for each module-level ``def _name`` or
+    ``class _Name`` that no text in ``texts`` (module name -> source) reads,
+    imports or looks up as an attribute outside its own body."""
+    defined, used = [], set()
+    for module, text in texts.items():
+        for top in ast.parse(text).body:
+            own = None
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and top.name.startswith("_")
+                    and not top.name.startswith("__")):
+                own = top.name
+                defined.append((module, top.lineno, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return sorted(entry for entry in defined if entry[2] not in used)
+
+
+def test_unreferenced_private_finds_a_dead_def():
+    texts = {
+        "a.py": "def _used():\n    pass\n\ndef _dead():\n    _dead()\n\n"
+                "class _Gone:\n    pass\n\ndef __getattr__(name):\n    pass\n",
+        "b.py": "from .a import _used\n",
+    }
+    assert unreferenced_private(texts) == [("a.py", 4, "_dead"),
+                                           ("a.py", 7, "_Gone")]
+
+
+def test_private_definitions_are_referenced():
+    texts = {p.name: p.read_text(encoding="utf-8")
+             for p in sorted(SOURCE.glob("*.py"))}
+    assert unreferenced_private(texts) == []
