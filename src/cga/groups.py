@@ -26,20 +26,17 @@ from .automata import (
     program_reads_counters,
 )
 from .langops import (
-    ConvolvedAlphabet,
+    compose,
     convolve,
     embed,
     explore,
-    image,
     intersect,
     pad_lift,
     padded_arrows,
     pair_alphabet,
     parse_tuple_token,
-    preimage,
     quotient,
     relabel,
-    row_homomorphism,
     trim,
     tuple_token,
     union_all,
@@ -768,8 +765,7 @@ def direct_product(sg: GraphAutomaticStructure,
     factor's multiplier and the other factor's normal-form machine, so it
     reads only letters that some pair of their transitions makes.  Every
     multiplier still declares the full pair alphabet of the product symbols:
-    ``intersect`` needs equal alphabets, a change of generators over a
-    product takes preimages into it, and the structure checks multiplier
+    ``intersect`` needs equal alphabets, and the structure checks multiplier
     letters against it."""
     lam_g, nf_g, mult_g, pairs_g, mu_g = _tagged_parts(sg, "1.")
     lam_h, nf_h, mult_h, pairs_h, mu_h = _tagged_parts(sh, "2.")
@@ -942,15 +938,21 @@ def free_product(sg: GraphAutomaticStructure,
     for (structure, tag, mults, side, nf_of, lam, mu) in (
             (sg, "1.", mult_g, "k1", nf_of_g, lam_g, mu_g),
             (sh, "2.", mult_h, "k2", nf_of_h, lam_h, mu_h)):
-        # the embedded factor multiplier must neither read nor produce the
-        # factor identity as a block: no block of a normal form spells it, and
-        # producing it is the cancelled-block path instead
+        # neither row of the embedded factor multiplier may spell the factor
+        # identity (no normal-form block does; writing it is the cancelled-
+        # block path): each row walks _not_word(mu), staying put on padding
         lam_pairs = tuple(pair_alphabet(lam).letters())
         not_mu = _not_word(mu, lam)
-        no_identity_block = intersect(*[
-            preimage(not_mu, row_homomorphism(lam_pairs, parse_tuple_token,
-                                              (row,), lam))
-            for row in (0, 1)])
+        rows = [(letter, parse_tuple_token(letter)) for letter in lam_pairs]
+
+        def expand(key, step=not_mu.by_state_letter):
+            for letter, pair in rows:
+                yield letter, EMPTY_PROGRAM, tuple(
+                    q if c is None else step[q, c][0][1] for q, c in zip(key, pair))
+
+        no_identity_block = explore(
+            "no_identity_block", lam_pairs, 0, (not_mu.start,) * 2, expand,
+            lambda key: all(q in not_mu.accepts for q in key), True)
         for tok, inv in _generator_pairs(structure.generators):
             tagged = _tag_token(tag, tok)
             u_x = nf_of(tok)
@@ -982,10 +984,9 @@ def change_generators(structure: GraphAutomaticStructure, assignments,
                       trivial=()) -> GraphAutomaticStructure:
     """Re-generate a structure over new generators, each given as a nonempty
     word over the old ones (trivial generators flagged explicitly get the
-    diagonal language).  A multiplier for a length-k word is assembled from
-    the old multipliers by preimage along row-pair projections of a (k+1)-row
-    convolution, intersection, and an erasing-aware projection back to the
-    outer rows."""
+    diagonal language).  The multiplier of a word x1 ... xk folds the old
+    multipliers through ``compose``: (u|w) is accepted when some v has (u|v)
+    accepted by the fold of x1 ... x(k-1) and (v|w) by xk's multiplier."""
     symbols = structure.symbols
     trivial = set(trivial)
     new_pairs = []
@@ -998,10 +999,10 @@ def change_generators(structure: GraphAutomaticStructure, assignments,
             machine = _diagonal_language(structure.nf_automaton, symbols)
         elif len(word) == 0:
             raise StructureError(f"generator word for {y!r} must be nonempty")
-        elif len(word) == 1:
-            machine = structure.multiplier(word[0])
         else:
-            machine = _composed_multiplier(structure, word, f"regen_L_{y}")
+            *head, last = map(structure.multiplier, word)
+            machine = (compose(reduce(compose, head), last, f"regen_L_{y}")
+                       if head else last)
         longest = max(longest, max(len(word), 1))
         multipliers[y] = machine
 
@@ -1028,24 +1029,6 @@ def _diagonal_language(nf: CounterAutomaton, symbols) -> CounterAutomaton:
     which may be narrower than nf's declared alphabet (direct products)."""
     return relabel(nf, lambda tok: tuple_token((tok, tok)), "diag_L",
                    alphabet=tuple(pair_alphabet(symbols).letters()))
-
-
-def _composed_multiplier(structure, word, name) -> CounterAutomaton:
-    symbols = structure.symbols
-    k = len(word)
-    tuples = tuple(ConvolvedAlphabet(k + 1, symbols).letters())
-
-    layers = []
-    for i, x in enumerate(word, start=1):
-        machine = structure.multiplier(x)
-        phi = row_homomorphism(tuples, parse_tuple_token, (i - 1, i),
-                               machine.alphabet)
-        layers.append(preimage(machine, phi, name=f"{name}~A{i}"))
-    combined = reduce(lambda a, b: intersect(a, b), layers)
-
-    psi = row_homomorphism(tuples, parse_tuple_token, (0, k),
-                           pair_alphabet(symbols).letters())
-    return image(combined, psi, name=name)
 
 
 # ---------------------------------------------------------------------------

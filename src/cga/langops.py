@@ -128,8 +128,8 @@ class LetterHomomorphism:
         for tok in self.source:
             if tok not in self.mapping:
                 raise LangOpError(f"homomorphism undefined on {tok!r}")
-        for tok, image in self.mapping.items():
-            for out in image:
+        for word in self.mapping.values():
+            for out in word:
                 if out not in self.target:
                     raise LangOpError(f"image token {out!r} not in target alphabet")
 
@@ -144,21 +144,6 @@ class LetterHomomorphism:
                 raise LangOpError(f"token {tok!r} not in homomorphism source")
             out.extend(self.mapping[tok])
         return tuple(out)
-
-
-def row_homomorphism(source, rows_of, rows, target) -> LetterHomomorphism:
-    """Project each source letter onto the selected rows of ``rows_of(letter)``:
-    one row gives its symbol, two rows their pair letter, and a letter that is
-    padding in every selected row erases."""
-    mapping = {}
-    for letter in source:
-        picked = tuple(rows_of(letter)[r] for r in rows)
-        if all(p is None for p in picked):
-            mapping[letter] = ()
-        else:
-            mapping[letter] = (picked[0] if len(picked) == 1
-                               else tuple_token(picked),)
-    return LetterHomomorphism(tuple(source), tuple(target), mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +209,7 @@ def explore(name, alphabet, counters, start, expand, accepting, blind):
 
 
 # ---------------------------------------------------------------------------
-# intersection, union
+# intersection, composition, union
 
 
 def padded_arrows(machine: CounterAutomaton, total: int, offset: int):
@@ -276,6 +261,58 @@ def intersect(m: CounterAutomaton, n: CounterAutomaton,
         expand, lambda key: key[0] in m_acc and key[1] in n_acc,
         m.declared_blind and n.declared_blind,
     )
+
+
+def compose(m: CounterAutomaton, n: CounterAutomaton,
+            name=None) -> CounterAutomaton:
+    """Accepts (u|w) when m accepts (u|v) and n accepts (v|w): one walk over
+    pairs of states, n reading m's bottom row as its top row.  A machine whose
+    rows both pad stays where it is, a move that reads only v is an epsilon
+    move, counters lie side by side as in ``intersect``, and letter moves
+    follow m's alphabet order."""
+    if m.alphabet_set != n.alphabet_set:
+        raise AlphabetMismatch(f"{m.name} and {n.name} have different alphabets")
+    total = m.counters + n.counters
+    m_eps, m_letters = padded_arrows(m, total, 0)
+    n_eps, n_letters = padded_arrows(n, total, m.counters)
+    rank = {label: i for i, label in enumerate(m.alphabet)}
+    rows = {label: parse_tuple_token(label)
+            for label in set().union(*m_letters.values(), *n_letters.values())}
+
+    def moves(letters, state):  # (top, bottom, arrows), then the stay move
+        return [(*rows[label], letters[state][label])
+                for label in sorted(letters.get(state, ()), key=rank.__getitem__)
+                ] + [(None, None, [(EMPTY_PROGRAM, state)])]
+
+    m_moves = {s: moves(m_letters, s) for s in m.states}
+    n_by_top = {t: {} for t in n.states}
+    for t, by_top in n_by_top.items():
+        for top, bottom, arrows in moves(n_letters, t):
+            by_top.setdefault(top, []).append((bottom, arrows))
+
+    def expand(key):
+        s, t = key
+        for prog, dst in m_eps.get(s, ()):
+            yield EPSILON, prog, (dst, t)
+        for prog, dst in n_eps.get(t, ()):
+            yield EPSILON, prog, (s, dst)
+        for u, v, m_arrows in m_moves[s]:
+            for w, n_arrows in n_by_top[t].get(v, ()):
+                if u is None and w is None and v is None:
+                    continue
+                label = EPSILON if u is None and w is None else tuple_token((u, w))
+                for pm, dm in m_arrows:
+                    for pn, dn in n_arrows:
+                        yield label, pm + pn, (dm, dn)
+
+    out = explore(
+        name or f"({m.name};{n.name})", m.alphabet, total, (m.start, n.start),
+        expand, lambda key: key[0] in m.accepts and key[1] in n.accepts,
+        m.declared_blind and n.declared_blind)
+    if out.epsilon_bound() is None:  # the erased middle row is unbounded
+        raise LangOpError("erasing homomorphism introduced an epsilon cycle; "
+                          "quasi-realtime image not constructible")
+    return out
 
 
 def embed(m: CounterAutomaton, prefix: str, counters: int):

@@ -201,7 +201,8 @@ def test_build_round_trip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("expr", ["bs:2,3", "bs:4,7", "finf:3", "free(z,z)",
-                                  "product(z,z)"])
+                                  "product(z,z)",
+                                  "regen(bs:2,3; a=a; t=t; u=at)"])
 def test_build_is_identical_under_different_hash_seeds(expr, tmp_path):
     src = os.path.dirname(os.path.dirname(cga.__file__))
     dirs = []
@@ -220,7 +221,8 @@ def test_build_is_identical_under_different_hash_seeds(expr, tmp_path):
 
 
 @pytest.mark.parametrize("expr", ["bs:2,3", "finf:3", "free(z,z)",
-                                  "product(z,z)"])
+                                  "product(z,z)",
+                                  "regen(bs:2,3; a=a; t=t; u=at)"])
 def test_built_automata_round_trip(expr, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["build", expr, "--out", str(out_dir)]) == 0

@@ -350,6 +350,17 @@ def test_three_factor_product_verifies(expr):
     assert report.ok, [f.detail for f in report.failures[:3]]
 
 
+@pytest.mark.parametrize("expr", [
+    "regen(product(bs:2,3,z); y=1.a 2.a; g=1.a; h=1.t; k=2.a)",
+    # 80 product symbols, so 531,440 three-row letters: composition must
+    # walk transitions, not letters
+    "regen(product(product(z,z),bs:2,3); p=1.1.a- 2.a; q=1.1.a 2.t; r=1.2.a)",
+])
+def test_regen_over_product_verifies(expr):
+    report = verify(structure_from_expr(expr), 2, oracle_from_expr(expr))
+    assert report.ok, [f.detail for f in report.failures[:3]]
+
+
 # -- free product ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -448,16 +459,32 @@ def test_regen_inverse_then_generator_builds_and_verifies(expr):
     assert report.ok, [f.detail for f in report.failures[:3]]
 
 
-def test_regen_composed_multiplier_agrees_with_direct_membership(
-        regen_bs, bs23, bs23_oracle):
-    mu_mult = regen_bs.multiplier("u")
-    ball = ball_normal_forms(bs23, 3)
-    import itertools
-    for u in ball[:8]:
-        for v in ball[:8]:
-            expected = bs23_oracle.equal(
-                bs23_word(bs23, u) + ("a", "t"), bs23_word(bs23, v))
-            assert accepts(mu_mult, convolve(u, v)) == expected
+@pytest.mark.parametrize("expr, y", [
+    ("regen(bs:2,3; a=a; t=t; u=at)", "u"),
+    # layers with epsilon moves, which the walk keeps as epsilon moves
+    ("regen(free(z,z); c=1.a 2.a; d=1.a)", "c"),
+    ("regen(finf:2; y=x1 x2; x=x1)", "y"),
+])
+def test_regen_composed_multiplier_agrees_with_direct_membership(expr, y):
+    # over the radius-3 ball, (u, v) is accepted exactly when u y = v
+    structure = structure_from_expr(expr)
+    oracle = oracle_from_expr(expr)
+    words = {structure.mu: ()}  # normal form -> a generator word for it
+    frontier = [structure.mu]
+    for _ in range(3):
+        nxt = []
+        for u in frontier:
+            for x in structure.generators.tokens():
+                v = structure.step_normal_form(u, x)
+                if v not in words:
+                    words[v] = words[u] + (x,)
+                    nxt.append(v)
+        frontier = nxt
+    element = {nf: oracle.canonicalize(w) for nf, w in words.items()}
+    accepted = accepted_candidates(structure.multiplier(y), candidate_trie(words))
+    for u, w in words.items():
+        target = oracle.canonicalize(w + (y,))
+        assert accepted[u] == {v for v in words if element[v] == target}, u
 
 
 def test_regen_oracle_builds_no_structure(regen_bs, monkeypatch):
@@ -477,12 +504,6 @@ def test_regen_oracle_builds_no_structure(regen_bs, monkeypatch):
     oracle = oracle_from_expr(exprs[0])
     assert oracle.is_trivial(("u", "t-", "a-"))
     assert not oracle.is_trivial(("u", "a-"))
-
-
-def bs23_word(bs23, nf):
-    # invert the encoding: decode the normal form back to a generator word
-    pair = bs_decode(nf, 2, 3)
-    return bs_pair_to_word(pair)
 
 
 def test_regen_trivial_generator_gets_diagonal(bs23):

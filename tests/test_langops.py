@@ -16,6 +16,7 @@ from cga.langops import (
     ConvolvedAlphabet,
     LangOpError,
     LetterHomomorphism,
+    compose,
     convolve,
     image,
     intersect,
@@ -24,7 +25,6 @@ from cga.langops import (
     parse_tuple_token,
     preimage,
     quotient,
-    row_homomorphism,
     swap_rows,
     tuple_token,
     union_all,
@@ -379,26 +379,24 @@ def test_preimage_keeps_epsilon_acceptance():
     assert accepts(pre, ("c",))  # image is still the empty word
 
 
-def test_preimage_row_pair_projection_on_triples(bs23, bs23_oracle):
+# -- compose ------------------------------------------------------------------------
+
+def test_compose_a_then_t_accepts_the_outer_rows(bs23):
     # radius-3 sample sweep of the change-of-generators building block
-    la = bs23.multiplier("a")
-    lt = bs23.multiplier("t")
-    triples = tuple(ConvolvedAlphabet(3, bs23.symbols).letters())
-    a1 = preimage(la, row_homomorphism(triples, parse_tuple_token, (0, 1),
-                                       la.alphabet))
-    a2 = preimage(lt, row_homomorphism(triples, parse_tuple_token, (1, 2),
-                                       lt.alphabet))
+    at = compose(bs23.multiplier("a"), bs23.multiplier("t"))
     words = [(), ("a",), ("t",), ("a", "t-"), ("t", "a"), ("a-", "a-")]
     for w in words:
         v0 = bs23.normal_form(w)
-        v1 = bs23.normal_form(w + ("a",))
         v2 = bs23.normal_form(w + ("a", "t"))
-        triple = convolve(v0, v1, v2)
-        assert accepts(a1, triple)
-        assert accepts(a2, triple)
-        # wrong middle row fails the first layer
-        bad = convolve(v0, bs23.normal_form(w + ("a", "a")), v2)
-        assert not (accepts(a1, bad) and accepts(a2, bad))
+        assert accepts(at, convolve(v0, v2))
+        # a wrong bottom row has no middle row that both layers accept
+        assert not accepts(at, convolve(v0, bs23.normal_form(w + ("a", "a"))))
+
+
+def test_compose_with_an_unbounded_middle_row_is_refused(bs23):
+    # t- then t: erasing the middle row leaves an epsilon cycle
+    with pytest.raises(LangOpError, match="epsilon cycle"):
+        compose(bs23.multiplier("t-"), bs23.multiplier("t"))
 
 
 # -- pad_lift ---------------------------------------------------------------------
