@@ -14,6 +14,8 @@ enforced structurally by requiring the epsilon-transition graph to be acyclic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from operator import add
 from typing import Iterable, NamedTuple, Optional
 
 EPSILON = None  # transition label for moves that read no input
@@ -133,28 +135,42 @@ def apply_program(prog: Program, counters: tuple) -> Optional[tuple]:
     return cur
 
 
+def program_step(prog: Program):
+    """A program compiled for repeated runs: None when it leaves every
+    counter as it is, else a function from a counter vector to the vector
+    after it, or to None where a guard fails.  A blind program is one net
+    shift, since INC and DEC never fail; a program that tests or resets a
+    counter runs through apply_program."""
+    if program_reads_counters(prog):
+        return partial(apply_program, prog)
+    delta = _net_changes(prog)
+    if not any(delta):
+        return None
+    return lambda counters: tuple(map(add, counters, delta))
+
+
 def program_reads_counters(prog: Program) -> bool:
     return any(instr.kind in _READS for step in prog for instr in step)
 
 
+def _net_changes(prog: Program) -> list:
+    """Per counter, what the program's INC and DEC add after its last
+    SET_ZERO of that counter."""
+    net = [0] * (len(prog[0]) if prog else 0)
+    for step in prog:
+        for i, instr in enumerate(step):
+            if instr.kind == INC:
+                net[i] += instr.amount
+            elif instr.kind == DEC:
+                net[i] -= instr.amount
+            elif instr.kind == SET_ZERO:
+                net[i] = 0
+    return net
+
+
 def program_max_delta(prog: Program) -> int:
     """Largest |net additive change| any counter can get from this program."""
-    if not prog:
-        return 0
-    k = len(prog[0])
-    best = 0
-    for i in range(k):
-        net = 0
-        for step in prog:
-            instr = step[i]
-            if instr.kind == INC:
-                net += instr.amount
-            elif instr.kind == DEC:
-                net -= instr.amount
-            elif instr.kind == SET_ZERO:
-                net = 0
-        best = max(best, abs(net))
-    return best
+    return max(map(abs, _net_changes(prog)), default=0)
 
 
 class Transition(NamedTuple):
@@ -194,6 +210,7 @@ class CounterAutomaton:
         self.declared_blind = blind
         self._by_state_letter = None
         self._eps_by_state = None
+        self._steps = {}  # id(program) -> program_step(program)
         self._eps_bound = None
         self._max_delta = None
         self._degree = None
@@ -220,6 +237,29 @@ class CounterAutomaton:
                     table.setdefault(t.src, []).append((t.program, t.dst))
             self._eps_by_state = table
         return self._eps_by_state
+
+    def compile(self, prog):
+        """program_step(prog), made once per program object; transitions
+        share program objects."""
+        try:
+            return self._steps[id(prog)]
+        except KeyError:
+            step = self._steps[id(prog)] = program_step(prog)
+            return step
+
+    def _compiled(self, table):
+        return {key: [(self.compile(prog), dst) for prog, dst in arrows]
+                for key, arrows in table.items()}
+
+    @cached_property
+    def letter_steps(self):
+        """by_state_letter with (step, dst) arrows, steps from compile."""
+        return self._compiled(self.by_state_letter)
+
+    @cached_property
+    def eps_steps(self):
+        """eps_by_state with (step, dst) arrows, steps from compile."""
+        return self._compiled(self.eps_by_state)
 
     def epsilon_bound(self):
         """Length of the longest epsilon-only path; None if the epsilon graph
@@ -261,13 +301,13 @@ class CounterAutomaton:
 
     def eps_closure(self, configs):
         """All configurations reachable by epsilon moves (input set included)."""
-        eps = self.eps_by_state
+        eps = self.eps_steps
         out = set(configs)
         stack = [c for c in out if c[0] in eps]
         while stack:
             state, counters = stack.pop()
-            for prog, dst in eps[state]:
-                nxt = apply_program(prog, counters)
+            for step, dst in eps[state]:
+                nxt = counters if step is None else step(counters)
                 if nxt is None:
                     continue
                 cfg = (dst, nxt)
@@ -278,11 +318,11 @@ class CounterAutomaton:
         return out
 
     def step(self, configs, token):
-        table = self.by_state_letter
+        table = self.letter_steps
         out = set()
         for state, counters in configs:
-            for prog, dst in table.get((state, token), ()):
-                nxt = apply_program(prog, counters)
+            for step, dst in table.get((state, token), ()):
+                nxt = counters if step is None else step(counters)
                 if nxt is not None:
                     out.add((dst, nxt))
         return out

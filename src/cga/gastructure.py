@@ -21,10 +21,10 @@ from typing import Callable, Optional
 
 from .automata import (
     DEC,
+    EPSILON,
     INC,
     SET_ZERO,
     CounterAutomaton,
-    apply_program,
     counter_growth_bound,
 )
 from .langops import pair_alphabet, parse_tuple_token, swap_rows
@@ -203,18 +203,20 @@ class NormalFormTrace:
 
 
 def _pair_index(machine: CounterAutomaton):
-    """dict (state, top) -> dict bottom -> the machine's own arrow list for
-    the letter (top | bottom), with None for the padding row; built once
-    per machine."""
+    """dict (state, top) -> dict bottom -> (step, dst) arrows for the letter
+    (top | bottom), with None for the padding row and each step compiled by
+    machine.compile; built once per machine, in one pass over its
+    transitions."""
     index = getattr(machine, "_cga_pair_index", None)
     if index is None:
-        table = machine.by_state_letter
-        rows = {letter: parse_tuple_token(letter)
-                for letter in {letter for _, letter in table}}
-        index = {}
-        for (state, letter), arrows in table.items():
-            top, bottom = rows[letter]
-            index.setdefault((state, top), {})[bottom] = arrows
+        compile, rows, index = machine.compile, {}, {}
+        for src, letter, prog, dst in machine.transitions:
+            if letter is not EPSILON:
+                if letter not in rows:
+                    rows[letter] = parse_tuple_token(letter)
+                top, bottom = rows[letter]
+                index.setdefault((src, top), {}).setdefault(bottom, []).append(
+                    (compile(prog), dst))
         machine._cga_pair_index = index
     return index
 
@@ -226,8 +228,8 @@ def _advance(machine, index, configs, top, bottom):
         options = index.get((state, top))
         if not options:
             continue
-        for prog, dst in options.get(bottom, ()):
-            after = apply_program(prog, counters)
+        for step, dst in options.get(bottom, ()):
+            after = counters if step is None else step(counters)
             if after is not None:
                 nxt.add((dst, after))
     return machine.eps_closure(nxt)
@@ -341,7 +343,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
     index = _pair_index(machine)
     accepts = machine.accepts
     closure = machine.eps_closure
-    eps = machine.eps_by_state
+    eps = machine.eps_steps
     stuck = getattr(machine, "_cga_stuck", None)
     if stuck is None and getattr(machine, "_cga_edges", 0) >= len(machine.transitions):
         stuck = stuck_counters(machine)
@@ -379,19 +381,17 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
             if not options:
                 continue
             for bottom, arrows in options.items():
-                if flag and bottom is not None:
+                if bottom is None:
+                    if top is None:
+                        continue  # the all-padding letter does not exist
+                elif flag:
                     continue  # second row already exhausted
-                if top is None and bottom is None:
-                    continue  # the all-padding letter does not exist
-                new_flag = flag or bottom is None
+                new_flag = bottom is None
                 edge = (cfg, bottom)
-                for prog, dst in arrows:
-                    if prog:
-                        after = apply_program(prog, counters)
-                        if after is None:
-                            continue
-                    else:
-                        after = counters
+                for step, dst in arrows:
+                    after = counters if step is None else step(counters)
+                    if after is None:
+                        continue
                     reached = ((dst, after),)
                     if dst in eps:
                         reached = closure(reached)
@@ -404,8 +404,9 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
                             if stuck is not None and _dead(stuck, q, c):
                                 dead.add(key)
                                 continue
-                            bucket = nxt[key] = set()
-                        if edge not in bucket:
+                            nxt[key] = {edge}
+                            edge_count += 1
+                        elif edge not in bucket:
                             bucket.add(edge)
                             edge_count += 1
         pruned += len(dead)
@@ -413,7 +414,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
             machine._cga_edges = getattr(machine, "_cga_edges", 0) + edge_count
         if not nxt:
             raise SearchBoundExceeded(machine.name, length_cap, j)
-        level = set(nxt)
+        level = nxt
         preds.append(nxt)
         j += 1
         per_level.append((j, len(level), edge_count, _max_counter(level)))

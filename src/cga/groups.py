@@ -35,6 +35,7 @@ from .langops import (
     padded_arrows,
     pair_alphabet,
     parse_tuple_token,
+    program_joiner,
     quotient,
     relabel,
     trim,
@@ -714,6 +715,7 @@ def _product_multiplier(mult, other, side, alphabet, name):
     o_eps, o_letters = padded_arrows(other, total, 0)
     rows = {label: parse_tuple_token(label)
             for by_label in m_letters.values() for label in by_label}
+    join = program_joiner()
 
     def component(own, h):
         if own is None and h is None:
@@ -746,7 +748,7 @@ def _product_multiplier(mult, other, side, alphabet, name):
                 continue
             for pm, dm in arrows:
                 for h, po, do in with_padding:
-                    yield (letter(top, bottom, h), po + pm,
+                    yield (letter(top, bottom, h), join(po, pm),
                            (dm, do, top is None, bottom is None, h is None))
         for h, po, do in h_moves:
             yield letter(None, None, h), po, (m, do, True, True, False)

@@ -71,12 +71,14 @@ class ConvolvedAlphabet:
 
     arity: int
     base: tuple
+    base_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity < 2:
             raise LangOpError("convolved alphabets need arity >= 2")
         if DIAMOND in self.base:
             raise LangOpError("padding symbol cannot be a base token")
+        object.__setattr__(self, "base_set", frozenset(self.base))
 
     def letters(self):
         padded = tuple(self.base) + (None,)
@@ -92,7 +94,7 @@ class ConvolvedAlphabet:
         return (
             len(parts) == self.arity
             and any(p is not None for p in parts)
-            and all(p is None or p in self.base for p in parts)
+            and all(p is None or p in self.base_set for p in parts)
         )
 
 
@@ -218,13 +220,26 @@ def padded_arrows(machine: CounterAutomaton, total: int, offset: int):
     arrows by state and a dict of letter arrows by state, then by label, both
     in transition order."""
     eps, letters = {}, {}
+    padded = {}  # id(program) -> its padded copy, one per program object
     for t in machine.transitions:
-        arrow = (pad_program(t.program, machine.counters, total, offset), t.dst)
+        prog = padded.get(id(t.program))
+        if prog is None:
+            prog = padded[id(t.program)] = pad_program(
+                t.program, machine.counters, total, offset)
+        arrow = (prog, t.dst)
         if t.label is EPSILON:
             eps.setdefault(t.src, []).append(arrow)
         else:
             letters.setdefault(t.src, {}).setdefault(t.label, []).append(arrow)
     return eps, letters
+
+
+def program_joiner():
+    """A join(pm, pn) giving pm + pn, one object per pair of program
+    objects: a product's moves then share program objects as its factors'
+    do, and each object is compiled once (CounterAutomaton.compile)."""
+    joined = {}
+    return lambda pm, pn: joined.setdefault((id(pm), id(pn)), pm + pn)
 
 
 def intersect(m: CounterAutomaton, n: CounterAutomaton,
@@ -237,6 +252,7 @@ def intersect(m: CounterAutomaton, n: CounterAutomaton,
     total = k + l
     m_eps, m_letters = padded_arrows(m, total, 0)
     n_eps, n_letters = padded_arrows(n, total, k)
+    join = program_joiner()
 
     def expand(key):
         s, t = key
@@ -253,7 +269,7 @@ def intersect(m: CounterAutomaton, n: CounterAutomaton,
                 continue
             for pm, dm in arrows:
                 for pn, dn in theirs[label]:
-                    yield label, pm + pn, (dm, dn)
+                    yield label, join(pm, pn), (dm, dn)
 
     m_acc, n_acc = m.accepts, n.accepts
     return explore(
@@ -275,6 +291,7 @@ def compose(m: CounterAutomaton, n: CounterAutomaton,
     total = m.counters + n.counters
     m_eps, m_letters = padded_arrows(m, total, 0)
     n_eps, n_letters = padded_arrows(n, total, m.counters)
+    join = program_joiner()
     rank = {label: i for i, label in enumerate(m.alphabet)}
     rows = {label: parse_tuple_token(label)
             for label in set().union(*m_letters.values(), *n_letters.values())}
@@ -303,7 +320,7 @@ def compose(m: CounterAutomaton, n: CounterAutomaton,
                 label = EPSILON if u is None and w is None else tuple_token((u, w))
                 for pm, dm in m_arrows:
                     for pn, dn in n_arrows:
-                        yield label, pm + pn, (dm, dn)
+                        yield label, join(pm, pn), (dm, dn)
 
     out = explore(
         name or f"({m.name};{n.name})", m.alphabet, total, (m.start, n.start),
@@ -490,12 +507,12 @@ def relabel(m: CounterAutomaton, letter_map, name=None,
 def swap_rows(m: CounterAutomaton, name=None) -> CounterAutomaton:
     """The row-swap image: accepts (v, u) exactly when m accepts (u, v)."""
 
-    def swap(tok):
+    swapped = {}
+    for tok in m.alphabet:
         a, b = parse_tuple_token(tok)
-        return tuple_token((b, a))
-
-    return relabel(m, swap, name or f"swap({m.name})",
-                   alphabet=sorted({swap(tok) for tok in m.alphabet}))
+        swapped[tok] = tuple_token((b, a))
+    return relabel(m, swapped.__getitem__, name or f"swap({m.name})",
+                   alphabet=sorted(swapped.values()))
 
 
 def _eps_paths_with_programs(m: CounterAutomaton, src: str):

@@ -1,6 +1,7 @@
 import pytest
 
-from cga.automata import CounterAutomaton
+from cga.automata import EMPTY_PROGRAM, CounterAutomaton
+from cga.gastructure import GeneratorSet, GraphAutomaticStructure, GrowthPolicy
 from cga.groups import (
     BSOracle,
     FreeGroupOracle,
@@ -8,6 +9,7 @@ from cga.groups import (
     finf_structure,
     z_structure,
 )
+from cga.langops import tuple_token
 
 
 def toks(text):
@@ -85,6 +87,21 @@ def ball_normal_forms(structure, radius):
                     nxt.append(v)
         frontier = nxt
     return sorted(seen)
+
+
+def z_leaving_l():
+    """Z over a, a- whose multiplier for a takes the identity to a a-, a
+    word outside L = a* | a-*; every other pair is rejected."""
+    z = z_structure()
+    grow, back = tuple_token((None, "a")), tuple_token((None, "a-"))
+    leave = CounterAutomaton(
+        "z_leave", (grow, back), 0, ["m0", "m1", "out"], "m0", ["out"],
+        [("m0", grow, EMPTY_PROGRAM, "m1"), ("m1", back, EMPTY_PROGRAM, "out")],
+        blind=True)
+    return GraphAutomaticStructure(
+        "z-leaving-L", z.symbols, GeneratorSet.from_pairs([("a", "a-")]),
+        z.nf_automaton, {"a": leave}, growth=GrowthPolicy(1, 2),
+        order=z.symbols)
 
 
 @pytest.fixture(scope="session")

@@ -1,19 +1,36 @@
+import itertools
+import random
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cga.automata import (
     EMPTY_PROGRAM,
     EPSILON,
+    NO_OP,
+    SETZ,
+    TEST0,
+    TESTN0,
     AutomatonError,
     CounterAutomaton,
     TokenError,
     accepts,
+    apply_program,
     counter_growth_bound,
     dec,
     inc,
+    program_reads_counters,
+    program_step,
     validate,
 )
-from cga.groups import bs_l1_machine, bs_nf_machine, free_product, z_structure
+from cga.groups import (
+    bs_l1_machine,
+    bs_nf_machine,
+    free_product,
+    structure_from_expr,
+    z_structure,
+)
 
 from conftest import brute_force_accepts, toks
 
@@ -180,27 +197,60 @@ def test_growth_bound_dominates_observed_values():
 # -- semantic blindness and determinism-as-function ------------------------------
 
 def test_blind_machine_semantics_ignore_guard_evaluation(monkeypatch):
-    # running the engine with guard evaluation disabled must not change
-    # acceptance on a blind machine: blindness is semantic
+    # blindness is semantic: a blind machine's programs compile to net
+    # shifts, so with apply_program gone its verdicts stay the same
     import cga.automata as A
-    machine = bs_l1_machine(2, 3)
     words = [toks("# 1 # # 1 #"), toks("t # # # #"), toks("# 1 1 #"),
              toks("at # 1 # 1 # # 1"), ()]
-    before = [accepts(machine, w) for w in words]
+    before = [accepts(bs_l1_machine(2, 3), w) for w in words]
 
-    real_apply = A.apply_program
+    def interpreter_gone(prog, counters):
+        raise AssertionError("a blind program reached apply_program")
 
-    def guardless(prog, counters):
-        stripped = tuple(
-            tuple(i if i.kind in ("inc", "dec", "noop") else A.NO_OP
-                  for i in step)
-            for step in prog)
-        return real_apply(stripped, counters)
-
-    monkeypatch.setattr(A, "apply_program", guardless)
+    monkeypatch.setattr(A, "apply_program", interpreter_gone)
     fresh = bs_l1_machine(2, 3)
-    after = [accepts(fresh, w) for w in words]
-    assert before == after
+    assert validate(fresh).blind
+    assert [accepts(fresh, w) for w in words] == before
+
+
+# -- compiled programs agree with the interpreter -------------------------------
+
+INSTRUCTIONS = (NO_OP, TEST0, TESTN0, SETZ, inc(1), inc(2), dec(1), dec(3))
+
+
+def run_step(step, counters):
+    """A program_step result applied to a counter vector."""
+    return counters if step is None else step(counters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_program_step_agrees_with_apply_program(data):
+    k = data.draw(st.integers(0, 3))
+    prog = tuple(data.draw(st.lists(
+        st.tuples(*[st.sampled_from(INSTRUCTIONS)] * k), max_size=4)))
+    step = program_step(prog)
+    assert isinstance(step, partial) == program_reads_counters(prog)
+    for counters in itertools.product(range(-3, 4), repeat=k):
+        assert run_step(step, counters) == apply_program(prog, counters)
+
+
+@pytest.mark.parametrize("expr", [
+    "bs:2,3", "bs:4,7", "finf:3", "regen(bs:2,3; a=a; t=t; u=a a)"])
+def test_multiplier_programs_compile_to_their_semantics(expr):
+    structure = structure_from_expr(expr)
+    rng = random.Random(expr)
+    for x in structure.generators.tokens():
+        machine = structure.multiplier(x)
+        k = machine.counters
+        vectors = [machine.zero_vector()] + [
+            tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(20)]
+        programs = {id(t.program): t.program for t in machine.transitions}
+        for prog in programs.values():
+            step = machine.compile(prog)
+            assert step is machine.compile(prog)
+            for counters in vectors:
+                assert run_step(step, counters) == apply_program(prog, counters)
 
 
 def test_accepts_is_deterministic_function(bs23):

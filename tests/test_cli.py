@@ -9,6 +9,8 @@ from cga.cli import main
 from cga.formats import format_automaton, load_automaton, write_structure
 from cga.groups import bs_nf_machine, bs_structure
 
+from conftest import z_leaving_l
+
 
 @pytest.fixture(scope="module")
 def bs47_aut(tmp_path_factory):
@@ -505,6 +507,18 @@ def test_multiplier_outside_the_pair_alphabet_fails_when_first_used(
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(
         f"error: {z_manifest / 'mult_a-.aut'}: multiplier 'a-' uses letter 'a'")
+
+
+def test_manifest_multiplier_leaving_l_exits_2(tmp_path, capsys):
+    # mult_a.aut takes the identity to a a-, outside L: the first step
+    # prints it, the step after it is refused with exit 2
+    write_structure(z_leaving_l(), tmp_path)
+    code, out = run(capsys, "nf", "--structure", str(tmp_path), "a")
+    assert code == 0 and out == "a a-\n"
+    code = main(["nf", "--structure", str(tmp_path), "a a"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: word a a- is not in L\n"
 
 
 def test_missing_multiplier_file_fails_at_load(z_manifest, capsys):

@@ -39,7 +39,7 @@ from cga.groups import (
 from cga.langops import convolve
 from cga.shortlex import OrderedAlphabet, iter_shortlex
 
-from conftest import ball_normal_forms, toks
+from conftest import ball_normal_forms, toks, z_leaving_l
 
 
 # -- identity normal form -----------------------------------------------------
@@ -509,6 +509,15 @@ def test_verify_geodesic_length_past_a_failed_step(bs23_oracle, monkeypatch):
     quasi = {f.witness: f.detail for f in report.failures
              if f.kind == "quasigeodesic"}
     assert quasi[toks("2.a 1.a 2.a-")].endswith("= 6 > 2*(1+1)")
+
+
+def test_step_into_a_word_outside_l_is_refused_at_the_next_step():
+    # a loaded multiplier can take u into a word outside L; the next step's
+    # L check on its input is what stops the fold
+    structure = z_leaving_l()
+    assert structure.normal_form(("a",)) == ("a", "a-")
+    with pytest.raises(StructureError, match="^word a a- is not in L$"):
+        structure.normal_form(("a", "a"))
 
 
 def test_verify_steps_each_state_once(monkeypatch):
