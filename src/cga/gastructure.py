@@ -221,8 +221,10 @@ def _pair_index(machine: CounterAutomaton):
     return index
 
 
-def _advance(machine, index, configs, top, bottom):
-    """Epsilon-closed configurations after reading the letter (top | bottom)."""
+def _advance(machine, index, configs, top, bottom, stuck=None):
+    """Epsilon-closed configurations after reading the letter (top | bottom),
+    less those that the stuck_counters table stuck calls dead."""
+    closure, eps = machine.eps_closure, machine.eps_steps
     nxt = set()
     for state, counters in configs:
         options = index.get((state, top))
@@ -230,9 +232,15 @@ def _advance(machine, index, configs, top, bottom):
             continue
         for step, dst in options.get(bottom, ()):
             after = counters if step is None else step(counters)
-            if after is not None:
-                nxt.add((dst, after))
-    return machine.eps_closure(nxt)
+            if after is None:
+                continue
+            reached = ((dst, after),)
+            if dst in eps:
+                reached = closure(reached)
+            for cfg in reached:
+                if cfg not in nxt and (stuck is None or not _dead(stuck, *cfg)):
+                    nxt.add(cfg)
+    return nxt
 
 
 def _accepts_padded(machine, index, configs, u, depth):
@@ -268,30 +276,33 @@ def stuck_counters(machine: CounterAutomaton):
     when q is absent, or some c_i > 0 that q cannot lower, or some c_i < 0
     that q cannot raise; every successor of a dead configuration is dead.
     The masks are a fixpoint over the transitions, sources taking the union
-    of their targets' masks and their programs' directions.
+    of their targets' masks and their programs' directions; a worklist
+    revisits the ways into a state only when its masks grow.
     """
     table = getattr(machine, "_cga_stuck", None)
     if table is None:
         effects = {}  # id(program) -> its directions
+        into = {}     # state -> [source, directions, ...] of its ways in, flat
+        for src, _, prog, dst in machine.transitions:
+            effect = effects.get(id(prog))
+            if effect is None:
+                effect = effects[id(prog)] = _program_directions(prog)
+            into.setdefault(dst, []).extend((src, effect))
         reach = dict.fromkeys(machine.accepts, (0, 0))
-        changed = True
-        while changed:
-            changed = False
-            for src, _, prog, dst in reversed(machine.transitions):
-                after = reach.get(dst)
-                if after is None:
-                    continue
-                effect = effects.get(id(prog))
-                if effect is None:
-                    effect = effects[id(prog)] = _program_directions(prog)
-                masks = (after[0] | effect[0], after[1] | effect[1])
+        work = list(reach)
+        while work:
+            dst = work.pop()
+            up, down = reach[dst]
+            ways = iter(into.get(dst, ()))
+            for src, effect in zip(ways, ways):
+                masks = (up | effect[0], down | effect[1])
                 before = reach.get(src)
                 if before is not None:
                     masks = (masks[0] | before[0], masks[1] | before[1])
                     if masks == before:
                         continue
                 reach[src] = masks
-                changed = True
+                work.append(src)
         entries = {}  # (raise, lower) -> the one entry every such state shares
         table = {}
         for state, masks in reach.items():
@@ -321,7 +332,8 @@ def _dead(stuck, state, counters):
     return False
 
 
-def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
+def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
+                            levels=None):
     """Levelled configuration search for the unique v with (u, v) accepted.
 
     Level j holds every live configuration reachable by reading j tuple
@@ -336,6 +348,13 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
     search.  The table is built once the machine's earlier searches have
     recorded as many edges as it has transitions: a machine searched only
     briefly would not repay the build.
+
+    levels, a dict one caller passes to many searches, shares the steps of
+    searches whose inputs share a prefix: a level and the next letter of u
+    determine the next level.  Each step is stored per machine under (level,
+    letter) with its next level, its row and, per configuration, only the
+    edge _backtrack picks.  Only pruned searches store or look up steps: an
+    unpruned level can be far larger, and the table's build makes it stale.
     """
     u = tuple(u)
     s = len(u)
@@ -347,6 +366,9 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
     stuck = getattr(machine, "_cga_stuck", None)
     if stuck is None and getattr(machine, "_cga_edges", 0) >= len(machine.transitions):
         stuck = stuck_counters(machine)
+    table = frozen = hit = None
+    if levels is not None and stuck is not None:
+        table = levels.setdefault(machine, {})
 
     start = machine.initial_configs()
     level = {(state, counters, False) for state, counters in start
@@ -368,48 +390,63 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
                 return v, per_level, pruned
             if j == s:
                 level = {cfg for cfg in level if not cfg[2]}
+                frozen = None
         if j >= level_cap:
             raise SearchBoundExceeded(machine.name, length_cap, j)
 
         top = u[j] if j < s else None
-        nxt = {}
-        dead = set()
-        edge_count = 0
-        for cfg in level:
-            state, counters, flag = cfg
-            options = index.get((state, top))
-            if not options:
-                continue
-            for bottom, arrows in options.items():
-                if bottom is None:
-                    if top is None:
-                        continue  # the all-padding letter does not exist
-                elif flag:
-                    continue  # second row already exhausted
-                new_flag = bottom is None
-                edge = (cfg, bottom)
-                for step, dst in arrows:
-                    after = counters if step is None else step(counters)
-                    if after is None:
-                        continue
-                    reached = ((dst, after),)
-                    if dst in eps:
-                        reached = closure(reached)
-                    for q, c in reached:
-                        key = (q, c, new_flag)
-                        bucket = nxt.get(key)
-                        if bucket is None:
-                            if key in dead:
-                                continue
-                            if stuck is not None and _dead(stuck, q, c):
-                                dead.add(key)
-                                continue
-                            nxt[key] = {edge}
-                            edge_count += 1
-                        elif edge not in bucket:
-                            bucket.add(edge)
-                            edge_count += 1
-        pruned += len(dead)
+        if table is not None:
+            if frozen is None:
+                frozen = frozenset(level)
+            hit = table.get((frozen, top))
+        if hit is not None:
+            frozen, nxt, edge_count, dropped, widest = hit
+        else:
+            nxt = {}
+            dead = set()
+            edge_count = 0
+            for cfg in level:
+                state, counters, flag = cfg
+                options = index.get((state, top))
+                if not options:
+                    continue
+                for bottom, arrows in options.items():
+                    if bottom is None:
+                        if top is None:
+                            continue  # the all-padding letter does not exist
+                    elif flag:
+                        continue  # second row already exhausted
+                    new_flag = bottom is None
+                    edge = (cfg, bottom)
+                    for step, dst in arrows:
+                        after = counters if step is None else step(counters)
+                        if after is None:
+                            continue
+                        reached = ((dst, after),)
+                        if dst in eps:
+                            reached = closure(reached)
+                        for q, c in reached:
+                            key = (q, c, new_flag)
+                            bucket = nxt.get(key)
+                            if bucket is None:
+                                if key in dead:
+                                    continue
+                                if stuck is not None and _dead(stuck, q, c):
+                                    dead.add(key)
+                                    continue
+                                nxt[key] = {edge}
+                                edge_count += 1
+                            elif edge not in bucket:
+                                bucket.add(edge)
+                                edge_count += 1
+            dropped, widest = len(dead), _max_counter(nxt)
+            if table is not None and nxt:
+                nxt = {cfg: (min(edges, key=_back_edge_order),)
+                       for cfg, edges in nxt.items()}
+                stored = frozenset(nxt)
+                table[frozen, top] = (stored, nxt, edge_count, dropped, widest)
+                frozen = stored
+        pruned += dropped
         if stuck is None:
             machine._cga_edges = getattr(machine, "_cga_edges", 0) + edge_count
         if not nxt:
@@ -417,7 +454,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int):
         level = nxt
         preds.append(nxt)
         j += 1
-        per_level.append((j, len(level), edge_count, _max_counter(level)))
+        per_level.append((j, len(level), edge_count, widest))
 
 
 def _max_counter(configs):
@@ -431,16 +468,18 @@ def _max_counter(configs):
     return best
 
 
+def _back_edge_order(edge):
+    """The edge _backtrack follows is the least: letters before padding."""
+    return edge[1] is None, edge[1] or "", edge[0]
+
+
 def _backtrack(found, preds):
     results = set()
     for cfg in sorted(found):
         letters = []
         cur = cfg
         for j in range(len(preds) - 1, -1, -1):
-            prev, sigma = min(
-                preds[j][cur],
-                key=lambda e: (e[1] is None, e[1] or "", e[0]),
-            )
+            prev, sigma = min(preds[j][cur], key=_back_edge_order)
             if sigma is not None:
                 letters.append(sigma)
             cur = prev
@@ -485,18 +524,31 @@ def multiplier_enumerative_search(machine: CounterAutomaton, u,
     raise SearchBoundExceeded(machine.name, length_cap, length_cap)
 
 
-_TERMINAL = ("",)  # trie key marking the end of a candidate word
+_PADDING = ((None, None),)
 
 
 def candidate_trie(words):
-    """Prefix trie of candidate words, for accepted_candidates."""
-    trie = {}
+    """(words, root) for accepted_candidates: a prefix trie of the words,
+    each node a pair (word ending there or None, moves), a move (letter,
+    node after it) for each way a row can go on.  A word's node also moves
+    on padding (None) to a node that only pads, its one move _PADDING
+    naming no node: the walk stays there, and the trie holds no cycle."""
+    words = [tuple(w) for w in words]
+    branches = {}
     for w in words:
-        node = trie
+        node = branches
         for tok in w:
             node = node.setdefault(tok, {})
-        node[_TERMINAL] = tuple(w)
-    return trie
+        node[None] = w
+
+    def compile(node):
+        word = node.pop(None, None)
+        moves = [(tok, compile(child)) for tok, child in node.items()]
+        if word is not None:
+            moves.append((None, (word, _PADDING)))
+        return word, moves
+
+    return words, compile(branches)
 
 
 def accepted_candidates(machine: CounterAutomaton, trie):
@@ -512,39 +564,23 @@ def accepted_candidates(machine: CounterAutomaton, trie):
     """
     index = _pair_index(machine)
     stuck = getattr(machine, "_cga_stuck", None)
-    accepted = {}
-    nodes = [trie]
-    while nodes:
-        for key, child in nodes.pop().items():
-            if key == _TERMINAL:
-                accepted[child] = set()
-            else:
-                nodes.append(child)
-
-    def moves(node):
-        """(letter, node after it) for each way a row can go on."""
-        out = [(key, child) for key, child in node.items() if key != _TERMINAL]
-        word = node.get(_TERMINAL)
-        if word is not None:
-            out.append((None, {_TERMINAL: word}))
-        return out
+    accepting = machine.accepting
+    words, root = trie
+    accepted = {w: set() for w in words}
 
     def walk(top_node, bottom_node, configs):
-        u, v = top_node.get(_TERMINAL), bottom_node.get(_TERMINAL)
-        if u is not None and v is not None and machine.accepting(configs):
+        (u, top_moves), (v, bottom_moves) = top_node, bottom_node
+        if u is not None and v is not None and accepting(configs):
             accepted[u].add(v)
-        bottom_moves = moves(bottom_node)
-        for top, top_child in moves(top_node):
+        for top, top_child in top_moves:
             for bottom, bottom_child in bottom_moves:
                 if top is None and bottom is None:
                     continue
-                nxt = _advance(machine, index, configs, top, bottom)
-                if stuck is not None:
-                    nxt = {cfg for cfg in nxt if not _dead(stuck, *cfg)}
+                nxt = _advance(machine, index, configs, top, bottom, stuck)
                 if nxt:
-                    walk(top_child, bottom_child, nxt)
+                    walk(top_child or top_node, bottom_child or bottom_node, nxt)
 
-    walk(trie, trie, machine.initial_configs())
+    walk(root, root, machine.initial_configs())
     return accepted
 
 
@@ -694,8 +730,9 @@ class GraphAutomaticStructure:
         """Normal form of the identity element."""
         return self._mu
 
-    def step_normal_form(self, u, x, trace_sink=None):
-        """The unique v in L with v's element equal to u's element times x."""
+    def step_normal_form(self, u, x, trace_sink=None, levels=None):
+        """The unique v in L with v's element equal to u's element times x;
+        levels is the search's shared table (see multiplier_graph_search)."""
         u = tuple(u)
         if x not in self.generators:
             raise StructureError(f"unknown generator {x!r}")
@@ -703,7 +740,7 @@ class GraphAutomaticStructure:
             raise StructureError(f"word {' '.join(u) or 'EPS'} is not in L")
         machine = self.multiplier(x)
         v, per_level, pruned = multiplier_graph_search(
-            machine, u, self.step_cap(len(u), x))
+            machine, u, self.step_cap(len(u), x), levels)
         if trace_sink is not None:
             trace_sink.append(self._step_trace(x, u, v, per_level, pruned))
         return v
@@ -786,6 +823,7 @@ def verify(structure: GraphAutomaticStructure, radius: int,
     # A state is (normal form, canonical form); moves maps it to its successor
     # per generator (None on a failed step), a level to (first word, #words).
     moves, level = {}, {(structure.mu, oracle.canonicalize(())): ((), 1)}
+    levels = {}  # the steps' shared search table, kept for the walk only
     report.words_checked = 1
     for d in range(radius + 1):
         nxt = {}
@@ -797,21 +835,25 @@ def verify(structure: GraphAutomaticStructure, radius: int,
                 continue
             if new:
                 moves[state] = [_move(structure, oracle, report, state[0],
-                                      word + (x,)) for x in gens]
+                                      word + (x,), levels) for x in gens]
             for x, after in zip(gens, moves[state]):
                 report.words_checked += count
                 if after is not None:
                     first, total = nxt.get(after, (word + (x,), 0))
                     nxt[after] = (first, total + count)
         level = nxt
+    levels.clear()
     report.elements = len(classes)
 
     trie = candidate_trie(nf for _, nf in classes.values())
     accepted = {x: accepted_candidates(structure.multiplier(x), trie)
                 for x in gens}
-    for _, (u_word, u_nf) in sorted(classes.items()):
-        for x in gens:
-            target = oracle.canonicalize(u_word + (x,))
+    for canon, (u_word, u_nf) in sorted(classes.items()):
+        # a class stepped by the walk has its targets; at the radius, or
+        # past a failed step, the oracle gives them
+        stepped = moves.get((u_nf, canon)) or [None] * len(gens)
+        for x, after in zip(gens, stepped):
+            target = after[1] if after else oracle.canonicalize(u_word + (x,))
             expected = {classes[target][1]} if target in classes else set()
             got = accepted[x][u_nf]
             for v in sorted(got - expected):
@@ -832,10 +874,11 @@ def verify(structure: GraphAutomaticStructure, radius: int,
     return report
 
 
-def _move(structure, oracle, report, nf, word):
+def _move(structure, oracle, report, nf, word, levels):
     """Word's state from stepping its last letter off nf, None on failure."""
     try:
-        return structure.step_normal_form(nf, word[-1]), oracle.canonicalize(word)
+        return (structure.step_normal_form(nf, word[-1], levels=levels),
+                oracle.canonicalize(word))
     except SearchBoundExceeded as exc:
         report.add("termination", word, str(exc))
         return None

@@ -443,6 +443,72 @@ def test_search_of_dead_configurations_stops_early():
     assert info.value.reached == 5  # unpruned, the search reaches level 9
 
 
+def swept_stuck_table(machine):
+    """stuck_counters' table by sweeping every transition until no state's
+    (raise, lower) masks grow, read off each program's instructions."""
+    reach = dict.fromkeys(machine.accepts, (0, 0))
+    changed = True
+    while changed:
+        changed = False
+        for t in machine.transitions:
+            if t.dst not in reach:
+                continue
+            up, down = reach[t.dst]
+            for step in t.program:
+                for i, instr in enumerate(step):
+                    if instr.kind in ("inc", "set_zero"):
+                        up |= 1 << i
+                    if instr.kind in ("dec", "set_zero"):
+                        down |= 1 << i
+            before = reach.get(t.src, (0, 0))
+            masks = (up | before[0], down | before[1])
+            if reach.get(t.src) != masks:
+                reach[t.src] = masks
+                changed = True
+    k = range(machine.counters)
+    return {q: (tuple(i for i in k if not down >> i & 1),
+                tuple(i for i in k if not up >> i & 1))
+            for q, (up, down) in reach.items()}
+
+
+@pytest.mark.parametrize("expr", [
+    "bs:2,3", "bs:4,7", "finf:3", "regen(bs:2,3; a=a; t=t; u=a a)"])
+def test_stuck_table_equals_the_swept_fixpoint(expr):
+    structure = structure_from_expr(expr)
+    for x in structure.generators.tokens():
+        machine = structure.multiplier(x)
+        assert stuck_counters(machine) == swept_stuck_table(machine), x
+
+
+@pytest.mark.parametrize("expr, radius", [
+    ("bs:2,3", 3), ("regen(bs:2,3; a=a; t=t; u=a a)", 2)])
+def test_a_shared_level_table_keeps_every_search(expr, radius):
+    # two fresh structures take the same searches in the same order, the
+    # second sharing one table: their dead tables appear partway through,
+    # and must appear at the same search on both
+    plain, shared = structure_from_expr(expr), structure_from_expr(expr)
+    tokens, levels = plain.generators.tokens(), {}
+    ball, frontier = {plain.mu}, [plain.mu]
+    for d in range(radius + 1):
+        nxt = []
+        for u in frontier:
+            for x in tokens:
+                cap = plain.step_cap(len(u), x)
+                want = multiplier_graph_search(plain.multiplier(x), u, cap)
+                got = multiplier_graph_search(shared.multiplier(x), u, cap, levels)
+                assert got == want, (u, x)
+                if d < radius and want[0] not in ball:
+                    ball.add(want[0])
+                    nxt.append(want[0])
+        frontier = nxt
+    assert levels  # the table was used
+    machines = [(plain.multiplier(x), shared.multiplier(x)) for x in tokens]
+    assert any(hasattr(m, "_cga_stuck") for m, _ in machines)
+    for m, n in machines:
+        assert hasattr(m, "_cga_stuck") == hasattr(n, "_cga_stuck")
+        assert getattr(m, "_cga_edges", 0) == getattr(n, "_cga_edges", 0)
+
+
 # -- verify ---------------------------------------------------------------------------
 
 def test_verify_bs23_radius3_clean(bs23, bs23_oracle):
@@ -497,10 +563,10 @@ def test_verify_geodesic_length_past_a_failed_step(bs23_oracle, monkeypatch):
     product = direct_product(bs_structure(2, 3, quasigeodesic_c=2), z_structure())
     step = product.step_normal_form
 
-    def planted(u, x, trace_sink=None):
+    def planted(u, x, trace_sink=None, levels=None):
         if tuple(u) == product.mu and x == "1.a":
             raise SearchBoundExceeded("planted", 0, 0)
-        return step(u, x, trace_sink)
+        return step(u, x, trace_sink, levels)
 
     monkeypatch.setattr(product, "step_normal_form", planted)
     report = verify(product, 3, ProductOracle(bs23_oracle, oracle_from_expr("z")))
@@ -526,9 +592,9 @@ def test_verify_steps_each_state_once(monkeypatch):
     calls = []
     step = GraphAutomaticStructure.step_normal_form
 
-    def counted(self, u, x, trace_sink=None):
+    def counted(self, u, x, trace_sink=None, levels=None):
         calls.append((u, x))
-        return step(self, u, x, trace_sink)
+        return step(self, u, x, trace_sink, levels)
 
     monkeypatch.setattr(GraphAutomaticStructure, "step_normal_form", counted)
     zxz = structure_from_expr("product(z,z)")
