@@ -222,8 +222,26 @@ def _pair_index(machine: CounterAutomaton):
 
 
 def _advance(machine, index, configs, top, bottom, stuck=None):
-    """Epsilon-closed configurations after reading the letter (top | bottom),
-    less those that the stuck_counters table stuck calls dead."""
+    """frozenset of the epsilon-closed configurations after the frozenset
+    configs reads the letter (top | bottom), less those that the
+    stuck_counters table stuck calls dead.
+
+    With stuck, the machine's own table, the step is kept in the machine's
+    _cga_steps under (configs, top, bottom) and read back from there, as a
+    lazy DFA keeps the subset transitions it has made; the table grows with
+    the distinct steps the walks reach, not with the number of walks.
+    Without stuck nothing is stored or read: an unpruned set can be far
+    larger, and its step is not the pruned one stored for the same key.
+    """
+    if stuck is not None:
+        try:
+            steps = machine._cga_steps
+        except AttributeError:
+            steps = machine._cga_steps = {}
+        key = (configs, top, bottom)
+        nxt = steps.get(key)
+        if nxt is not None:
+            return nxt
     closure, eps = machine.eps_closure, machine.eps_steps
     nxt = set()
     for state, counters in configs:
@@ -240,6 +258,9 @@ def _advance(machine, index, configs, top, bottom, stuck=None):
             for cfg in reached:
                 if cfg not in nxt and (stuck is None or not _dead(stuck, *cfg)):
                     nxt.add(cfg)
+    nxt = frozenset(nxt)
+    if stuck is not None:
+        steps[key] = nxt
     return nxt
 
 
@@ -516,7 +537,7 @@ def multiplier_enumerative_search(machine: CounterAutomaton, u,
                 return (sigma,) + sub
         return None
 
-    start = machine.initial_configs()
+    start = frozenset(machine.initial_configs())
     for target in range(length_cap + 1):
         hit = dfs(start, 0, target)
         if hit is not None:
@@ -561,6 +582,8 @@ def accepted_candidates(machine: CounterAutomaton, trie):
     row; the letter with both rows padded is never read.  Configurations
     that stuck_counters calls dead are dropped once the machine's table is
     built (see multiplier_graph_search); they have no accepting future.
+    From then on each step is kept on the machine (see _advance), so a
+    later walk, of this trie or another, reads the steps it repeats.
     """
     index = _pair_index(machine)
     stuck = getattr(machine, "_cga_stuck", None)
@@ -580,7 +603,7 @@ def accepted_candidates(machine: CounterAutomaton, trie):
                 if nxt:
                     walk(top_child or top_node, bottom_child or bottom_node, nxt)
 
-    walk(root, root, machine.initial_configs())
+    walk(root, root, frozenset(machine.initial_configs()))
     return accepted
 
 
@@ -625,6 +648,7 @@ class GraphAutomaticStructure:
         self.order = OrderedAlphabet(tuple(order) if order else self.symbols)
         self.family_beta = family_beta
         self._mu = None
+        self._last_in_l = None  # the last step input found in L
         self._check()
         self._mu = self._compute_mu()
 
@@ -732,12 +756,17 @@ class GraphAutomaticStructure:
 
     def step_normal_form(self, u, x, trace_sink=None, levels=None):
         """The unique v in L with v's element equal to u's element times x;
-        levels is the search's shared table (see multiplier_graph_search)."""
+        levels is the search's shared table (see multiplier_graph_search).
+        u is checked against L unless it is the last input found there:
+        verify steps each input by every generator in turn."""
         u = tuple(u)
         if x not in self.generators:
             raise StructureError(f"unknown generator {x!r}")
-        if not self.nf_automaton.accepts_word(u):
-            raise StructureError(f"word {' '.join(u) or 'EPS'} is not in L")
+        if u != self._last_in_l:
+            if not self.nf_automaton.accepts_word(u):
+                raise StructureError(
+                    f"word {' '.join(u) or 'EPS'} is not in L")
+            self._last_in_l = u
         machine = self.multiplier(x)
         v, per_level, pruned = multiplier_graph_search(
             machine, u, self.step_cap(len(u), x), levels)

@@ -586,6 +586,16 @@ def test_step_into_a_word_outside_l_is_refused_at_the_next_step():
         structure.normal_form(("a", "a"))
 
 
+def test_verify_stops_at_a_step_out_of_l():
+    # the identity steps by a into a a-, outside L; by a- it has no step.  At
+    # radius 1 a a- is only recorded; at radius 2 stepping it must raise
+    from cga.groups import oracle_from_expr
+    report = verify(z_leaving_l(), 1, oracle_from_expr("z"))
+    assert first_witnesses(report)["termination"] == ("a-",)
+    with pytest.raises(StructureError, match="^word a a- is not in L$"):
+        verify(z_leaving_l(), 2, oracle_from_expr("z"))
+
+
 def test_verify_steps_each_state_once(monkeypatch):
     from cga.gastructure import GraphAutomaticStructure
     from cga.groups import oracle_from_expr
@@ -641,6 +651,86 @@ def test_verify_walks_the_trie_once_per_generator(product_zz, monkeypatch):
     report = verify(product_zz, 6, oracle_from_expr("product(z,z)"))
     assert report.ok and report.elements == 85
     assert len(calls) == len(product_zz.generators.tokens()) == 4  # not 85 x 4 = 340
+
+
+@pytest.mark.parametrize("expr, tokens", [
+    ("bs:2,3", ("t",)), ("bs:4,7", ("t",)), ("finf:3", None),
+    ("product(z,z)", None), (REGEN_AA, ("u",))])
+def test_kept_steps_leave_accepted_candidates_unchanged(expr, tokens):
+    # the reference walks a fresh machine with no dead table, storing nothing;
+    # then the same machine walks with its table built, first filling the
+    # kept steps, then reading them, also for a smaller trie
+    ball = ball_normal_forms(structure_from_expr(expr), 2)
+    trie, small = candidate_trie(ball), candidate_trie(ball[::3])
+    plain = structure_from_expr(expr)
+    for x in tokens or plain.generators.tokens():
+        machine = plain.multiplier(x)
+        want = accepted_candidates(machine, trie)
+        want_small = accepted_candidates(machine, small)
+        assert not hasattr(machine, "_cga_stuck") and not hasattr(machine, "_cga_steps")
+        stuck_counters(machine)
+        assert accepted_candidates(machine, trie) == want, x
+        kept = len(machine._cga_steps)
+        assert kept
+        assert accepted_candidates(machine, trie) == want, x
+        assert accepted_candidates(machine, small) == want_small, x
+        assert len(machine._cga_steps) == kept  # the second walks read every step
+
+
+def test_enumerative_search_keeps_no_steps():
+    # it passes no dead table, so its unpruned sets are neither stored nor
+    # read, even once the machine's table exists
+    structure = bs_structure(2, 3)
+    machine, u = structure.multiplier("t"), structure.normal_form(toks("a a t"))
+    want = multiplier_enumerative_search(machine, u, structure.order, 12)
+    stuck_counters(machine)
+    assert multiplier_enumerative_search(machine, u, structure.order, 12) == want
+    assert not hasattr(machine, "_cga_steps")
+    accepted_candidates(machine, candidate_trie([u, want]))
+    kept = dict(machine._cga_steps)
+    assert multiplier_enumerative_search(machine, u, structure.order, 12) == want
+    assert machine._cga_steps == kept
+
+
+@pytest.mark.parametrize("expr", ["bs:2,3", "free(z,z)", "broken"])
+def test_verify_on_one_structure_matches_fresh_structures(expr):
+    # radii 1..4 on one structure, whose machines keep their steps and dead
+    # tables between calls, report exactly what fresh structures report
+    from cga.groups import oracle_from_expr
+
+    def fresh():
+        if expr == "broken":
+            return broken_bs23(bs_structure(2, 3))
+        return structure_from_expr(expr)
+
+    oracle = oracle_from_expr("bs:2,3" if expr == "broken" else expr)
+    reused = fresh()
+    for radius in range(1, 5):
+        assert verify(reused, radius, oracle) == verify(fresh(), radius, oracle)
+    assert any(getattr(reused.multiplier(x), "_cga_steps", None)
+               for x in reused.generators.tokens())
+
+
+def test_verify_checks_each_stepped_input_against_l_once(monkeypatch):
+    from cga.groups import oracle_from_expr
+    structure = structure_from_expr("free(z,z)")
+    steps, checks = [], []
+    step, accepts_word = structure.step_normal_form, structure.nf_automaton.accepts_word
+
+    def counted_step(u, x, trace_sink=None, levels=None):
+        steps.append(tuple(u))
+        return step(u, x, trace_sink, levels)
+
+    def counted_check(word):
+        checks.append(tuple(word))
+        return accepts_word(word)
+
+    monkeypatch.setattr(structure, "step_normal_form", counted_step)
+    monkeypatch.setattr(structure.nf_automaton, "accepts_word", counted_check)
+    assert verify(structure, 3, oracle_from_expr("free(z,z)")).ok
+    gens = len(structure.generators.tokens())
+    assert len(steps) == gens * len(checks)  # one check per stepped state
+    assert checks == steps[::gens]
 
 
 def test_verify_quasigeodesic_phase_shares_one_element_walk(product_zz, monkeypatch):
