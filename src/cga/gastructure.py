@@ -201,6 +201,26 @@ class NormalFormTrace:
 # ---------------------------------------------------------------------------
 # multiplier machine search primitives
 
+# Entries a machine keeps in each of its step stores, the levelled search's
+# _cga_levels and the pair walk's _cga_steps, before _step_store empties it.
+STEP_BUDGET = 2048
+
+
+def _step_store(machine, name):
+    """The dict under machine's attribute name that a new step goes into:
+    made on first use, and emptied once it holds STEP_BUDGET entries, as a
+    lazy DFA flushes its state cache when full (Cox, "Regular Expression
+    Matching in the Wild", 2010).  Lookups read the attribute directly.  A
+    store only saves recomputation: an entry is the step its key determines,
+    so emptying the store, even while another search reads it, cannot
+    change a result."""
+    store = getattr(machine, name, None)
+    if store is None:
+        store = vars(machine).setdefault(name, {})
+    elif len(store) >= STEP_BUDGET:
+        store.clear()
+    return store
+
 
 def _pair_index(machine: CounterAutomaton):
     """dict (state, top) -> dict bottom -> (step, dst) arrows for the letter
@@ -227,19 +247,17 @@ def _advance(machine, index, configs, top, bottom, stuck=None):
     stuck_counters table stuck calls dead.
 
     With stuck, the machine's own table, the step is kept in the machine's
-    _cga_steps under (configs, top, bottom) and read back from there, as a
-    lazy DFA keeps the subset transitions it has made; the table grows with
-    the distinct steps the walks reach, not with the number of walks.
-    Without stuck nothing is stored or read: an unpruned set can be far
-    larger, and its step is not the pruned one stored for the same key.
+    store _cga_steps under (configs, top, bottom) and read back from there,
+    as a lazy DFA keeps the subset transitions it has made; the store grows
+    with the distinct steps the walks reach, not with the number of walks,
+    and is emptied when full (see _step_store).  Without stuck nothing is
+    stored or read: an unpruned set can be far larger, and its step is not
+    the pruned one stored for the same key.
     """
     if stuck is not None:
-        try:
-            steps = machine._cga_steps
-        except AttributeError:
-            steps = machine._cga_steps = {}
         key = (configs, top, bottom)
-        nxt = steps.get(key)
+        steps = getattr(machine, "_cga_steps", None)
+        nxt = steps.get(key) if steps else None
         if nxt is not None:
             return nxt
     closure, eps = machine.eps_closure, machine.eps_steps
@@ -260,7 +278,7 @@ def _advance(machine, index, configs, top, bottom, stuck=None):
                     nxt.add(cfg)
     nxt = frozenset(nxt)
     if stuck is not None:
-        steps[key] = nxt
+        _step_store(machine, "_cga_steps")[key] = nxt
     return nxt
 
 
@@ -354,7 +372,7 @@ def _dead(stuck, state, counters):
 
 
 def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
-                            levels=None):
+                            keep=False):
     """Levelled configuration search for the unique v with (u, v) accepted.
 
     Level j holds every live configuration reachable by reading j tuple
@@ -370,11 +388,12 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
     recorded as many edges as it has transitions: a machine searched only
     briefly would not repay the build.
 
-    levels, a dict one caller passes to many searches, shares the steps of
-    searches whose inputs share a prefix: a level and the next letter of u
-    determine the next level.  Each step is stored per machine under (level,
-    letter) with its next level, its row and, per configuration, only the
-    edge _backtrack picks.  Only pruned searches store or look up steps: an
+    With keep, the search shares steps with every other keeping search on
+    the machine, in this call or a later one: a level and the next letter of
+    u determine the next level.  Each step is kept in the machine's store
+    _cga_levels under (level, letter) with its next level, its row and, per
+    configuration, only the edge _backtrack picks; the store is emptied when
+    full (see _step_store).  Only pruned searches store or look up steps: an
     unpruned level can be far larger, and the table's build makes it stale.
     """
     u = tuple(u)
@@ -387,16 +406,12 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
     stuck = getattr(machine, "_cga_stuck", None)
     if stuck is None and getattr(machine, "_cga_edges", 0) >= len(machine.transitions):
         stuck = stuck_counters(machine)
-    table = frozen = hit = None
-    if levels is not None and stuck is not None:
-        table = levels.setdefault(machine, {})
+    keep = keep and stuck is not None
+    frozen = hit = None
 
-    start = machine.initial_configs()
-    level = {(state, counters, False) for state, counters in start
-             if stuck is None or not _dead(stuck, state, counters)}
-    pruned = len(start) - len(level)
+    level, pruned, widest = _start_level(machine, stuck)
     preds = []  # preds[j-1]: config at level j -> set of (config at j-1, sigma)
-    per_level = [(0, len(level), 0, _max_counter(level))]
+    per_level = [(0, len(level), 0, widest)]
     level_cap = max(s, length_cap)
     j = 0
 
@@ -416,10 +431,11 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
             raise SearchBoundExceeded(machine.name, length_cap, j)
 
         top = u[j] if j < s else None
-        if table is not None:
+        if keep:
             if frozen is None:
                 frozen = frozenset(level)
-            hit = table.get((frozen, top))
+            table = getattr(machine, "_cga_levels", None)
+            hit = table.get((frozen, top)) if table else None
         if hit is not None:
             frozen, nxt, edge_count, dropped, widest = hit
         else:
@@ -461,11 +477,12 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
                                 bucket.add(edge)
                                 edge_count += 1
             dropped, widest = len(dead), _max_counter(nxt)
-            if table is not None and nxt:
+            if keep and nxt:
                 nxt = {cfg: (min(edges, key=_back_edge_order),)
                        for cfg, edges in nxt.items()}
                 stored = frozenset(nxt)
-                table[frozen, top] = (stored, nxt, edge_count, dropped, widest)
+                _step_store(machine, "_cga_levels")[frozen, top] = (
+                    stored, nxt, edge_count, dropped, widest)
                 frozen = stored
         pruned += dropped
         if stuck is None:
@@ -476,6 +493,21 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
         preds.append(nxt)
         j += 1
         per_level.append((j, len(level), edge_count, widest))
+
+
+def _start_level(machine, stuck):
+    """(level 0, the configurations pruned from it, its widest counter),
+    made once per machine when its dead table exists: the machine and that
+    table decide it."""
+    first = getattr(machine, "_cga_first", None)
+    if first is None or stuck is None:
+        start = machine.initial_configs()
+        level = frozenset((state, counters, False) for state, counters in start
+                          if stuck is None or not _dead(stuck, state, counters))
+        first = (level, len(start) - len(level), _max_counter(level))
+        if stuck is not None:
+            machine._cga_first = first
+    return first
 
 
 def _max_counter(configs):
@@ -500,7 +532,11 @@ def _backtrack(found, preds):
         letters = []
         cur = cfg
         for j in range(len(preds) - 1, -1, -1):
-            prev, sigma = min(preds[j][cur], key=_back_edge_order)
+            edges = preds[j][cur]
+            if len(edges) == 1:
+                (prev, sigma), = edges
+            else:
+                prev, sigma = min(edges, key=_back_edge_order)
             if sigma is not None:
                 letters.append(sigma)
             cur = prev
@@ -582,8 +618,9 @@ def accepted_candidates(machine: CounterAutomaton, trie):
     row; the letter with both rows padded is never read.  Configurations
     that stuck_counters calls dead are dropped once the machine's table is
     built (see multiplier_graph_search); they have no accepting future.
-    From then on each step is kept on the machine (see _advance), so a
-    later walk, of this trie or another, reads the steps it repeats.
+    From then on each step is kept in the machine's bounded store (see
+    _advance), so a later walk, of this trie or another, reads the steps it
+    repeats unless a flush has emptied the store since.
     """
     index = _pair_index(machine)
     stuck = getattr(machine, "_cga_stuck", None)
@@ -754,9 +791,10 @@ class GraphAutomaticStructure:
         """Normal form of the identity element."""
         return self._mu
 
-    def step_normal_form(self, u, x, trace_sink=None, levels=None):
+    def step_normal_form(self, u, x, trace_sink=None, keep=False):
         """The unique v in L with v's element equal to u's element times x;
-        levels is the search's shared table (see multiplier_graph_search).
+        keep shares the search's steps through the machine's store (see
+        multiplier_graph_search).
         u is checked against L unless it is the last input found there:
         verify steps each input by every generator in turn."""
         u = tuple(u)
@@ -769,7 +807,7 @@ class GraphAutomaticStructure:
             self._last_in_l = u
         machine = self.multiplier(x)
         v, per_level, pruned = multiplier_graph_search(
-            machine, u, self.step_cap(len(u), x), levels)
+            machine, u, self.step_cap(len(u), x), keep)
         if trace_sink is not None:
             trace_sink.append(self._step_trace(x, u, v, per_level, pruned))
         return v
@@ -842,7 +880,11 @@ def verify(structure: GraphAutomaticStructure, radius: int,
     """Walk the Cayley ball over distinct (normal form, oracle class) states:
     normal forms must terminate and realize exactly the oracle's classes, and
     the multipliers must accept precisely the right pairs.  Structures that
-    declare a quasigeodesic constant get the length inequality checked too."""
+    declare a quasigeodesic constant get the length inequality checked too.
+
+    The walk's searches and pair walks keep their steps in the machines'
+    bounded stores (see multiplier_graph_search and _advance), which outlive
+    the call: a later verify of the structure reads the steps it repeats."""
     if radius < 0:
         raise StructureError(f"radius must be non-negative, got {radius}")
     report = VerificationReport(structure.name, oracle.name, radius)
@@ -852,7 +894,6 @@ def verify(structure: GraphAutomaticStructure, radius: int,
     # A state is (normal form, canonical form); moves maps it to its successor
     # per generator (None on a failed step), a level to (first word, #words).
     moves, level = {}, {(structure.mu, oracle.canonicalize(())): ((), 1)}
-    levels = {}  # the steps' shared search table, kept for the walk only
     report.words_checked = 1
     for d in range(radius + 1):
         nxt = {}
@@ -864,14 +905,13 @@ def verify(structure: GraphAutomaticStructure, radius: int,
                 continue
             if new:
                 moves[state] = [_move(structure, oracle, report, state[0],
-                                      word + (x,), levels) for x in gens]
+                                      word + (x,)) for x in gens]
             for x, after in zip(gens, moves[state]):
                 report.words_checked += count
                 if after is not None:
                     first, total = nxt.get(after, (word + (x,), 0))
                     nxt[after] = (first, total + count)
         level = nxt
-    levels.clear()
     report.elements = len(classes)
 
     trie = candidate_trie(nf for _, nf in classes.values())
@@ -903,10 +943,10 @@ def verify(structure: GraphAutomaticStructure, radius: int,
     return report
 
 
-def _move(structure, oracle, report, nf, word, levels):
+def _move(structure, oracle, report, nf, word):
     """Word's state from stepping its last letter off nf, None on failure."""
     try:
-        return (structure.step_normal_form(nf, word[-1], levels=levels),
+        return (structure.step_normal_form(nf, word[-1], keep=True),
                 oracle.canonicalize(word))
     except SearchBoundExceeded as exc:
         report.add("termination", word, str(exc))

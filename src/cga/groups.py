@@ -26,6 +26,7 @@ from .automata import (
     program_reads_counters,
 )
 from .langops import (
+    LangOpError,
     compose,
     convolve,
     embed,
@@ -1003,8 +1004,13 @@ def change_generators(structure: GraphAutomaticStructure, assignments,
             raise StructureError(f"generator word for {y!r} must be nonempty")
         else:
             *head, last = map(structure.multiplier, word)
-            machine = (compose(reduce(compose, head), last, f"regen_L_{y}")
-                       if head else last)
+            try:
+                machine = (compose(reduce(compose, head), last, f"regen_L_{y}")
+                           if head else last)
+            except LangOpError as exc:
+                raise LangOpError(
+                    f"cannot build generator {y} = {' '.join(word)}: {exc}"
+                ) from exc
         longest = max(longest, max(len(word), 1))
         multipliers[y] = machine
 

@@ -327,8 +327,8 @@ def compose(m: CounterAutomaton, n: CounterAutomaton,
         expand, lambda key: key[0] in m.accepts and key[1] in n.accepts,
         m.declared_blind and n.declared_blind)
     if out.epsilon_bound() is None:  # the erased middle row is unbounded
-        raise LangOpError("erasing homomorphism introduced an epsilon cycle; "
-                          "quasi-realtime image not constructible")
+        raise LangOpError("composition has an epsilon cycle; "
+                          "quasi-realtime multiplier not constructible")
     return out
 
 

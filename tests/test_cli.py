@@ -428,15 +428,15 @@ def test_porcelain_is_stable(capsys):
 ])
 def test_closure_that_cannot_be_built_exits_2(argv, tmp_path, monkeypatch,
                                               capsys):
-    # the erasing projection of these compositions has an epsilon cycle,
-    # so no multiplier can be built
+    # the composition of t- and t has an epsilon cycle, so no multiplier
+    # can be built; the message names the generator and its word
     monkeypatch.chdir(tmp_path)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == ("error: erasing homomorphism introduced an "
-                            "epsilon cycle; quasi-realtime image not "
-                            "constructible\n")
+    assert captured.err == ("error: cannot build generator y = t- t: "
+                            "composition has an epsilon cycle; quasi-realtime "
+                            "multiplier not constructible\n")
     assert not os.path.exists(tmp_path / "never-written")
 
 

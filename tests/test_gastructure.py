@@ -399,6 +399,21 @@ def test_pruned_and_unpruned_searches_agree(expr, max_len, monkeypatch):
     assert [fresh.normal_form(w) for w in words] == [nf for nf, _ in runs]
 
 
+def test_start_level_is_pruned_once_the_table_exists():
+    # the start's epsilon closure holds a dead configuration: the search
+    # made before the table keeps it, every search after drops it
+    machine = CounterAutomaton(
+        "start", ("(x|x)",), 1, ["s0", "s1", "trap"], "s0", ["s1"],
+        [("s0", EPSILON, (), "trap"), ("s0", "(x|x)", (), "s1"),
+         ("trap", "(x|x)", (), "trap")])
+    v, rows, pruned = multiplier_graph_search(machine, ("x",), 1)
+    assert (v, rows[0], pruned) == (("x",), (0, 2, 0, 0), 0)
+    stuck_counters(machine)
+    for _ in range(2):
+        v, rows, pruned = multiplier_graph_search(machine, ("x",), 1)
+        assert (v, rows[0], pruned) == (("x",), (0, 1, 0, 0), 1)
+
+
 def test_table_waits_until_searches_would_repay_it():
     bs23 = bs_structure(2, 3)
     _, trace = bs23.normal_form(("a",) * 16, with_trace=True)
@@ -484,10 +499,10 @@ def test_stuck_table_equals_the_swept_fixpoint(expr):
     ("bs:2,3", 3), ("regen(bs:2,3; a=a; t=t; u=a a)", 2)])
 def test_a_shared_level_table_keeps_every_search(expr, radius):
     # two fresh structures take the same searches in the same order, the
-    # second sharing one table: their dead tables appear partway through,
-    # and must appear at the same search on both
+    # second keeping its steps on its machines: their dead tables appear
+    # partway through, and must appear at the same search on both
     plain, shared = structure_from_expr(expr), structure_from_expr(expr)
-    tokens, levels = plain.generators.tokens(), {}
+    tokens = plain.generators.tokens()
     ball, frontier = {plain.mu}, [plain.mu]
     for d in range(radius + 1):
         nxt = []
@@ -495,14 +510,15 @@ def test_a_shared_level_table_keeps_every_search(expr, radius):
             for x in tokens:
                 cap = plain.step_cap(len(u), x)
                 want = multiplier_graph_search(plain.multiplier(x), u, cap)
-                got = multiplier_graph_search(shared.multiplier(x), u, cap, levels)
+                got = multiplier_graph_search(shared.multiplier(x), u, cap, keep=True)
                 assert got == want, (u, x)
                 if d < radius and want[0] not in ball:
                     ball.add(want[0])
                     nxt.append(want[0])
         frontier = nxt
-    assert levels  # the table was used
     machines = [(plain.multiplier(x), shared.multiplier(x)) for x in tokens]
+    assert any(getattr(n, "_cga_levels", None) for _, n in machines)  # kept steps
+    assert not any(hasattr(m, "_cga_levels") for m, _ in machines)
     assert any(hasattr(m, "_cga_stuck") for m, _ in machines)
     for m, n in machines:
         assert hasattr(m, "_cga_stuck") == hasattr(n, "_cga_stuck")
@@ -563,10 +579,10 @@ def test_verify_geodesic_length_past_a_failed_step(bs23_oracle, monkeypatch):
     product = direct_product(bs_structure(2, 3, quasigeodesic_c=2), z_structure())
     step = product.step_normal_form
 
-    def planted(u, x, trace_sink=None, levels=None):
+    def planted(u, x, trace_sink=None, keep=False):
         if tuple(u) == product.mu and x == "1.a":
             raise SearchBoundExceeded("planted", 0, 0)
-        return step(u, x, trace_sink, levels)
+        return step(u, x, trace_sink, keep)
 
     monkeypatch.setattr(product, "step_normal_form", planted)
     report = verify(product, 3, ProductOracle(bs23_oracle, oracle_from_expr("z")))
@@ -602,9 +618,9 @@ def test_verify_steps_each_state_once(monkeypatch):
     calls = []
     step = GraphAutomaticStructure.step_normal_form
 
-    def counted(self, u, x, trace_sink=None, levels=None):
+    def counted(self, u, x, trace_sink=None, keep=False):
         calls.append((u, x))
-        return step(self, u, x, trace_sink, levels)
+        return step(self, u, x, trace_sink, keep)
 
     monkeypatch.setattr(GraphAutomaticStructure, "step_normal_form", counted)
     zxz = structure_from_expr("product(z,z)")
@@ -692,7 +708,8 @@ def test_enumerative_search_keeps_no_steps():
     assert machine._cga_steps == kept
 
 
-@pytest.mark.parametrize("expr", ["bs:2,3", "free(z,z)", "broken"])
+@pytest.mark.parametrize("expr", [
+    "bs:2,3", "free(z,z)", "finf:3", "product(z,z)", "broken"])
 def test_verify_on_one_structure_matches_fresh_structures(expr):
     # radii 1..4 on one structure, whose machines keep their steps and dead
     # tables between calls, report exactly what fresh structures report
@@ -707,8 +724,88 @@ def test_verify_on_one_structure_matches_fresh_structures(expr):
     reused = fresh()
     for radius in range(1, 5):
         assert verify(reused, radius, oracle) == verify(fresh(), radius, oracle)
-    assert any(getattr(reused.multiplier(x), "_cga_steps", None)
-               for x in reused.generators.tokens())
+    machines = [reused.multiplier(x) for x in reused.generators.tokens()]
+    assert any(getattr(m, "_cga_steps", None) for m in machines)
+    # the level steps outlive the calls: once every machine has its dead
+    # table, a call fills the stores and repeating it adds no entry
+    for machine in machines:
+        stuck_counters(machine)
+    assert verify(reused, 4, oracle) == verify(fresh(), 4, oracle)
+    kept = [len(machine._cga_levels) for machine in machines]
+    assert all(kept)
+    assert verify(reused, 4, oracle) == verify(fresh(), 4, oracle)
+    assert [len(machine._cga_levels) for machine in machines] == kept
+
+
+FLUSHED = [("bs:2,3", 3), ("finf:3", 2), (REGEN_AA, 2)]
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+@pytest.mark.parametrize("expr, radius", FLUSHED)
+def test_flushed_step_stores_leave_verify_unchanged(expr, radius, budget,
+                                                    monkeypatch):
+    # with every dead table built, each search and pair walk keeps its
+    # steps, and a budget of one or two entries empties both stores partway
+    # through searches and walks; the reports must be those of fresh
+    # structures with the full budget
+    import cga.gastructure
+    from cga.groups import oracle_from_expr
+    oracle = oracle_from_expr(expr)
+    want = verify(structure_from_expr(expr), radius, oracle)
+    monkeypatch.setattr(cga.gastructure, "STEP_BUDGET", budget)
+    structure = structure_from_expr(expr)
+    machines = [structure.multiplier(x) for x in structure.generators.tokens()]
+    for machine in machines:
+        stuck_counters(machine)
+    assert verify(structure, radius, oracle) == want
+    assert verify(structure, radius, oracle) == want
+    for machine in machines:
+        assert 0 < len(machine._cga_levels) <= budget, machine.name
+        assert 0 < len(machine._cga_steps) <= budget, machine.name
+
+
+def test_concurrent_verifies_agree_while_stores_flush(monkeypatch):
+    # threads share one structure's stores, which a budget of two entries
+    # empties under their lookups; each thread has its own oracle
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    import cga.gastructure
+    from cga.groups import oracle_from_expr
+    want = verify(bs_structure(2, 3), 3, oracle_from_expr("bs:2,3"))
+    monkeypatch.setattr(cga.gastructure, "STEP_BUDGET", 2)
+    shared = bs_structure(2, 3)
+    for x in shared.generators.tokens():
+        stuck_counters(shared.multiplier(x))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(
+                lambda _: verify(shared, 3, oracle_from_expr("bs:2,3")),
+                range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 8
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+@pytest.mark.parametrize("expr", [expr for expr, _ in FLUSHED])
+def test_flushed_step_stores_leave_accepted_candidates_unchanged(
+        expr, budget, monkeypatch):
+    import cga.gastructure
+    trie = candidate_trie(ball_normal_forms(structure_from_expr(expr), 2))
+    kept, flushed = structure_from_expr(expr), structure_from_expr(expr)
+    for x in kept.generators.tokens():
+        machine = kept.multiplier(x)
+        stuck_counters(machine)
+        want = accepted_candidates(machine, trie)
+        with monkeypatch.context() as patch:
+            patch.setattr(cga.gastructure, "STEP_BUDGET", budget)
+            machine = flushed.multiplier(x)
+            stuck_counters(machine)
+            assert accepted_candidates(machine, trie) == want, x
+            assert accepted_candidates(machine, trie) == want, x
+            assert len(machine._cga_steps) <= budget
 
 
 def test_verify_checks_each_stepped_input_against_l_once(monkeypatch):
@@ -717,9 +814,9 @@ def test_verify_checks_each_stepped_input_against_l_once(monkeypatch):
     steps, checks = [], []
     step, accepts_word = structure.step_normal_form, structure.nf_automaton.accepts_word
 
-    def counted_step(u, x, trace_sink=None, levels=None):
+    def counted_step(u, x, trace_sink=None, keep=False):
         steps.append(tuple(u))
-        return step(u, x, trace_sink, levels)
+        return step(u, x, trace_sink, keep)
 
     def counted_check(word):
         checks.append(tuple(word))
