@@ -287,8 +287,12 @@ class CounterAutomaton:
 
     # -- semantics ----------------------------------------------------------
 
-    def zero_vector(self) -> tuple:
+    @cached_property
+    def _zero(self) -> tuple:
         return (0,) * self.counters
+
+    def zero_vector(self) -> tuple:
+        return self._zero
 
     def initial_configs(self):
         """Epsilon closure of the start configuration."""
@@ -296,8 +300,11 @@ class CounterAutomaton:
 
     def accepting(self, configs) -> bool:
         """Whether some configuration is accepting with all counters zero."""
-        zero = self.zero_vector()
-        return any(q in self.accepts and c == zero for q, c in configs)
+        accepts, zero = self.accepts, self._zero
+        for q, c in configs:
+            if c == zero and q in accepts:
+                return True
+        return False
 
     def eps_closure(self, configs):
         """All configurations reachable by epsilon moves (input set included)."""

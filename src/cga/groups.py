@@ -495,13 +495,18 @@ def bs_case_walk(m, n, cases, bounded):
 def bs_multipliers(m, n, nf: CounterAutomaton):
     """Right-multiplication machines for a and t (the structure derives
     their inverses): one walk over each generator's run-shape cases,
-    intersected with the convolution square of L and quotiented.  The walk
-    bounds both rows for a and the top row for t."""
+    quotiented, intersected with the convolution square of L and quotiented
+    again.  The walk bounds both rows for a and the top row for t.
+
+    Quotienting the walk first shrinks the product (bs:4,7 t: walk 2,222 ->
+    305 states, product 5,980 -> 1,181).  A quotient is bisimilar to its
+    machine and the synchronous product keeps bisimilarity, so the final
+    quotient is the same machine up to state names."""
     conv2 = intersect(pad_lift(nf, "left"), pad_lift(nf, "right"),
                       name=f"bs{m}_{n}_LL")
     cases = bs_cases(m, n)
     return {gen: quotient(intersect(
-                bs_case_walk(m, n, cases[gen], bounded),
+                quotient(bs_case_walk(m, n, cases[gen], bounded)),
                 conv2, name=f"bs{m}_{n}_L{gen}"))
             for gen, bounded in (("a", (0, 1)), ("t", (0,)))}
 

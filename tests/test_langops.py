@@ -263,16 +263,49 @@ def _bs_pairs(m, n, x, count, seed):
     return pairs
 
 
+# the rows each generator's case walk bounds, as bs_multipliers passes them
+_BS_BOUNDED = {"a": (0, 1), "t": (0,)}
+
+
 @pytest.mark.parametrize("m,n", [(2, 3), (4, 7)])
 def test_quotient_keeps_bs_multiplier_languages(m, n, monkeypatch):
     from cga import groups
     monkeypatch.setattr(groups, "quotient", lambda machine, name=None: machine)
     built = groups.bs_multipliers(m, n, groups.bs_nf_machine(m, n))
+    cases = groups.bs_cases(m, n)
     for x, machine in built.items():
         words = _bs_pairs(m, n, x, 45, seed=m * 100 + n)
         merged = _assert_quotient_of(machine, words)
         assert len(merged.states) < len(machine.states)
         assert sum(accepts(merged, w) for w in words) >= 15
+        walk = groups.bs_case_walk(m, n, cases[x], _BS_BOUNDED[x])
+        merged_walk = _assert_quotient_of(walk, words)
+        assert len(merged_walk.states) < len(walk.states)
+        assert sum(accepts(merged_walk, w) for w in words) >= 15
+
+
+@pytest.mark.parametrize("m,n,sizes", [
+    (2, 3, {"a": (174, 373), "t": (205, 460)}),
+    (4, 7, {"a": (538, 1265), "t": (667, 1616)}),
+])
+def test_bs_multipliers_match_the_product_of_the_whole_walk(m, n, sizes):
+    from cga.groups import bs_case_walk, bs_cases, bs_multipliers, bs_nf_machine
+    nf = bs_nf_machine(m, n)
+    conv2 = intersect(pad_lift(nf, "left"), pad_lift(nf, "right"))
+    cases = bs_cases(m, n)
+    built = bs_multipliers(m, n, nf)
+    for x, machine in built.items():
+        reference = quotient(intersect(
+            bs_case_walk(m, n, cases[x], _BS_BOUNDED[x]), conv2))
+        assert (len(machine.states), len(machine.transitions)) == sizes[x]
+        assert (len(reference.states), len(reference.transitions),
+                len(reference.accepts)) == (
+            len(machine.states), len(machine.transitions),
+            len(machine.accepts))
+        words = _bs_pairs(m, n, x, 45, seed=m * 100 + n)
+        for word in words:
+            assert accepts(machine, word) == accepts(reference, word), word
+        assert sum(accepts(machine, w) for w in words) >= 15
 
 
 def test_quotient_keeps_product_multiplier_language():
