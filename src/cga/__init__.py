@@ -24,7 +24,6 @@ from .langops import (
 )
 from .shortlex import (
     OrderedAlphabet,
-    compare,
     geodesic_length,
     geodesic_normal_form,
     successor,

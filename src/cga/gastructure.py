@@ -246,13 +246,14 @@ def _advance(machine, index, configs, top, bottom, stuck=None):
     configs reads the letter (top | bottom), less those that the
     stuck_counters table stuck calls dead.
 
-    With stuck, the machine's own table, the step is kept in the machine's
-    store _cga_steps under (configs, top, bottom) and read back from there,
-    as a lazy DFA keeps the subset transitions it has made; the store grows
-    with the distinct steps the walks reach, not with the number of walks,
-    and is emptied when full (see _step_store).  Without stuck nothing is
-    stored or read: an unpruned set can be far larger, and its step is not
-    the pruned one stored for the same key.
+    With stuck, the machine's own table, which the pair walk always passes,
+    the step is kept in the machine's store _cga_steps under (configs, top,
+    bottom) and read back from there, as a lazy DFA keeps the subset
+    transitions it has made; the store grows with the distinct steps the
+    walks reach, not with the number of walks, and is emptied when full (see
+    _step_store).  Without stuck, as the enumerative search calls it,
+    nothing is stored or read: an unpruned set can be far larger, and its
+    step is not the pruned one stored for the same key.
     """
     if stuck is not None:
         key = (configs, top, bottom)
@@ -384,17 +385,15 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
     A configuration stuck_counters calls dead is dropped.  No configuration
     on an accepting path is dead, and a dead one has only dead successors, so
     the kept configurations, their edges and v are those of the unpruned
-    search.  The table is built once the machine's earlier searches have
-    recorded as many edges as it has transitions: a machine searched only
-    briefly would not repay the build.
+    search.  The table is built once per machine, at its first graph search
+    or pair walk.
 
     With keep, the search shares steps with every other keeping search on
     the machine, in this call or a later one: a level and the next letter of
     u determine the next level.  Each step is kept in the machine's store
     _cga_levels under (level, letter) with its next level, its row and, per
     configuration, only the edge _backtrack picks; the store is emptied when
-    full (see _step_store).  Only pruned searches store or look up steps: an
-    unpruned level can be far larger, and the table's build makes it stale.
+    full (see _step_store).
     """
     u = tuple(u)
     s = len(u)
@@ -403,10 +402,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
     accepts = machine.accepts
     closure = machine.eps_closure
     eps = machine.eps_steps
-    stuck = getattr(machine, "_cga_stuck", None)
-    if stuck is None and getattr(machine, "_cga_edges", 0) >= len(machine.transitions):
-        stuck = stuck_counters(machine)
-    keep = keep and stuck is not None
+    stuck = stuck_counters(machine)
     frozen = hit = None
 
     level, pruned, widest = _start_level(machine, stuck)
@@ -468,7 +464,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
                             if bucket is None:
                                 if key in dead:
                                     continue
-                                if stuck is not None and _dead(stuck, q, c):
+                                if _dead(stuck, q, c):
                                     dead.add(key)
                                     continue
                                 nxt[key] = {edge}
@@ -485,8 +481,6 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
                     stored, nxt, edge_count, dropped, widest)
                 frozen = stored
         pruned += dropped
-        if stuck is None:
-            machine._cga_edges = getattr(machine, "_cga_edges", 0) + edge_count
         if not nxt:
             raise SearchBoundExceeded(machine.name, length_cap, j)
         level = nxt
@@ -497,16 +491,14 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
 
 def _start_level(machine, stuck):
     """(level 0, the configurations pruned from it, its widest counter),
-    made once per machine when its dead table exists: the machine and that
-    table decide it."""
+    made once per machine: the machine and its dead table stuck decide it."""
     first = getattr(machine, "_cga_first", None)
-    if first is None or stuck is None:
+    if first is None:
         start = machine.initial_configs()
         level = frozenset((state, counters, False) for state, counters in start
-                          if stuck is None or not _dead(stuck, state, counters))
-        first = (level, len(start) - len(level), _max_counter(level))
-        if stuck is not None:
-            machine._cga_first = first
+                          if not _dead(stuck, state, counters))
+        first = machine._cga_first = (
+            level, len(start) - len(level), _max_counter(level))
     return first
 
 
@@ -616,14 +608,13 @@ def accepted_candidates(machine: CounterAutomaton, trie):
     as accepts() on every convolution, sharing the configuration set of each
     pair of prefixes.  A word that has ended is read as padding (None) on its
     row; the letter with both rows padded is never read.  Configurations
-    that stuck_counters calls dead are dropped once the machine's table is
-    built (see multiplier_graph_search); they have no accepting future.
-    From then on each step is kept in the machine's bounded store (see
+    that stuck_counters calls dead are dropped; they have no accepting
+    future.  Each step is kept in the machine's bounded store (see
     _advance), so a later walk, of this trie or another, reads the steps it
     repeats unless a flush has emptied the store since.
     """
     index = _pair_index(machine)
-    stuck = getattr(machine, "_cga_stuck", None)
+    stuck = stuck_counters(machine)
     accepting = machine.accepting
     words, root = trie
     accepted = {w: set() for w in words}
@@ -656,7 +647,8 @@ class GraphAutomaticStructure:
     used, so a command pays only for the multipliers its words touch.  A
     generator with neither, and no family factory, gets the row swap of its
     inverse's multiplier, since L_{x-} = {(v, u) : (u, v) in L_x}; one
-    generator of each inverse pair is enough.  A loader with a ``path``
+    generator of each inverse pair is enough.  The swap shares the inverse's
+    dead table if that is built already.  A loader with a ``path``
     attribute names that file when its machine fails a check.
 
     The seed (p, q) gives one known correspondence: q is a normal form for the
@@ -714,8 +706,11 @@ class GraphAutomaticStructure:
         if machine is None and token in self.generators:
             inverse = self._own_multiplier(self.generators.inverse_of(token))
             if inverse is not None:
-                machine = self._multipliers.setdefault(
-                    token, swap_rows(inverse, inverse.name + "-"))
+                machine = swap_rows(inverse, inverse.name + "-")
+                # same states, programs and accepts: the same dead table
+                if hasattr(inverse, "_cga_stuck"):
+                    machine._cga_stuck = inverse._cga_stuck
+                machine = self._multipliers.setdefault(token, machine)
         if machine is None:
             raise StructureError(
                 f"no multiplier available for generator {token!r}")

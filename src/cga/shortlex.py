@@ -61,18 +61,6 @@ def successor(word, alphabet: OrderedAlphabet):
     return (letters[0],) * (len(word) + 1)
 
 
-def compare(u, v, alphabet: OrderedAlphabet) -> int:
-    """-1, 0 or 1 as u is shortlex-less, equal or greater."""
-    u, v = tuple(u), tuple(v)
-    if len(u) != len(v):
-        return -1 if len(u) < len(v) else 1
-    for a, b in zip(u, v):
-        ra, rb = alphabet.rank(a), alphabet.rank(b)
-        if ra != rb:
-            return -1 if ra < rb else 1
-    return 0
-
-
 def iter_shortlex(alphabet: OrderedAlphabet, max_len=None):
     """Yield all words over the alphabet in shortlex order, starting at the
     empty word; stops after length max_len if given."""

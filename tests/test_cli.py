@@ -89,10 +89,10 @@ def test_nf_trace_lines_are_fixed(capsys):
     assert code == 0
     assert out.splitlines() == [
         "at at- # -1 # -1 # # -1",
-        "# step a: levels=6 max|S_j|=14 max|T_j|=14 pruned=0 D=174 E=16 F=9 K=0 k=3",
+        "# step a: levels=6 max|S_j|=4 max|T_j|=4 pruned=4 D=174 E=16 F=9 K=0 k=3",
         "# step t: levels=6 max|S_j|=6 max|T_j|=6 pruned=0 D=205 E=15 F=9 K=0 k=3",
-        "# step a-: levels=7 max|S_j|=14 max|T_j|=14 pruned=0 D=174 E=16 F=9 K=0 k=3",
-        "# step t-: levels=9 max|S_j|=10 max|T_j|=10 pruned=0 D=205 E=15 F=9 K=0 k=3",
+        "# step a-: levels=7 max|S_j|=4 max|T_j|=4 pruned=4 D=174 E=16 F=9 K=0 k=3",
+        "# step t-: levels=9 max|S_j|=8 max|T_j|=8 pruned=3 D=205 E=15 F=9 K=0 k=3",
     ]
     code, out = run(capsys, "nf", "--group", "bs:2,3", "a t a- t-")
     assert code == 0 and out == "at at- # -1 # -1 # # -1\n"
@@ -104,14 +104,14 @@ def test_nf_trace_porcelain_prints_step_records(capsys):
     assert code == 0
     assert out.splitlines() == [
         "normal-form at # # # #",
-        "step a levels 6 max_s 14 max_t 14 pruned 0 D 174 E 16 F 9 K 0 k 3",
+        "step a levels 6 max_s 4 max_t 4 pruned 4 D 174 E 16 F 9 K 0 k 3",
         "level 0 S 1 T 0 c 0 bound 348",
         "level 1 S 4 T 4 c 1 bound 2386932",
         "level 2 S 2 T 2 c 1 bound 17627244",
-        "level 3 S 2 T 2 c 1 bound 57898500",
-        "level 4 S 4 T 4 c 3 bound 135377916",
-        "level 5 S 8 T 8 c 5 bound 262242708",
-        "level 6 S 14 T 14 c 7 bound 450670092",
+        "level 3 S 1 T 1 c 1 bound 57898500",
+        "level 4 S 1 T 1 c 1 bound 135377916",
+        "level 5 S 2 T 2 c 1 bound 262242708",
+        "level 6 S 1 T 1 c 0 bound 450670092",
         "step t levels 6 max_s 6 max_t 6 pruned 0 D 205 E 15 F 9 K 0 k 3",
         "level 0 S 1 T 0 c 0 bound 410",
         "level 1 S 6 T 6 c 1 bound 2812190",

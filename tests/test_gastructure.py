@@ -379,47 +379,50 @@ def test_dead_configurations_are_never_accepted(machine):
                 assert not accepted_within(machine, (state, counters), 4)
 
 
+def all_live(machine):
+    """A stuck_counters table that calls no configuration dead."""
+    return {q: ((), ()) for q in machine.states}
+
+
 @pytest.mark.parametrize("expr, max_len", [
     ("bs:2,3", 10), ("bs:4,7", 8), ("regen(bs:2,3; a=a; t=t; u=a a)", 4),
     ("product(bs:2,3,z)", 8), ("free(bs:2,3,z)", 8), ("finf:3", 8)])
 def test_pruned_and_unpruned_searches_agree(expr, max_len, monkeypatch):
     import cga.gastructure
     rng = random.Random(expr)
-    warmed = structure_from_expr(expr)
-    tokens = warmed.generators.tokens()
+    pruned = structure_from_expr(expr)
+    tokens = pruned.generators.tokens()
     words = [tuple(rng.choice(tokens) for _ in range(rng.randint(1, max_len)))
              for _ in range(8)]
-    for x in tokens:
-        stuck_counters(warmed.multiplier(x))
-    runs = [warmed.normal_form(w, with_trace=True) for w in words]
+    runs = [pruned.normal_form(w, with_trace=True) for w in words]
     assert sum(step.pruned for _, trace in runs for step in trace.steps) > 0
-    # a fresh structure whose searches never get a table
-    monkeypatch.setattr(cga.gastructure, "stuck_counters", lambda machine: None)
-    fresh = structure_from_expr(expr)
-    assert [fresh.normal_form(w) for w in words] == [nf for nf, _ in runs]
+    # a fresh structure whose tables call nothing dead
+    monkeypatch.setattr(cga.gastructure, "stuck_counters", all_live)
+    unpruned = structure_from_expr(expr)
+    runs_unpruned = [unpruned.normal_form(w, with_trace=True) for w in words]
+    assert [nf for nf, _ in runs_unpruned] == [nf for nf, _ in runs]
+    assert not any(step.pruned for _, trace in runs_unpruned for step in trace.steps)
 
 
 def test_start_level_is_pruned_once_the_table_exists():
-    # the start's epsilon closure holds a dead configuration: the search
-    # made before the table keeps it, every search after drops it
+    # the start's epsilon closure holds a dead configuration: the first
+    # search builds the table and drops it, and so does every search after
     machine = CounterAutomaton(
         "start", ("(x|x)",), 1, ["s0", "s1", "trap"], "s0", ["s1"],
         [("s0", EPSILON, (), "trap"), ("s0", "(x|x)", (), "s1"),
          ("trap", "(x|x)", (), "trap")])
-    v, rows, pruned = multiplier_graph_search(machine, ("x",), 1)
-    assert (v, rows[0], pruned) == (("x",), (0, 2, 0, 0), 0)
-    stuck_counters(machine)
     for _ in range(2):
         v, rows, pruned = multiplier_graph_search(machine, ("x",), 1)
         assert (v, rows[0], pruned) == (("x",), (0, 1, 0, 0), 1)
+        assert hasattr(machine, "_cga_stuck")
 
 
-def test_table_waits_until_searches_would_repay_it():
+def test_a_fresh_structures_first_step_is_pruned():
     bs23 = bs_structure(2, 3)
+    assert not hasattr(bs23.multiplier("a"), "_cga_stuck")
     _, trace = bs23.normal_form(("a",) * 16, with_trace=True)
-    pruned = [step.pruned for step in trace.steps]
-    assert pruned[0] == 0  # a fresh machine is searched unpruned
-    assert pruned[-1] > 0
+    assert trace.steps[0].pruned > 0  # its first search builds the table
+    assert trace.steps[-1].pruned > 0
 
 
 def test_pruning_shrinks_a64():
@@ -436,7 +439,7 @@ def test_concurrent_searches_agree_while_tables_are_built():
     words = [toks("a t a- t-"), ("a",) * 12, toks("t t a t- a"),
              toks("a- t a a t-"), ("t-",) * 3 + ("a",) * 5] * 3
     expected = [bs_structure(2, 3).normal_form(w) for w in words]
-    shared = bs_structure(2, 3)  # its tables appear while the threads search
+    shared = bs_structure(2, 3)  # the racing first searches build its tables
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -451,7 +454,6 @@ def test_concurrent_searches_agree_while_tables_are_built():
 
 def test_search_of_dead_configurations_stops_early():
     machine = bs_structure(2, 3).multiplier("a")
-    stuck_counters(machine)
     u = toks("# 1 # # #")  # not in L, but its configurations live on unpruned
     with pytest.raises(SearchBoundExceeded) as info:
         multiplier_graph_search(machine, u, 9)
@@ -486,10 +488,15 @@ def swept_stuck_table(machine):
             for q, (up, down) in reach.items()}
 
 
-@pytest.mark.parametrize("expr", [
-    "bs:2,3", "bs:4,7", "finf:3", "regen(bs:2,3; a=a; t=t; u=a a)"])
+@pytest.mark.parametrize("expr", ["bs:2,3", "bs:4,7", "finf:3", REGEN_AA])
 def test_stuck_table_equals_the_swept_fixpoint(expr):
     structure = structure_from_expr(expr)
+    if expr == REGEN_AA:
+        # u's first search builds its table before u- is made: the row
+        # swap takes that table, which the loop checks against u-'s sweep
+        structure.step_normal_form(structure.mu, "u")
+        assert "u-" not in structure._multipliers
+        assert structure.multiplier("u-")._cga_stuck is structure.multiplier("u")._cga_stuck
     for x in structure.generators.tokens():
         machine = structure.multiplier(x)
         assert stuck_counters(machine) == swept_stuck_table(machine), x
@@ -499,8 +506,7 @@ def test_stuck_table_equals_the_swept_fixpoint(expr):
     ("bs:2,3", 3), ("regen(bs:2,3; a=a; t=t; u=a a)", 2)])
 def test_a_shared_level_table_keeps_every_search(expr, radius):
     # two fresh structures take the same searches in the same order, the
-    # second keeping its steps on its machines: their dead tables appear
-    # partway through, and must appear at the same search on both
+    # second keeping its steps on its machines
     plain, shared = structure_from_expr(expr), structure_from_expr(expr)
     tokens = plain.generators.tokens()
     ball, frontier = {plain.mu}, [plain.mu]
@@ -519,10 +525,8 @@ def test_a_shared_level_table_keeps_every_search(expr, radius):
     machines = [(plain.multiplier(x), shared.multiplier(x)) for x in tokens]
     assert any(getattr(n, "_cga_levels", None) for _, n in machines)  # kept steps
     assert not any(hasattr(m, "_cga_levels") for m, _ in machines)
-    assert any(hasattr(m, "_cga_stuck") for m, _ in machines)
-    for m, n in machines:
-        assert hasattr(m, "_cga_stuck") == hasattr(n, "_cga_stuck")
-        assert getattr(m, "_cga_edges", 0) == getattr(n, "_cga_edges", 0)
+    assert all(hasattr(m, "_cga_stuck") and hasattr(n, "_cga_stuck")
+               for m, n in machines)
 
 
 # -- verify ---------------------------------------------------------------------------
@@ -649,8 +653,7 @@ def test_accepted_candidates_agrees_with_direct_accepts(bs23, finf3, product_zz)
             for u in candidates:
                 for v in candidates:
                     assert (v in accepted[u]) == machine.accepts_word(convolve(u, v))
-            stuck_counters(machine)  # from here the walk prunes dead configurations
-            assert accepted_candidates(machine, trie) == accepted
+            assert accepted_candidates(machine, trie) == accepted  # kept steps
 
 
 def test_verify_walks_the_trie_once_per_generator(product_zz, monkeypatch):
@@ -669,23 +672,42 @@ def test_verify_walks_the_trie_once_per_generator(product_zz, monkeypatch):
     assert len(calls) == len(product_zz.generators.tokens()) == 4  # not 85 x 4 = 340
 
 
+@pytest.mark.parametrize("expr, radius", [("finf:3", 2), ("product(z,z)", 3)])
+def test_a_fresh_verify_prunes_and_keeps_every_pair_walk(expr, radius):
+    # these machines are searched too little to have repaid a table by the
+    # pair walk, which must still prune and keep its steps on each of them
+    from cga.groups import oracle_from_expr
+    structure = structure_from_expr(expr)
+    assert verify(structure, radius, oracle_from_expr(expr)).ok
+    for x in structure.generators.tokens():
+        machine = structure.multiplier(x)
+        assert hasattr(machine, "_cga_stuck") and machine._cga_steps, x
+
+
 @pytest.mark.parametrize("expr, tokens", [
     ("bs:2,3", ("t",)), ("bs:4,7", ("t",)), ("finf:3", None),
     ("product(z,z)", None), (REGEN_AA, ("u",))])
-def test_kept_steps_leave_accepted_candidates_unchanged(expr, tokens):
-    # the reference walks a fresh machine with no dead table, storing nothing;
-    # then the same machine walks with its table built, first filling the
-    # kept steps, then reading them, also for a smaller trie
+def test_kept_steps_leave_accepted_candidates_unchanged(expr, tokens,
+                                                       monkeypatch):
+    # the reference walks the machines of a structure whose tables call
+    # nothing dead; a fresh machine's first walk builds its own table and
+    # fills the kept steps, the later walks read them, also for a smaller trie
+    import cga.gastructure
     ball = ball_normal_forms(structure_from_expr(expr), 2)
     trie, small = candidate_trie(ball), candidate_trie(ball[::3])
+    with monkeypatch.context() as patch:
+        patch.setattr(cga.gastructure, "stuck_counters", all_live)
+        unpruned = structure_from_expr(expr)
+        tokens = tokens or unpruned.generators.tokens()
+        wants = [(accepted_candidates(unpruned.multiplier(x), trie),
+                  accepted_candidates(unpruned.multiplier(x), small))
+                 for x in tokens]
     plain = structure_from_expr(expr)
-    for x in tokens or plain.generators.tokens():
+    for x, (want, want_small) in zip(tokens, wants):
         machine = plain.multiplier(x)
-        want = accepted_candidates(machine, trie)
-        want_small = accepted_candidates(machine, small)
-        assert not hasattr(machine, "_cga_stuck") and not hasattr(machine, "_cga_steps")
-        stuck_counters(machine)
+        assert not hasattr(machine, "_cga_steps")
         assert accepted_candidates(machine, trie) == want, x
+        assert hasattr(machine, "_cga_stuck")
         kept = len(machine._cga_steps)
         assert kept
         assert accepted_candidates(machine, trie) == want, x
@@ -725,12 +747,8 @@ def test_verify_on_one_structure_matches_fresh_structures(expr):
     for radius in range(1, 5):
         assert verify(reused, radius, oracle) == verify(fresh(), radius, oracle)
     machines = [reused.multiplier(x) for x in reused.generators.tokens()]
-    assert any(getattr(m, "_cga_steps", None) for m in machines)
-    # the level steps outlive the calls: once every machine has its dead
-    # table, a call fills the stores and repeating it adds no entry
-    for machine in machines:
-        stuck_counters(machine)
-    assert verify(reused, 4, oracle) == verify(fresh(), 4, oracle)
+    assert all(getattr(m, "_cga_steps", None) for m in machines)
+    # the level steps outlive the calls: repeating a call adds no entry
     kept = [len(machine._cga_levels) for machine in machines]
     assert all(kept)
     assert verify(reused, 4, oracle) == verify(fresh(), 4, oracle)
@@ -744,10 +762,9 @@ FLUSHED = [("bs:2,3", 3), ("finf:3", 2), (REGEN_AA, 2)]
 @pytest.mark.parametrize("expr, radius", FLUSHED)
 def test_flushed_step_stores_leave_verify_unchanged(expr, radius, budget,
                                                     monkeypatch):
-    # with every dead table built, each search and pair walk keeps its
-    # steps, and a budget of one or two entries empties both stores partway
-    # through searches and walks; the reports must be those of fresh
-    # structures with the full budget
+    # each search and pair walk keeps its steps, and a budget of one or two
+    # entries empties both stores partway through searches and walks; the
+    # reports must be those of fresh structures with the full budget
     import cga.gastructure
     from cga.groups import oracle_from_expr
     oracle = oracle_from_expr(expr)
@@ -755,8 +772,6 @@ def test_flushed_step_stores_leave_verify_unchanged(expr, radius, budget,
     monkeypatch.setattr(cga.gastructure, "STEP_BUDGET", budget)
     structure = structure_from_expr(expr)
     machines = [structure.multiplier(x) for x in structure.generators.tokens()]
-    for machine in machines:
-        stuck_counters(machine)
     assert verify(structure, radius, oracle) == want
     assert verify(structure, radius, oracle) == want
     for machine in machines:
@@ -774,8 +789,6 @@ def test_concurrent_verifies_agree_while_stores_flush(monkeypatch):
     want = verify(bs_structure(2, 3), 3, oracle_from_expr("bs:2,3"))
     monkeypatch.setattr(cga.gastructure, "STEP_BUDGET", 2)
     shared = bs_structure(2, 3)
-    for x in shared.generators.tokens():
-        stuck_counters(shared.multiplier(x))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -796,13 +809,10 @@ def test_flushed_step_stores_leave_accepted_candidates_unchanged(
     trie = candidate_trie(ball_normal_forms(structure_from_expr(expr), 2))
     kept, flushed = structure_from_expr(expr), structure_from_expr(expr)
     for x in kept.generators.tokens():
-        machine = kept.multiplier(x)
-        stuck_counters(machine)
-        want = accepted_candidates(machine, trie)
+        want = accepted_candidates(kept.multiplier(x), trie)
         with monkeypatch.context() as patch:
             patch.setattr(cga.gastructure, "STEP_BUDGET", budget)
             machine = flushed.multiplier(x)
-            stuck_counters(machine)
             assert accepted_candidates(machine, trie) == want, x
             assert accepted_candidates(machine, trie) == want, x
             assert len(machine._cga_steps) <= budget

@@ -9,7 +9,6 @@ from cga.shortlex import (
     OrderedAlphabet,
     SearchCapExceeded,
     ShortlexError,
-    compare,
     geodesic_length,
     geodesic_normal_form,
     iter_shortlex,
@@ -24,13 +23,6 @@ def test_successor_examples():
     assert successor(("b", "b"), AB) == ("a", "a", "a")
     assert successor(("a", "b"), AB) == ("b", "a")
     assert successor((), AB) == ("a",)
-
-
-def test_compare_examples():
-    assert compare(("b",), ("a", "a"), AB) == -1
-    assert compare(("a", "b"), ("b", "a"), AB) == -1
-    assert compare(("a", "b"), ("a", "b"), AB) == 0
-    assert compare(("b", "a"), ("a", "b"), AB) == 1
 
 
 def test_ordered_alphabet_rejects_duplicates_and_unknowns():
@@ -49,8 +41,6 @@ def test_successor_enumerates_shortlex_order():
     exhaustive.sort(key=lambda w: (len(w), tuple(AB.rank(c) for c in w)))
     got = list(itertools.islice(iter_shortlex(AB), 500))
     assert got == exhaustive[:500]
-    for earlier, later in zip(got, got[1:]):
-        assert compare(earlier, later, AB) == -1
     assert len(set(got)) == 500
 
 
