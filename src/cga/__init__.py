@@ -11,7 +11,6 @@ from .automata import (
     validate,
 )
 from .langops import (
-    ConvolvedAlphabet,
     LetterHomomorphism,
     convolve,
     image,

@@ -95,8 +95,8 @@ def delta_program(k: int, index: int, delta: int) -> Program:
     return (tuple(step),)
 
 
-def pad_program(prog: Program, old_k: int, new_k: int, offset: int = 0) -> Program:
-    """Re-home a program for ``old_k`` counters into a ``new_k``-counter vector."""
+def pad_program(prog: Program, new_k: int, offset: int = 0) -> Program:
+    """Re-home a program's counters into ``new_k`` from index ``offset``."""
     out = []
     for step in prog:
         padded = [NO_OP] * new_k
@@ -193,7 +193,8 @@ class ValidationReport:
 
 
 class CounterAutomaton:
-    """Immutable k-counter automaton.  All operations are pure."""
+    """Immutable k-counter automaton.  All operations are pure.  The blind
+    argument is a parsed file's claim; validate checks it against ``blind``."""
 
     def __init__(self, name, alphabet, counters, states, start, accepts,
                  transitions, blind=False):
@@ -216,6 +217,12 @@ class CounterAutomaton:
         self._degree = None
 
     # -- derived tables ----------------------------------------------------
+
+    @cached_property
+    def blind(self) -> bool:
+        """Whether no transition tests or resets a counter."""
+        programs = {id(t.program): t.program for t in self.transitions}
+        return not any(map(program_reads_counters, programs.values()))
 
     @property
     def by_state_letter(self):
@@ -408,9 +415,8 @@ def validate(m: CounterAutomaton) -> ValidationReport:
                     f"program step arity {len(step)} != counters {m.counters}"
                 )
 
-    blind = not any(program_reads_counters(t.program) for t in m.transitions)
-    report.blind = blind
-    if m.declared_blind and not blind:
+    report.blind = m.blind
+    if m.declared_blind and not m.blind:
         report.errors.append("blind flag contradicted by a read/reset instruction")
 
     bound = m.epsilon_bound()

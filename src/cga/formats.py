@@ -14,7 +14,9 @@ tokens whitespace-separated::
 
 Programs are semicolon-separated steps, each a comma-separated k-vector over
 ``+c -c =0 !0 Z .``; the empty program is ``-`` (or all-noop steps).  Parsing
-is bit-exact: unknown tokens are errors.
+is bit-exact: unknown tokens are errors.  A written ``blind`` line is computed
+from the transitions (no ``=0``, ``!0`` or ``Z``); a parsed ``blind true`` is
+a claim that ``validate`` checks.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def parse_program(text, counters, lineno=None, path=None):
     return tuple(steps)
 
 
-def format_program(program, counters):
+def format_program(program):
     if not program:
         return "-"
     parts = []
@@ -209,7 +211,7 @@ def format_automaton(machine: CounterAutomaton) -> str:
     for chunk in _chunks(machine.alphabet, 16):
         lines.append("alphabet " + " ".join(chunk))
     lines.append(f"counters {machine.counters}")
-    lines.append(f"blind {'true' if machine.declared_blind else 'false'}")
+    lines.append(f"blind {'true' if machine.blind else 'false'}")
     for chunk in _chunks(machine.states, 16):
         lines.append("states " + " ".join(chunk))
     lines.append(f"start {machine.start}")
@@ -218,8 +220,7 @@ def format_automaton(machine: CounterAutomaton) -> str:
     for t in machine.transitions:
         label = "EPS" if t.label is EPSILON else t.label
         lines.append(
-            f"trans {t.src} {label} {format_program(t.program, machine.counters)} "
-            f"{t.dst}")
+            f"trans {t.src} {label} {format_program(t.program)} {t.dst}")
     return "\n".join(lines) + "\n"
 
 
@@ -319,13 +320,13 @@ def load_structure(directory) -> GraphAutomaticStructure:
         elif directive == "generators":
             pairs, family = parse_generators_line(args, lineno, path)
         elif directive == "nf":
-            nf = load_automaton(os.path.join(directory, args[0]))
+            nf = _machine_loader(os.path.join(directory, args[0]))()
         elif directive == "mult":
             mult_path = os.path.join(directory, args[1])
             if not os.path.isfile(mult_path):
                 raise ParseError(f"no multiplier file {mult_path}", lineno,
                                  path=path)
-            multipliers[args[0]] = _multiplier_loader(mult_path)
+            multipliers[args[0]] = _machine_loader(mult_path)
         elif directive == "lmult":
             pass  # left multipliers are not used; the file is not read
         elif directive == "seed-p":
@@ -346,27 +347,34 @@ def load_structure(directory) -> GraphAutomaticStructure:
 
     if name is None or symbols is None or nf is None:
         raise ParseError("manifest must give structure, lambda and nf", path=path)
-    generators = GeneratorSet.from_pairs(pairs, family)
     try:
         return GraphAutomaticStructure(
-            name, symbols, generators, nf, multipliers, seed_p=seed_p,
-            seed_q=seed_q, quasigeodesic_c=quasi, growth=growth, order=order)
+            name, symbols, GeneratorSet(pairs, family), nf, multipliers,
+            seed_p=seed_p, seed_q=seed_q, quasigeodesic_c=quasi, growth=growth,
+            order=order)
     except (AutomatonError, ShortlexError, StructureError) as exc:
         # tokens outside an alphabet, repeated order letters, seed words
-        # outside L, multipliers of unknown generators
+        # outside L, multipliers of unknown generators, symbols that L does
+        # not read or that no pair letter can hold
         raise ParseError(str(exc), path=path)
 
 
-def _multiplier_loader(path):
-    """Reads a multiplier file when the structure first needs it; a file
-    that cannot be read is a ParseError naming it, and the loader's ``path``
-    lets the structure name it too."""
+def _machine_loader(path):
+    """Reads a structure's machine file when called, as a multiplier's is
+    when the structure first needs it; a file that cannot be read, or whose
+    machine has an epsilon cycle (not quasi-realtime, so an epsilon closure
+    need not end), is a ParseError naming it, and the loader's ``path`` lets
+    the structure name it too."""
 
     def load():
         try:
-            return load_automaton(path)
+            machine = load_automaton(path)
         except OSError as exc:
             raise ParseError(exc.strerror or str(exc), path=path) from exc
+        if machine.epsilon_bound() is None:
+            raise ParseError("epsilon cycle: the machine is not quasi-realtime",
+                             path=path)
+        return machine
 
     load.path = path
     return load

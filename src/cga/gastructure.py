@@ -27,7 +27,13 @@ from .automata import (
     CounterAutomaton,
     counter_growth_bound,
 )
-from .langops import pair_alphabet, parse_tuple_token, swap_rows
+from .langops import (
+    LangOpError,
+    pair_letters,
+    parse_tuple_token,
+    swap_rows,
+    tuple_token,
+)
 from .shortlex import OrderedAlphabet
 
 
@@ -49,13 +55,6 @@ class SearchBoundExceeded(StructureError):
 
 # ---------------------------------------------------------------------------
 # generators
-
-
-@dataclass(frozen=True)
-class GeneratorInfo:
-    token: str
-    inverse: str
-    self_inverse: bool = False
 
 
 @dataclass
@@ -89,43 +88,23 @@ class FamilySpec:
 
 
 class GeneratorSet:
-    """Symmetric generating set: fixed tokens with a total inverse involution,
-    plus at most one parameterized family."""
+    """Symmetric generating set: fixed (token, inverse) pairs, a pair (a, a)
+    making a its own inverse, plus at most one parameterized family."""
 
-    def __init__(self, entries, family: Optional[FamilySpec] = None):
-        self.entries = tuple(entries)
+    def __init__(self, pairs, family: Optional[FamilySpec] = None):
         self.family = family
-        self._by_token = {}
+        self._inverses = {}  # fixed token -> inverse, in pair order
         self._family_inverses = {}  # family token -> inverse, parsed once
-        for info in self.entries:
-            self._by_token[info.token] = info
-            if info.self_inverse:
-                if info.inverse != info.token:
-                    raise StructureError(f"{info.token} marked self-inverse but paired")
-            else:
-                if info.inverse == info.token:
-                    raise StructureError(f"{info.token} needs self_inverse marking")
-                self._by_token.setdefault(
-                    info.inverse, GeneratorInfo(info.inverse, info.token))
-
-    @classmethod
-    def from_pairs(cls, pairs, family=None):
-        """pairs: iterable of (token, inverse_token)."""
-        entries = []
         for tok, inv in pairs:
-            entries.append(GeneratorInfo(tok, inv, self_inverse=(tok == inv)))
-        return cls(entries, family)
+            self._inverses[tok] = inv
+            self._inverses.setdefault(inv, tok)
 
     def __contains__(self, token):
-        if token in self._by_token:
-            return True
-        return self.family is not None and self.family.parse(token) is not None
+        return token in self._inverses or (
+            self.family is not None and self.family.parse(token) is not None)
 
     def inverse_of(self, token):
-        info = self._by_token.get(token)
-        if info is not None:
-            return info.inverse
-        inverse = self._family_inverses.get(token)
+        inverse = self._inverses.get(token) or self._family_inverses.get(token)
         if inverse is None and self.family is not None:
             parsed = self.family.parse(token)
             if parsed is not None:
@@ -138,8 +117,7 @@ class GeneratorSet:
 
     def tokens(self):
         """All concrete generator tokens; family tokens only up to max_index."""
-        out = list(dict.fromkeys(
-            tok for info in self.entries for tok in (info.token, info.inverse)))
+        out = list(self._inverses)
         if self.family is not None:
             if self.family.max_index is None:
                 raise StructureError(
@@ -647,9 +625,12 @@ class GraphAutomaticStructure:
     used, so a command pays only for the multipliers its words touch.  A
     generator with neither, and no family factory, gets the row swap of its
     inverse's multiplier, since L_{x-} = {(v, u) : (u, v) in L_x}; one
-    generator of each inverse pair is enough.  The swap shares the inverse's
-    dead table if that is built already.  A loader with a ``path``
-    attribute names that file when its machine fails a check.
+    generator of each inverse pair is enough.  The swap and its inverse share
+    one dead table, built at the first search of either.  A loader with a
+    ``path`` attribute names that file when its machine fails a check.
+
+    Every symbol must be read by the normal-form machine and must survive as
+    a row of a pair letter, ``tuple_token`` then ``parse_tuple_token``.
 
     The seed (p, q) gives one known correspondence: q is a normal form for the
     element spelled by the generator word p.  The identity's normal form is
@@ -687,15 +668,26 @@ class GraphAutomaticStructure:
         for tok in [*self._multipliers, *self._loaders]:
             if tok not in self.generators:
                 raise StructureError(f"multiplier for unknown generator {tok!r}")
+        for symbol in self.symbols:
+            try:
+                row = parse_tuple_token(tuple_token((symbol, symbol)))
+            except LangOpError:
+                row = None
+            if row != (symbol, symbol):
+                raise StructureError(
+                    f"symbol {symbol!r} cannot be a row of a pair letter")
+            if symbol not in self.nf_automaton.alphabet_set:
+                raise StructureError(
+                    f"the normal form machine does not read symbol {symbol!r}")
+        self._pair_letters = frozenset(pair_letters(self.symbols))
         for tok, machine in self._multipliers.items():
             self._check_letters(tok, machine)
         if not self.nf_automaton.accepts_word(self.seed_q):
             raise StructureError("seed word q is not in the normal form language")
 
     def _check_letters(self, token, machine, path=None):
-        pairs = pair_alphabet(self.symbols)
         for letter in machine.alphabet:
-            if letter not in pairs:
+            if letter not in self._pair_letters:
                 raise StructureError(
                     (f"{path}: " if path else "") +
                     f"multiplier {token!r} uses letter {letter!r} outside the "
@@ -706,14 +698,18 @@ class GraphAutomaticStructure:
         if machine is None and token in self.generators:
             inverse = self._own_multiplier(self.generators.inverse_of(token))
             if inverse is not None:
-                machine = swap_rows(inverse, inverse.name + "-")
-                # same states, programs and accepts: the same dead table
-                if hasattr(inverse, "_cga_stuck"):
-                    machine._cga_stuck = inverse._cga_stuck
-                machine = self._multipliers.setdefault(token, machine)
+                machine = self._multipliers.setdefault(
+                    token, swap_rows(inverse, inverse.name + "-"))
+                machine._cga_twin, inverse._cga_twin = inverse, machine
         if machine is None:
             raise StructureError(
                 f"no multiplier available for generator {token!r}")
+        if not hasattr(machine, "_cga_stuck"):
+            # a row swap has its inverse's states, programs and accepts, so
+            # the dead table built for either one serves both
+            twin = getattr(machine, "_cga_twin", None)
+            if hasattr(twin, "_cga_stuck"):
+                machine._cga_stuck = twin._cga_stuck
         return machine
 
     def _own_multiplier(self, token):

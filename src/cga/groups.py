@@ -23,7 +23,6 @@ from .automata import (
     TESTN0,
     CounterAutomaton,
     delta_program,
-    program_reads_counters,
 )
 from .langops import (
     LangOpError,
@@ -34,7 +33,7 @@ from .langops import (
     intersect,
     pad_lift,
     padded_arrows,
-    pair_alphabet,
+    pair_letters,
     parse_tuple_token,
     program_joiner,
     quotient,
@@ -203,7 +202,7 @@ class BSOracle(GroupOracle):
     def __init__(self, m, n):
         if not 2 <= m < n:
             raise StructureError("BS oracle needs 2 <= m < n")
-        super().__init__(GeneratorSet.from_pairs([("a", "a-"), ("t", "t-")]))
+        super().__init__(GeneratorSet([("a", "a-"), ("t", "t-")]))
         self.m, self.n = m, n
         self.name = f"bs:{m},{n}"
 
@@ -304,8 +303,7 @@ def bs_l1_machine(m, n) -> CounterAutomaton:
     states = ["S", "r", "r0", "s0", "q0",
               "r+", "p+", "s+", "q+", "r-", "p-", "s-", "q-"]
     return CounterAutomaton(
-        f"bs{m}_{n}_L1", symbols, 1, states, "S", ["q+", "q0", "q-"], t,
-        blind=True)
+        f"bs{m}_{n}_L1", symbols, 1, states, "S", ["q+", "q0", "q-"], t)
 
 
 def bs_l2_machine(m, n) -> CounterAutomaton:
@@ -361,8 +359,7 @@ def bs_l2_machine(m, n) -> CounterAutomaton:
 
     accepts = [f"Q|{sg}" for sg in ("u", "+", "-")]
     return CounterAutomaton(
-        f"bs{m}_{n}_L2", symbols, 0, states, "P0", accepts, t,
-        blind=True)
+        f"bs{m}_{n}_L2", symbols, 0, states, "P0", accepts, t)
 
 
 def bs_nf_machine(m, n) -> CounterAutomaton:
@@ -487,9 +484,8 @@ def bs_case_walk(m, n, cases, bounded):
         _, _, row_a, row_b, _, token = cases[key[0]]
         return done(row_a, key[1], token) and done(row_b, key[2], token)
 
-    return explore(f"bs{m}_{n}_cases",
-                   tuple(pair_alphabet(bs_symbols(m, n)).letters()),
-                   1, ("pre", None), expand, accepting, blind=True)
+    return explore(f"bs{m}_{n}_cases", pair_letters(bs_symbols(m, n)),
+                   1, ("pre", None), expand, accepting)
 
 
 def bs_multipliers(m, n, nf: CounterAutomaton):
@@ -520,7 +516,7 @@ def bs_structure(m, n, seed_p=None, seed_q=None,
     multipliers = bs_multipliers(m, n, nf)
     alpha = -(-n // m) + 1
     return GraphAutomaticStructure(
-        f"bs:{m},{n}", symbols, GeneratorSet.from_pairs([("a", "a-"), ("t", "t-")]),
+        f"bs:{m},{n}", symbols, GeneratorSet([("a", "a-"), ("t", "t-")]),
         nf, multipliers,
         seed_p=seed_p or (),
         seed_q=("#", "#", "#", "#") if seed_q is None else seed_q,
@@ -572,7 +568,7 @@ def finf_fig_machine(start: str) -> CounterAutomaton:
     return CounterAutomaton(
         f"finf_{start}", symbols, 1,
         ["s2", "s3", "a", "b", "c", "d", "e", "r", "t", "x", "y", "z", "S"],
-        start, ["s2", "s3", "a", "b", "r", "t"], t, blind=False)
+        start, ["s2", "s3", "a", "b", "r", "t"], t)
 
 
 def finf_nf_machine() -> CounterAutomaton:
@@ -585,7 +581,7 @@ def finf_structure(max_index=None) -> GraphAutomaticStructure:
     The factory builds x_i's multiplier when x_i or x_i- is first used."""
     symbols = ("p", "n", "1")
     nf = finf_nf_machine()
-    pairs = tuple(pair_alphabet(symbols).letters())
+    pairs = pair_letters(symbols)
     lifted_right = pad_lift(nf, "right")  # second row constrained to L
     lifted_left = pad_lift(nf, "left")
 
@@ -595,8 +591,7 @@ def finf_structure(max_index=None) -> GraphAutomaticStructure:
         states = ["d"] + [f"c{j}" for j in range(len(chain))]
         t += [(src, tuple_token(letter), EMPTY_PROGRAM, dst)
               for src, letter, dst in zip(states, chain, states[1:])]
-        return CounterAutomaton(name, pairs, 0, states, "d", [states[-1]], t,
-                                blind=True)
+        return CounterAutomaton(name, pairs, 0, states, "d", [states[-1]], t)
 
     def factory(i):
         append = diag_then(f"finf_x{i}+", [(None, "p")] + [(None, "1")] * i)
@@ -625,7 +620,7 @@ def z_structure() -> GraphAutomaticStructure:
         ("z0", "a-", EMPTY_PROGRAM, "zn"), ("zn", "a-", EMPTY_PROGRAM, "zn"),
     ]
     nf = CounterAutomaton("z_L", symbols, 0, ["z0", "zp", "zn"], "z0",
-                          ["z0", "zp", "zn"], t, blind=True)
+                          ["z0", "zp", "zn"], t)
     # (a|a)* (_|a) or (a-|a-)* (a-|_)
     up, grow = tuple_token(("a", "a")), tuple_token((None, "a"))
     down, shrink = tuple_token(("a-", "a-")), tuple_token(("a-", None))
@@ -636,11 +631,11 @@ def z_structure() -> GraphAutomaticStructure:
         ("m0", shrink, EMPTY_PROGRAM, "shrunk"),
         ("mn", shrink, EMPTY_PROGRAM, "shrunk"),
     ]
-    la = CounterAutomaton("z_La", tuple(pair_alphabet(symbols).letters()), 0,
+    la = CounterAutomaton("z_La", pair_letters(symbols), 0,
                           ["m0", "mp", "mn", "grown", "shrunk"], "m0",
-                          ["grown", "shrunk"], t, blind=True)
+                          ["grown", "shrunk"], t)
     return GraphAutomaticStructure(
-        "z", symbols, GeneratorSet.from_pairs([("a", "a-")]), nf,
+        "z", symbols, GeneratorSet([("a", "a-")]), nf,
         {"a": la},
         seed_p=(), seed_q=(), quasigeodesic_c=1, growth=GrowthPolicy(1, 1),
         order=symbols)
@@ -693,7 +688,7 @@ def _tagged_parts(structure: GraphAutomaticStructure, tag):
         machine = structure.multiplier(tok)
         multipliers[_tag_token(tag, tok)] = relabel(
             machine, retag, name=f"{tag}{machine.name}",
-            alphabet=tuple(pair_alphabet(symbols).letters()))
+            alphabet=pair_letters(symbols))
     pairs = [(_tag_token(tag, a), _tag_token(tag, b)) for a, b in pairs]
     mu = tuple(_tag_token(tag, s) for s in structure.mu)
     return symbols, nf, multipliers, pairs, mu
@@ -762,8 +757,7 @@ def _product_multiplier(mult, other, side, alphabet, name):
     start = (mult.start, other.start, False, False, False)
     return explore(
         name, alphabet, total, start, expand,
-        lambda key: key[0] in mult.accepts and key[1] in other.accepts,
-        mult.declared_blind and other.declared_blind)
+        lambda key: key[0] in mult.accepts and key[1] in other.accepts)
 
 
 def direct_product(sg: GraphAutomaticStructure,
@@ -790,7 +784,7 @@ def direct_product(sg: GraphAutomaticStructure,
         pad_lift(nf_h, "right", free_alphabet=lam_g),
         name=f"({sg.name}x{sh.name})_L")
 
-    outer = tuple(pair_alphabet(symbols).letters())
+    outer = pair_letters(symbols)
     multipliers = {}
     for side, mults, other in ((0, mult_g, nf_h), (1, mult_h, nf_g)):
         for tok, machine in mults.items():
@@ -807,7 +801,7 @@ def direct_product(sg: GraphAutomaticStructure,
                sh.step_beta(sh.generators.tokens()))
     return GraphAutomaticStructure(
         f"product({sg.name},{sh.name})", symbols,
-        GeneratorSet.from_pairs(pairs_g + pairs_h), nf, multipliers,
+        GeneratorSet(pairs_g + pairs_h), nf, multipliers,
         seed_p=(), seed_q=convolve(mu_g, mu_h) if (mu_g or mu_h) else (),
         quasigeodesic_c=quasi,
         growth=GrowthPolicy(max(sg.growth.alpha, sh.growth.alpha), beta),
@@ -834,12 +828,7 @@ def _not_word(word, alphabet) -> CounterAutomaton:
     for tok in alphabet:
         t.append(("sink", tok, EMPTY_PROGRAM, "sink"))
     accepts = [s for s in states if s != f"w{len(word)}"]
-    return CounterAutomaton("not_word", alphabet, 0, states, "w0", accepts, t,
-                            blind=True)
-
-
-def _is_blind(transitions) -> bool:
-    return not any(program_reads_counters(t[2]) for t in transitions)
+    return CounterAutomaton("not_word", alphabet, 0, states, "w0", accepts, t)
 
 
 def _free_product_nf(blocks_g, blocks_h, sep, symbols) -> CounterAutomaton:
@@ -860,8 +849,7 @@ def _free_product_nf(blocks_g, blocks_h, sep, symbols) -> CounterAutomaton:
         for acc in (s for s in blocks.states if s in blocks.accepts):
             t.append((prefix + acc, EPSILON, guard, out))
     return CounterAutomaton(
-        "freeprod_L", symbols, counters, states, "k0", ["k1", "k2"], t,
-        blind=_is_blind(t))
+        "freeprod_L", symbols, counters, states, "k0", ["k1", "k2"], t)
 
 
 def _free_product_multiplier(nf_machine, sep, side_state, mult, u_x, u_xinv,
@@ -898,10 +886,9 @@ def _free_product_multiplier(nf_machine, sep, side_state, mult, u_x, u_xinv,
     t.extend(embed(mult, "c.", counters))
     accepts.extend("c." + s for s in mult.accepts)
 
-    machine = CounterAutomaton(
-        name, tuple(pair_alphabet(nf_machine.alphabet).letters()), counters,
-        states, "d." + nf_machine.start, accepts, t, blind=_is_blind(t))
-    return trim(machine)
+    return trim(CounterAutomaton(
+        name, pair_letters(nf_machine.alphabet), counters,
+        states, "d." + nf_machine.start, accepts, t))
 
 
 def free_product(sg: GraphAutomaticStructure,
@@ -949,7 +936,7 @@ def free_product(sg: GraphAutomaticStructure,
         # neither row of the embedded factor multiplier may spell the factor
         # identity (no normal-form block does; writing it is the cancelled-
         # block path): each row walks _not_word(mu), staying put on padding
-        lam_pairs = tuple(pair_alphabet(lam).letters())
+        lam_pairs = pair_letters(lam)
         not_mu = _not_word(mu, lam)
         rows = [(letter, parse_tuple_token(letter)) for letter in lam_pairs]
 
@@ -960,7 +947,7 @@ def free_product(sg: GraphAutomaticStructure,
 
         no_identity_block = explore(
             "no_identity_block", lam_pairs, 0, (not_mu.start,) * 2, expand,
-            lambda key: all(q in not_mu.accepts for q in key), True)
+            lambda key: all(q in not_mu.accepts for q in key))
         for tok, inv in _generator_pairs(structure.generators):
             tagged = _tag_token(tag, tok)
             u_x = nf_of(tok)
@@ -975,7 +962,7 @@ def free_product(sg: GraphAutomaticStructure,
         quasi = 2 * (sg.quasigeodesic_c + sh.quasigeodesic_c) + 1
     return GraphAutomaticStructure(
         f"free({sg.name},{sh.name})", symbols,
-        GeneratorSet.from_pairs(pairs_g + pairs_h), nf, multipliers,
+        GeneratorSet(pairs_g + pairs_h), nf, multipliers,
         seed_p=(), seed_q=(), quasigeodesic_c=quasi,
         growth=GrowthPolicy(max(sg.growth.alpha, sh.growth.alpha),
                             sg.step_beta(sg.generators.tokens())
@@ -1031,7 +1018,7 @@ def change_generators(structure: GraphAutomaticStructure, assignments,
     if structure.quasigeodesic_c is not None:
         quasi = structure.quasigeodesic_c * longest
     return GraphAutomaticStructure(
-        f"regen({structure.name})", symbols, GeneratorSet.from_pairs(new_pairs),
+        f"regen({structure.name})", symbols, GeneratorSet(new_pairs),
         structure.nf_automaton, multipliers, seed_p=(), seed_q=structure.mu,
         quasigeodesic_c=quasi, growth=GrowthPolicy(new_alpha, new_beta),
         order=structure.order.letters)
@@ -1041,7 +1028,7 @@ def _diagonal_language(nf: CounterAutomaton, symbols) -> CounterAutomaton:
     """{(u, u) : u in L} over the pair alphabet of the structure's symbols,
     which may be narrower than nf's declared alphabet (direct products)."""
     return relabel(nf, lambda tok: tuple_token((tok, tok)), "diag_L",
-                   alphabet=tuple(pair_alphabet(symbols).letters()))
+                   alphabet=pair_letters(symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -1058,7 +1045,7 @@ class ProductOracle(GroupOracle):
         for oracle, tag in ((left, "1."), (right, "2.")):
             for tok, inv in _generator_pairs(oracle.generators):
                 pairs.append((_tag_token(tag, tok), _tag_token(tag, inv)))
-        super().__init__(GeneratorSet.from_pairs(pairs))
+        super().__init__(GeneratorSet(pairs))
         self.left, self.right = left, right
         self.name = f"{self.head}({left.name},{right.name})"
 
@@ -1101,7 +1088,7 @@ class FreeProductOracle(ProductOracle):
 class RegenOracle(GroupOracle):
     def __init__(self, base: GroupOracle, assignments, trivial=()):
         pairs = [(y, y + "-") for y in list(assignments) + list(trivial)]
-        super().__init__(GeneratorSet.from_pairs(pairs))
+        super().__init__(GeneratorSet(pairs))
         self.base = base
         self.assignments = {y: tuple(w) for y, w in assignments.items()}
         for y in trivial:
@@ -1262,7 +1249,7 @@ def _build_structure(ast):
 def _build_oracle(ast):
     kind = ast[0]
     if kind == "z":
-        return FreeGroupOracle(GeneratorSet.from_pairs([("a", "a-")]), name="z")
+        return FreeGroupOracle(GeneratorSet([("a", "a-")]), name="z")
     if kind == "finf":
         return FreeGroupOracle(
             GeneratorSet([], FamilySpec("x", None, ast[1])), name="finf")

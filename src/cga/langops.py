@@ -65,41 +65,12 @@ def parse_tuple_token(token: str):
     return tuple(None if p == DIAMOND else p for p in parts)
 
 
-@dataclass(frozen=True)
-class ConvolvedAlphabet:
-    """All r-tuples over a base alphabet plus padding, minus the all-padding one."""
-
-    arity: int
-    base: tuple
-    base_set: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.arity < 2:
-            raise LangOpError("convolved alphabets need arity >= 2")
-        if DIAMOND in self.base:
-            raise LangOpError("padding symbol cannot be a base token")
-        object.__setattr__(self, "base_set", frozenset(self.base))
-
-    def letters(self):
-        padded = tuple(self.base) + (None,)
-        for combo in itertools.product(padded, repeat=self.arity):
-            if any(c is not None for c in combo):
-                yield tuple_token(combo)
-
-    def __contains__(self, token):
-        try:
-            parts = parse_tuple_token(token)
-        except LangOpError:
-            return False
-        return (
-            len(parts) == self.arity
-            and any(p is not None for p in parts)
-            and all(p is None or p in self.base_set for p in parts)
-        )
-
-
-def pair_alphabet(base) -> ConvolvedAlphabet:
-    return ConvolvedAlphabet(2, tuple(base))
+def pair_letters(base) -> tuple:
+    """Every pair letter over the tokens of ``base`` and padding but the
+    all-padding one, in itertools.product order with padding last."""
+    padded = tuple(base) + (None,)
+    return tuple(tuple_token(pair) for pair in itertools.product(padded, repeat=2)
+                 if pair != (None, None))
 
 
 def convolve(*words):
@@ -152,7 +123,7 @@ class LetterHomomorphism:
 # reachable/co-reachable trimming
 
 
-def trim(m: CounterAutomaton, name=None) -> CounterAutomaton:
+def trim(m: CounterAutomaton) -> CounterAutomaton:
     """Drop states that are unreachable or cannot reach an accept state."""
     fwd = {}
     back = {}
@@ -177,13 +148,11 @@ def trim(m: CounterAutomaton, name=None) -> CounterAutomaton:
     states = [s for s in m.states if s in keep]
     transitions = [t for t in m.transitions if t.src in keep and t.dst in keep]
     return CounterAutomaton(
-        name or m.name, m.alphabet, m.counters, states, m.start,
-        [s for s in m.accepts if s in keep], transitions,
-        blind=m.declared_blind,
-    )
+        m.name, m.alphabet, m.counters, states, m.start,
+        [s for s in m.accepts if s in keep], transitions)
 
 
-def explore(name, alphabet, counters, start, expand, accepting, blind):
+def explore(name, alphabet, counters, start, expand, accepting):
     """Build a machine by forward exploration with compact state names.
 
     ``expand(key)`` yields (label, program, successor key) and
@@ -205,9 +174,8 @@ def explore(name, alphabet, counters, start, expand, accepting, blind):
             transitions.append(Transition(names[key], label, prog, names[nxt]))
     states = [names[k] for k in order]
     accepts = [names[k] for k in order if accepting(k)]
-    machine = CounterAutomaton(name, alphabet, counters, states, "s0", accepts,
-                               transitions, blind=blind)
-    return trim(machine)
+    return trim(CounterAutomaton(name, alphabet, counters, states, "s0",
+                                 accepts, transitions))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +192,7 @@ def padded_arrows(machine: CounterAutomaton, total: int, offset: int):
     for t in machine.transitions:
         prog = padded.get(id(t.program))
         if prog is None:
-            prog = padded[id(t.program)] = pad_program(
-                t.program, machine.counters, total, offset)
+            prog = padded[id(t.program)] = pad_program(t.program, total, offset)
         arrow = (prog, t.dst)
         if t.label is EPSILON:
             eps.setdefault(t.src, []).append(arrow)
@@ -274,9 +241,7 @@ def intersect(m: CounterAutomaton, n: CounterAutomaton,
     m_acc, n_acc = m.accepts, n.accepts
     return explore(
         name or f"({m.name}&{n.name})", m.alphabet, total, (m.start, n.start),
-        expand, lambda key: key[0] in m_acc and key[1] in n_acc,
-        m.declared_blind and n.declared_blind,
-    )
+        expand, lambda key: key[0] in m_acc and key[1] in n_acc)
 
 
 def compose(m: CounterAutomaton, n: CounterAutomaton,
@@ -324,8 +289,7 @@ def compose(m: CounterAutomaton, n: CounterAutomaton,
 
     out = explore(
         name or f"({m.name};{n.name})", m.alphabet, total, (m.start, n.start),
-        expand, lambda key: key[0] in m.accepts and key[1] in n.accepts,
-        m.declared_blind and n.declared_blind)
+        expand, lambda key: key[0] in m.accepts and key[1] in n.accepts)
     if out.epsilon_bound() is None:  # the erased middle row is unbounded
         raise LangOpError("composition has an epsilon cycle; "
                           "quasi-realtime multiplier not constructible")
@@ -336,8 +300,7 @@ def embed(m: CounterAutomaton, prefix: str, counters: int):
     """m's transitions on ``prefix``-ed state names, programs padded to
     ``counters`` counters."""
     return [Transition(prefix + t.src, t.label,
-                       pad_program(t.program, m.counters, counters),
-                       prefix + t.dst)
+                       pad_program(t.program, counters), prefix + t.dst)
             for t in m.transitions]
 
 
@@ -362,16 +325,14 @@ def union_all(machines, name=None) -> CounterAutomaton:
         transitions.extend(embed(machine, prefix, total))
     return CounterAutomaton(
         name or "(" + "|".join(machine.name for machine in machines) + ")",
-        first.alphabet, total, states, "u!start", accepts, transitions,
-        blind=all(machine.declared_blind for machine in machines),
-    )
+        first.alphabet, total, states, "u!start", accepts, transitions)
 
 
 # ---------------------------------------------------------------------------
 # bisimulation quotient
 
 
-def quotient(m: CounterAutomaton, name=None) -> CounterAutomaton:
+def quotient(m: CounterAutomaton) -> CounterAutomaton:
     """Merge states with the same future: the coarsest partition in which two
     states of a block both accept or both reject and have the same set of
     (label, program, target block) moves, epsilon moves included.
@@ -432,11 +393,9 @@ def quotient(m: CounterAutomaton, name=None) -> CounterAutomaton:
             label, prog = by_id[move]
             transitions.append(Transition(rep, label, prog, names[target][0]))
     return CounterAutomaton(
-        name or m.name, m.alphabet, m.counters,
+        m.name, m.alphabet, m.counters,
         [rep for rep, _ in names.values()], names[block[index[m.start]]][0],
-        [rep for rep, i in names.values() if accepting[i]],
-        transitions, blind=m.declared_blind,
-    )
+        [rep for rep, i in names.values() if accepting[i]], transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +430,9 @@ def image(m: CounterAutomaton, phi: LetterHomomorphism,
                     prev, tok, t.program if i == 0 else EMPTY_PROGRAM, mid))
                 prev = mid
             transitions.append(Transition(prev, word[-1], EMPTY_PROGRAM, t.dst))
-    out = CounterAutomaton(
+    out = trim(CounterAutomaton(
         name or f"{phi_name(phi)}({m.name})", phi.target, m.counters, states,
-        m.start, m.accepts, transitions, blind=m.declared_blind,
-    )
-    out = trim(out, out.name)
+        m.start, m.accepts, transitions))
     if out.epsilon_bound() is None:
         raise LangOpError(
             "erasing homomorphism introduced an epsilon cycle; "
@@ -500,8 +457,7 @@ def relabel(m: CounterAutomaton, letter_map, name=None,
         renamed[tok] for tok in m.alphabet]
     return CounterAutomaton(
         name or m.name, new_alphabet, m.counters, m.states, m.start, m.accepts,
-        transitions, blind=m.declared_blind,
-    )
+        transitions)
 
 
 def swap_rows(m: CounterAutomaton, name=None) -> CounterAutomaton:
@@ -572,19 +528,17 @@ def preimage(m: CounterAutomaton, phi: LetterHomomorphism,
                     for tok in tokens:
                         transitions.append(Transition(src, tok, flat, dst))
 
-    out = CounterAutomaton(
+    return trim(CounterAutomaton(
         name or f"{phi_name(phi)}^-1({m.name})", phi.source, m.counters,
-        m.states, m.start, m.accepts, transitions, blind=m.declared_blind,
-    )
-    return trim(out, out.name)
+        m.states, m.start, m.accepts, transitions))
 
 
 # ---------------------------------------------------------------------------
 # padded lift: one row runs the machine, the other row is free
 
 
-def pad_lift(m: CounterAutomaton, side: str, free_alphabet=None,
-             name=None) -> CounterAutomaton:
+def pad_lift(m: CounterAutomaton, side: str,
+             free_alphabet=None) -> CounterAutomaton:
     """Lift m to the pair alphabet: the tracked row spells a word of L(m), the
     free row ranges over its alphabet, and padding appears only as a suffix of
     either row (the row that ends first is out for good).
@@ -595,7 +549,6 @@ def pad_lift(m: CounterAutomaton, side: str, free_alphabet=None,
     if side not in ("left", "right"):
         raise LangOpError("side must be 'left' or 'right'")
     free = tuple(free_alphabet) if free_alphabet is not None else m.alphabet
-    alphabet = ConvolvedAlphabet(2, tuple(dict.fromkeys(m.alphabet + free)))
 
     def letter(tracked, free_part):
         if side == "left":
@@ -631,6 +584,5 @@ def pad_lift(m: CounterAutomaton, side: str, free_alphabet=None,
         return q in m.accepts
 
     return explore(
-        name or f"pad_{side}({m.name})", tuple(alphabet.letters()), m.counters,
-        (m.start, False), expand, accepting, m.declared_blind,
-    )
+        f"pad_{side}({m.name})", pair_letters(dict.fromkeys(m.alphabet + free)),
+        m.counters, (m.start, False), expand, accepting)

@@ -99,7 +99,7 @@ def z_leaving_l():
         [("m0", grow, EMPTY_PROGRAM, "m1"), ("m1", back, EMPTY_PROGRAM, "out")],
         blind=True)
     return GraphAutomaticStructure(
-        "z-leaving-L", z.symbols, GeneratorSet.from_pairs([("a", "a-")]),
+        "z-leaving-L", z.symbols, GeneratorSet([("a", "a-")]),
         z.nf_automaton, {"a": leave}, growth=GrowthPolicy(1, 2),
         order=z.symbols)
 

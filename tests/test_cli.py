@@ -527,3 +527,36 @@ def test_missing_multiplier_file_fails_at_load(z_manifest, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and "mult_a-.aut" in captured.err
+
+
+@pytest.mark.parametrize("name, state", [("nf.aut", "z0"),
+                                         ("mult_a.aut", "m0")])
+def test_machine_with_an_epsilon_cycle_exits_2(name, state, z_manifest,
+                                               capsys):
+    # a structure's machines must be quasi-realtime; this cycle moves no
+    # counter, so the searches would still end on it
+    path = z_manifest / name
+    path.write_text(path.read_text() + f"trans {state} EPS - {state}\n")
+    code = main(["nf", "--structure", str(z_manifest), "a"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: {path}: epsilon cycle: the machine is "
+                            "not quasi-realtime\n")
+
+
+@pytest.mark.parametrize("symbols, message", [
+    ("a a- b", "the normal form machine does not read symbol 'b'"),
+    ("a a- _", "symbol '_' cannot be a row of a pair letter"),
+], ids=["not-in-L", "padding"])
+def test_manifest_symbol_rejected_at_load(symbols, message, z_manifest,
+                                          capsys):
+    # mult_a.aut grows a word by b, which L cannot read
+    manifest = z_manifest / "structure.txt"
+    manifest.write_text(manifest.read_text().replace(
+        "lambda a a-\n", f"lambda {symbols}\n"))
+    mult = z_manifest / "mult_a.aut"
+    mult.write_text(mult.read_text().replace("(_|a)", "(_|b)"))
+    code = main(["nf", "--structure", str(z_manifest), "a a"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {manifest}: {message}\n"

@@ -497,6 +497,12 @@ def test_stuck_table_equals_the_swept_fixpoint(expr):
         structure.step_normal_form(structure.mu, "u")
         assert "u-" not in structure._multipliers
         assert structure.multiplier("u-")._cga_stuck is structure.multiplier("u")._cga_stuck
+        # and the other way round: u-'s table, built at its first search,
+        # is u's when u is searched later
+        reverse = structure_from_expr(expr)
+        reverse.step_normal_form(reverse.mu, "u-")
+        reverse.step_normal_form(reverse.mu, "u")
+        assert reverse.multiplier("u")._cga_stuck is reverse.multiplier("u-")._cga_stuck
     for x in structure.generators.tokens():
         machine = structure.multiplier(x)
         assert stuck_counters(machine) == swept_stuck_table(machine), x
@@ -887,13 +893,10 @@ def test_generator_set_family_parsing(finf3, finf):
 
 
 def test_generator_set_involution_rules():
-    from cga.gastructure import GeneratorInfo
-    # unmarked fixed point is an error
-    with pytest.raises(StructureError):
-        GeneratorSet([GeneratorInfo("a", "a", self_inverse=False)])
-    # explicitly marked self-inverse is fine (from_pairs marks it)
-    gens = GeneratorSet.from_pairs([("a", "a")])
+    # a pair (a, a) makes a its own inverse
+    gens = GeneratorSet([("a", "a")])
     assert gens.inverse_of("a") == "a"
+    assert gens.tokens() == ["a"]
 
 
 # -- polynomial-time sanity curve ---------------------------------------------------

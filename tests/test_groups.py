@@ -542,8 +542,8 @@ def test_regen_requires_nonempty_words(bs23):
 # -- oracles for combinators ---------------------------------------------------------------
 
 def test_product_oracle_componentwise():
-    oracle = ProductOracle(FreeGroupOracle(GeneratorSet.from_pairs([("a", "a-")])),
-                           FreeGroupOracle(GeneratorSet.from_pairs([("a", "a-")])))
+    oracle = ProductOracle(FreeGroupOracle(GeneratorSet([("a", "a-")])),
+                           FreeGroupOracle(GeneratorSet([("a", "a-")])))
     assert oracle.canonicalize(toks("1.a 2.a 1.a-")) == ("2.a",)
 
 

@@ -13,7 +13,6 @@ from cga.automata import (
 )
 from cga.langops import (
     AlphabetMismatch,
-    ConvolvedAlphabet,
     LangOpError,
     LetterHomomorphism,
     compose,
@@ -21,7 +20,7 @@ from cga.langops import (
     image,
     intersect,
     pad_lift,
-    pair_alphabet,
+    pair_letters,
     parse_tuple_token,
     preimage,
     quotient,
@@ -65,10 +64,9 @@ def test_tuple_tokens_nest():
     assert parse_tuple_token(token) == ("(a|_)", None)
 
 
-def test_convolved_alphabet_excludes_all_padding():
-    alphabet = ConvolvedAlphabet(2, ("a",))
-    assert sorted(alphabet.letters()) == ["(_|a)", "(a|_)", "(a|a)"]
-    assert "(_|_)" not in alphabet
+def test_pair_letters_exclude_all_padding():
+    assert pair_letters(("a",)) == ("(a|a)", "(a|_)", "(_|a)")
+    assert "(_|_)" not in pair_letters(("a", "b"))
 
 
 # -- intersection -----------------------------------------------------------------
@@ -147,9 +145,10 @@ def test_blindness_preserved_iff_both_blind():
     from cga.automata import TEST0
     seeing = CounterAutomaton("s", ("a",), 1, ["q"], "q", ["q"],
                               [("q", "a", ((TEST0,),), "q")])
-    assert intersect(blind, blind).declared_blind
-    assert not intersect(blind, seeing).declared_blind
+    # blindness is computed from the transitions, not carried over
+    assert validate(intersect(blind, blind)).blind
     assert validate(intersect(blind, seeing)).blind is False
+    assert validate(intersect(blind, seeing)).ok
 
 
 # -- union ---------------------------------------------------------------------

@@ -45,7 +45,7 @@ def test_successor_enumerates_shortlex_order():
 
 
 def test_geodesic_free_group_reduces():
-    oracle = FreeGroupOracle(GeneratorSet.from_pairs([("a", "a-"), ("b", "b-")]))
+    oracle = FreeGroupOracle(GeneratorSet([("a", "a-"), ("b", "b-")]))
     order = OrderedAlphabet(("a", "a-", "b", "b-"))
     assert geodesic_normal_form(oracle, order, ("a", "a-", "b")) == ("b",)
     assert geodesic_normal_form(oracle, order, ()) == ()

@@ -35,6 +35,52 @@ def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def unread_parameters(text):
+    """(line, function, parameter) for each parameter of a def or lambda that
+    its body never reads.  ``self`` and ``cls`` are exempt, and so is a def
+    whose body, its docstring aside, only raises (an abstract method)."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Lambda):
+            name, body = "<lambda>", [node.body]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, body = node.name, node.body
+            if ast.get_docstring(node) is not None:
+                body = body[1:]
+            if all(isinstance(stmt, ast.Raise) for stmt in body):
+                continue
+        else:
+            continue
+        read = set()
+        for sub in (sub for stmt in body for sub in ast.walk(stmt)):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Name):
+                read.add(sub.target.id)
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *(arg for arg in (args.vararg, args.kwarg) if arg is not None)]
+        found.extend((node.lineno, name, arg.arg) for arg in params
+                     if arg.arg not in ("self", "cls", *read))
+    return sorted(found)
+
+
+def test_unread_parameters_finds_an_unread_parameter():
+    text = ("def f(a, b, *rest, c=1, **extra):\n    return a + c\n\n"
+            "class K:\n    def count(self, x):\n        x += 1\n\n"
+            "    def stub(self, y):\n        \"\"\"Doc.\"\"\"\n"
+            "        raise NotImplementedError\n\n"
+            "key = lambda item, unused: item\n")
+    assert unread_parameters(text) == [
+        (1, "f", "b"), (1, "f", "extra"), (1, "f", "rest"),
+        (12, "<lambda>", "unused")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_function_parameters_are_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
 def names_read(node):
     """Names that ``node`` reads, imports or looks up as an attribute."""
     for sub in ast.walk(node):
