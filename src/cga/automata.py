@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import add
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 EPSILON = None  # transition label for moves that read no input
 
@@ -76,10 +76,6 @@ SETZ = CounterInstruction(SET_ZERO)
 # step, before any of the step's mutations; a failed guard blocks the whole
 # transition with no counter changed.
 Program = tuple
-
-
-def program(*steps: Iterable[CounterInstruction]) -> Program:
-    return tuple(tuple(step) for step in steps)
 
 
 EMPTY_PROGRAM: Program = ()
@@ -212,7 +208,6 @@ class CounterAutomaton:
         self._by_state_letter = None
         self._eps_by_state = None
         self._steps = {}  # id(program) -> program_step(program)
-        self._eps_bound = None
         self._max_delta = None
         self._degree = None
 
@@ -271,9 +266,11 @@ class CounterAutomaton:
     def epsilon_bound(self):
         """Length of the longest epsilon-only path; None if the epsilon graph
         has a cycle (quasi-realtime violated)."""
-        if self._eps_bound is None:
-            self._eps_bound = _longest_eps_path(self)
         return self._eps_bound
+
+    @cached_property
+    def _eps_bound(self):
+        return _longest_eps_path(self)
 
     def max_transition_delta(self) -> int:
         if self._max_delta is None:
@@ -361,36 +358,27 @@ class CounterAutomaton:
 
 
 def _longest_eps_path(m: CounterAutomaton):
-    eps_edges = {}
+    """Longest epsilon-only path, walked in topological order; None if the
+    epsilon graph has a cycle."""
+    successors, indegree = {}, {}
     for t in m.transitions:
         if t.label is EPSILON:
-            eps_edges.setdefault(t.src, []).append(t.dst)
-    depth = {}
-    WIP = object()
-
-    def visit(state):
-        cached = depth.get(state)
-        if cached is WIP:
-            return None
-        if cached is not None:
-            return cached
-        depth[state] = WIP
-        best = 0
-        for dst in eps_edges.get(state, ()):
-            sub = visit(dst)
-            if sub is None:
-                return None
-            best = max(best, sub + 1)
-        depth[state] = best
-        return best
-
-    longest = 0
-    for state in list(eps_edges):
-        d = visit(state)
-        if d is None:
-            return None
-        longest = max(longest, d)
-    return longest
+            successors.setdefault(t.src, []).append(t.dst)
+            indegree[t.dst] = indegree.get(t.dst, 0) + 1
+    ready = [state for state in successors if state not in indegree]
+    depth = dict.fromkeys(ready, 0)
+    done = 0
+    while ready:
+        state = ready.pop()
+        done += 1
+        for dst in successors.get(state, ()):
+            depth[dst] = max(depth.get(dst, 0), depth[state] + 1)
+            indegree[dst] -= 1
+            if not indegree[dst]:
+                ready.append(dst)
+    if done < len(successors.keys() | indegree.keys()):
+        return None
+    return max(depth.values(), default=0)
 
 
 def validate(m: CounterAutomaton) -> ValidationReport:

@@ -830,11 +830,11 @@ class GraphAutomaticStructure:
             return u, NormalFormTrace(word, chosen, steps)
         return u
 
-    def word_problem(self, word, algo="graph") -> bool:
-        return self.normal_form(word, algo=algo) == self._mu
+    def word_problem(self, word) -> bool:
+        return self.normal_form(word) == self._mu
 
-    def are_equal(self, w1, w2, algo="graph") -> bool:
-        return self.normal_form(w1, algo=algo) == self.normal_form(w2, algo=algo)
+    def are_equal(self, w1, w2) -> bool:
+        return self.normal_form(w1) == self.normal_form(w2)
 
 
 # ---------------------------------------------------------------------------

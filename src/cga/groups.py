@@ -975,40 +975,34 @@ def free_product(sg: GraphAutomaticStructure,
 # change of generators
 
 
-def change_generators(structure: GraphAutomaticStructure, assignments,
-                      trivial=()) -> GraphAutomaticStructure:
-    """Re-generate a structure over new generators, each given as a nonempty
-    word over the old ones (trivial generators flagged explicitly get the
-    diagonal language).  The multiplier of a word x1 ... xk folds the old
-    multipliers through ``compose``: (u|w) is accepted when some v has (u|v)
-    accepted by the fold of x1 ... x(k-1) and (v|w) by xk's multiplier."""
+def change_generators(structure: GraphAutomaticStructure,
+                      assignments) -> GraphAutomaticStructure:
+    """Re-generate a structure over new generators, each given as a word over
+    the old ones and read as its free reduction.  An empty word gets the
+    diagonal language, one letter that letter's multiplier; the multiplier of
+    a longer x1 ... xk folds the old multipliers through ``compose``: (u|w) is
+    accepted when some v has (u|v) accepted by the fold of x1 ... x(k-1) and
+    (v|w) by xk's multiplier."""
     symbols = structure.symbols
-    trivial = set(trivial)
-    new_pairs = []
+    words = {y: free_reduce(word, structure.generators.inverse_of)
+             for y, word in assignments.items()}
     multipliers = {}
-    longest = 1
-    for y, word in list(assignments.items()) + [(y, ()) for y in trivial]:
-        word = tuple(word)
-        new_pairs.append((y, y + "-"))
-        if y in trivial:
-            machine = _diagonal_language(structure.nf_automaton, symbols)
-        elif len(word) == 0:
-            raise StructureError(f"generator word for {y!r} must be nonempty")
-        else:
-            *head, last = map(structure.multiplier, word)
-            try:
-                machine = (compose(reduce(compose, head), last, f"regen_L_{y}")
-                           if head else last)
-            except LangOpError as exc:
-                raise LangOpError(
-                    f"cannot build generator {y} = {' '.join(word)}: {exc}"
-                ) from exc
-        longest = max(longest, max(len(word), 1))
-        multipliers[y] = machine
+    for y, word in words.items():
+        if not word:
+            multipliers[y] = _diagonal_language(structure.nf_automaton, symbols)
+            continue
+        *head, last = map(structure.multiplier, word)
+        try:
+            multipliers[y] = (compose(reduce(compose, head), last, f"regen_L_{y}")
+                              if head else last)
+        except LangOpError as exc:
+            raise LangOpError(
+                f"cannot build generator {y} = {' '.join(word)}: {exc}"
+            ) from exc
 
+    longest = max([1, *map(len, words.values())])
     alpha = structure.growth.alpha
-    beta = structure.step_beta(
-        x for word in assignments.values() for x in word)
+    beta = structure.step_beta(x for word in words.values() for x in word)
     if alpha > 1:
         new_alpha = alpha ** longest
         new_beta = beta * (new_alpha - 1) // (alpha - 1)
@@ -1018,7 +1012,8 @@ def change_generators(structure: GraphAutomaticStructure, assignments,
     if structure.quasigeodesic_c is not None:
         quasi = structure.quasigeodesic_c * longest
     return GraphAutomaticStructure(
-        f"regen({structure.name})", symbols, GeneratorSet(new_pairs),
+        f"regen({structure.name})", symbols,
+        GeneratorSet([(y, y + "-") for y in words]),
         structure.nf_automaton, multipliers, seed_p=(), seed_q=structure.mu,
         quasigeodesic_c=quasi, growth=GrowthPolicy(new_alpha, new_beta),
         order=structure.order.letters)
@@ -1086,27 +1081,24 @@ class FreeProductOracle(ProductOracle):
 
 
 class RegenOracle(GroupOracle):
-    def __init__(self, base: GroupOracle, assignments, trivial=()):
-        pairs = [(y, y + "-") for y in list(assignments) + list(trivial)]
-        super().__init__(GeneratorSet(pairs))
-        self.base = base
-        self.assignments = {y: tuple(w) for y, w in assignments.items()}
-        for y in trivial:
-            self.assignments[y] = ()
-        self.name = f"regen({base.name})"
+    """Substitution into the base oracle; ``assignments`` maps each new
+    generator y to its word and y- to the inverse word."""
 
-    def _expand(self, tok):
-        if tok in self.assignments:
-            return self.assignments[tok]
-        if tok.endswith("-") and tok[:-1] in self.assignments:
-            word = self.assignments[tok[:-1]]
-            return tuple(self.base.inverse_of(t) for t in reversed(word))
-        raise StructureError(f"unknown regenerated generator {tok!r}")
+    def __init__(self, base: GroupOracle, assignments):
+        super().__init__(GeneratorSet([(y, y + "-") for y in assignments]))
+        self.base = base
+        self.assignments = {}
+        for y, word in assignments.items():
+            self.assignments[y] = word = tuple(word)
+            self.assignments[y + "-"] = tuple(map(base.inverse_of, word[::-1]))
+        self.name = f"regen({base.name})"
 
     def canonicalize(self, word):
         expanded = []
         for tok in word:
-            expanded.extend(self._expand(tok))
+            if tok not in self.assignments:
+                raise StructureError(f"unknown regenerated generator {tok!r}")
+            expanded.extend(self.assignments[tok])
         return self.base.canonicalize(expanded)
 
 
@@ -1210,22 +1202,18 @@ def _lex_generator_word(text, generators):
 
 
 def _regen_assignments(raw, base):
-    """(assignments, trivial) of a regen node, read against the generator
-    tokens of its base structure or oracle."""
+    """{y: word} of a regen node, read against the generator tokens of its
+    base structure or oracle; EPS is the empty word."""
     try:
         gens = base.generators.tokens()
     except StructureError as exc:  # an unbounded family
         raise ExprError(f"regen base: {exc}")
     assignments = {}
-    trivial = []
     for y, text in raw:
-        if text == "EPS":
-            trivial.append(y)
-        else:
-            assignments[y] = _lex_generator_word(text, gens)
-            if not assignments[y]:
-                raise ExprError(f"generator word for {y!r} must be nonempty")
-    return assignments, trivial
+        assignments[y] = () if text == "EPS" else _lex_generator_word(text, gens)
+        if not assignments[y] and text != "EPS":
+            raise ExprError(f"generator word for {y!r} is blank (write EPS)")
+    return assignments
 
 
 def _build_structure(ast):
@@ -1242,7 +1230,7 @@ def _build_structure(ast):
         return free_product(_build_structure(ast[1]), _build_structure(ast[2]))
     if kind == "regen":
         base = _build_structure(ast[1])
-        return change_generators(base, *_regen_assignments(ast[2], base))
+        return change_generators(base, _regen_assignments(ast[2], base))
     raise ExprError(f"unknown expression node {kind!r}")
 
 
@@ -1263,7 +1251,7 @@ def _build_oracle(ast):
             raise ExprError(f"{kind} factor: {exc}")
     if kind == "regen":
         base = _build_oracle(ast[1])
-        return RegenOracle(base, *_regen_assignments(ast[2], base))
+        return RegenOracle(base, _regen_assignments(ast[2], base))
     raise ExprError(f"unknown expression node {kind!r}")
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -50,6 +51,20 @@ trans s a - s
     path.write_text(text)
     code, _ = run(capsys, "accept", str(path), "")
     assert code == 0
+
+
+def test_accept_long_epsilon_chain(tmp_path, capsys):
+    # 3,000 epsilon moves in a row: the epsilon bound is found without
+    # one level of recursion per move
+    n = 3000
+    lines = ["automaton chain", "alphabet a", "counters 0", "blind true",
+             "states " + " ".join(f"s{i}" for i in range(n + 1)),
+             "start s0", f"accept s{n}"]
+    lines += [f"trans s{i} EPS - s{i + 1}" for i in range(n)]
+    path = tmp_path / "chain.aut"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run(capsys, "accept", str(path), "")
+    assert code == 0 and out == "accepted\n"
 
 
 def test_accept_parse_error_exits_2(tmp_path, capsys):
@@ -423,21 +438,30 @@ def test_porcelain_is_stable(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["nf", "--group", "regen(bs:2,3; y=t- t)", "y"],
-    ["build", "regen(bs:2,3; y=t- t)", "--out", "never-written"],
+    ["nf", "--group", "regen(bs:2,3; y=t- a t)", "y"],
+    ["build", "regen(bs:2,3; y=t- a t)", "--out", "never-written"],
 ])
 def test_closure_that_cannot_be_built_exits_2(argv, tmp_path, monkeypatch,
                                               capsys):
-    # the composition of t- and t has an epsilon cycle, so no multiplier
+    # the composition of t-, a and t has an epsilon cycle, so no multiplier
     # can be built; the message names the generator and its word
     monkeypatch.chdir(tmp_path)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == ("error: cannot build generator y = t- t: "
+    assert captured.err == ("error: cannot build generator y = t- a t: "
                             "composition has an epsilon cycle; quasi-realtime "
                             "multiplier not constructible\n")
     assert not os.path.exists(tmp_path / "never-written")
+
+
+def test_nf_regen_word_that_reduces_to_a_letter_is_fast(capsys):
+    # y = a t- t is read as a, so y gets a's multiplier and no composition
+    start = time.perf_counter()
+    code, out = run(capsys, "nf", "--group",
+                    "regen(bs:2,3; a=a; t=t; y=a t- t)", "a y")
+    assert code == 0 and time.perf_counter() - start < 1.0
+    assert out == run(capsys, "nf", "--group", "bs:2,3", "a a")[1]
 
 
 @pytest.mark.parametrize("argv", [["nf", "a a"], ["wp", "a a-"],

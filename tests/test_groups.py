@@ -449,10 +449,11 @@ def test_regen_verifies_against_substitution_oracle(regen_bs):
 
 
 @pytest.mark.parametrize("expr", ["regen(bs:2,3; y=a- a)",
-                                  "regen(bs:2,3; a=a; t=t; y=a- a)"])
+                                  "regen(bs:2,3; a=a; t=t; y=a- a)",
+                                  "regen(bs:2,3; a=a; t=t; y=t- t)"])
 def test_regen_inverse_then_generator_builds_and_verifies(expr):
-    # the middle row of a- a is bounded past both outer rows by the a
-    # multiplier's two-sided gap guard, so erasing it leaves no epsilon cycle
+    # the word freely reduces to the empty word, so y gets the diagonal
+    # language; composing t- and t would leave an epsilon cycle
     structure = structure_from_expr(expr)
     assert structure.normal_form(("y",)) == structure.mu
     report = verify(structure, 3, oracle_from_expr(expr))
@@ -507,7 +508,7 @@ def test_regen_oracle_builds_no_structure(regen_bs, monkeypatch):
 
 
 def test_regen_trivial_generator_gets_diagonal(bs23):
-    got = change_generators(bs23, {"a": ("a",), "t": ("t",)}, trivial=("e",))
+    got = change_generators(bs23, {"a": ("a",), "t": ("t",), "e": ()})
     diag = got.multiplier("e")
     u = bs23.normal_form(("t",))
     v = bs23.normal_form(("a",))
@@ -515,7 +516,7 @@ def test_regen_trivial_generator_gets_diagonal(bs23):
     assert not accepts(diag, convolve(u, v))
     assert got.are_equal(("e",), ())
     report = verify(got, 2, RegenOracle(BSOracle(2, 3),
-                                        {"a": ("a",), "t": ("t",)}, ("e",)))
+                                        {"a": ("a",), "t": ("t",), "e": ()}))
     assert report.ok
 
 
@@ -534,9 +535,57 @@ def test_regen_trivial_generator_over_direct_product():
     assert (report.words_checked, report.elements) == (85, 7)
 
 
-def test_regen_requires_nonempty_words(bs23):
-    with pytest.raises(StructureError):
-        change_generators(bs23, {"y": ()})
+def test_regen_empty_word_gets_diagonal(bs23):
+    got = change_generators(bs23, {"y": ()})
+    assert got.multiplier("y").name == "diag_L"
+    u = bs23.normal_form(("t",))
+    assert accepts(got.multiplier("y"), convolve(u, u))
+    assert not accepts(got.multiplier("y"), convolve(u, bs23.mu))
+
+
+def test_regen_word_reducing_to_a_letter_builds_and_verifies():
+    # y = a t- t is read as a and gets a's multiplier, with no composition
+    expr = "regen(bs:2,3; a=a; t=t; y=a t- t)"
+    structure = structure_from_expr(expr)
+    assert structure.normal_form(("y",)) == structure.normal_form(("a",))
+    report = verify(structure, 3, oracle_from_expr(expr))
+    assert report.ok, [f.detail for f in report.failures[:3]]
+
+
+def test_regen_keeps_the_expression_order_of_trivial_generators():
+    expr = "regen(z; e=EPS; y=a)"
+    assert structure_from_expr(expr).generators.tokens() == ["e", "e-", "y", "y-"]
+    assert oracle_from_expr(expr).generators.tokens() == ["e", "e-", "y", "y-"]
+
+
+REGEN_BASES = {
+    "z": ["a", "a-"],
+    "bs:2,3": ["a", "a-", "t", "t-"],
+    "finf:2": ["x1", "x1-", "x2", "x2-"],
+    "free(z,z)": ["1.a", "1.a-", "2.a", "2.a-"],
+    "product(z,z)": ["1.a", "1.a-", "2.a", "2.a-"],
+}
+
+
+@st.composite
+def regen_expressions(draw):
+    """regen(B; y=w1[; v=w2]), each word EPS or one or two letters of B."""
+    base = draw(st.sampled_from(sorted(REGEN_BASES)))
+    word = st.lists(st.sampled_from(REGEN_BASES[base]), max_size=2).map(
+        lambda letters: " ".join(letters) or "EPS")
+    words = draw(st.lists(word, min_size=1, max_size=2))
+    return f"regen({base}; " + "; ".join(
+        f"{y}={w}" for y, w in zip("yv", words)) + ")"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(expr=regen_expressions())
+@example(expr="regen(bs:2,3; y=t- t)")   # a word that reduces to the identity
+@example(expr="regen(bs:2,3; y=a a-)")
+@example(expr="regen(bs:2,3; y=EPS; v=a)")   # a trivial generator first
+def test_regen_words_verify_against_their_oracle(expr):
+    report = verify(structure_from_expr(expr), 2, oracle_from_expr(expr))
+    assert report.ok, [f.detail for f in report.failures[:3]]
 
 
 # -- oracles for combinators ---------------------------------------------------------------

@@ -125,15 +125,46 @@ def test_private_definitions_are_referenced():
     assert unreferenced_private(texts) == []
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def local_nodes(scope):
+    """The nodes of ``scope`` outside the functions nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def global_names_read(node):
+    """Names that ``node`` reads or imports, leaving out attribute lookups and
+    each name read in a scope that binds it itself (as a parameter, an
+    assignment or a loop target)."""
+    for scope in [node, *(sub for sub in ast.walk(node)
+                          if isinstance(sub, SCOPES) and sub is not node)]:
+        local = list(local_nodes(scope))
+        bound = {sub.arg for sub in local if isinstance(sub, ast.arg)}
+        bound.update(sub.id for sub in local if isinstance(sub, ast.Name)
+                     and not isinstance(sub.ctx, ast.Load))
+        for sub in local:
+            if isinstance(sub, ast.Name) and sub.id not in bound:
+                yield sub.id
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+
 def unreferenced_public(texts, module):
     """(line, name) for each public module-level function of ``module`` that
-    no text in ``texts`` (module name -> source) reads, imports or looks up as
-    an attribute outside its own body."""
+    no text in ``texts`` (module name -> source) reads or imports as a global
+    outside its own body."""
     defined = [(top.lineno, top.name) for top in ast.parse(texts[module]).body
                if isinstance(top, ast.FunctionDef)
                and not top.name.startswith("_")]
     used = {name for text in texts.values() for top in ast.parse(text).body
-            for name in names_read(top) if name != getattr(top, "name", None)}
+            for name in global_names_read(top)
+            if name != getattr(top, "name", None)}
     return [entry for entry in defined if entry[1] not in used]
 
 
@@ -144,6 +175,23 @@ def test_unreferenced_public_finds_an_uncalled_function():
         "b.py": "from .a import used\n",
     }
     assert unreferenced_public(texts, "a.py") == [(4, "dead")]
+
+
+def test_unreferenced_public_skips_locals_that_shadow_a_function():
+    # every read of ``program`` below is a parameter, a local, a loop
+    # target or an attribute, so the function itself is never called
+    texts = {
+        "a.py": "def program():\n    pass\n\n"
+                "def parse(lines):\n    program = []\n"
+                "    for line in lines:\n        program.append(line)\n"
+                "    return program\n",
+        "b.py": "from .a import parse\n\n"
+                "def write(program):\n    return program.program\n\n"
+                "def show(items):\n    for program in items:\n"
+                "        print(program)\n\n"
+                "key = lambda program: program\n",
+    }
+    assert unreferenced_public(texts, "a.py") == [(1, "program")]
 
 
 # Public functions that nothing in the library calls, each kept for a
