@@ -205,13 +205,24 @@ class CounterAutomaton:
             t if isinstance(t, Transition) else Transition(*t) for t in transitions
         )
         self.declared_blind = blind
-        self._by_state_letter = None
-        self._eps_by_state = None
-        self._steps = {}  # id(program) -> program_step(program)
-        self._max_delta = None
-        self._degree = None
 
     # -- derived tables ----------------------------------------------------
+
+    @property
+    def materialized(self) -> "CounterAutomaton":
+        """The machine with every state built: this one (see LazyAutomaton)."""
+        return self
+
+    # How runs see the start and accept states.  A lazy machine's runs name
+    # states by keys of their own, so it sets these apart from start and
+    # accepts, which it reads off its materialized machine.
+    @cached_property
+    def origin(self):
+        return self.start
+
+    @cached_property
+    def final(self):
+        return self.accepts
 
     @cached_property
     def blind(self) -> bool:
@@ -219,26 +230,35 @@ class CounterAutomaton:
         programs = {id(t.program): t.program for t in self.transitions}
         return not any(map(program_reads_counters, programs.values()))
 
-    @property
+    @cached_property
     def by_state_letter(self):
         """dict (state, token) -> list of (program, dst)."""
-        if self._by_state_letter is None:
-            table = {}
-            for t in self.transitions:
-                if t.label is not EPSILON:
-                    table.setdefault((t.src, t.label), []).append((t.program, t.dst))
-            self._by_state_letter = table
-        return self._by_state_letter
+        table = {}
+        for t in self.transitions:
+            if t.label is not EPSILON:
+                table.setdefault((t.src, t.label), []).append((t.program, t.dst))
+        return table
 
-    @property
+    @cached_property
     def eps_by_state(self):
-        if self._eps_by_state is None:
-            table = {}
-            for t in self.transitions:
-                if t.label is EPSILON:
-                    table.setdefault(t.src, []).append((t.program, t.dst))
-            self._eps_by_state = table
-        return self._eps_by_state
+        table = {}
+        for t in self.transitions:
+            if t.label is EPSILON:
+                table.setdefault(t.src, []).append((t.program, t.dst))
+        return table
+
+    @cached_property
+    def moves(self):
+        """dict state -> list of its (label, program, dst) moves, in
+        transition order."""
+        table = {}
+        for t in self.transitions:
+            table.setdefault(t.src, []).append(t[1:])
+        return table
+
+    @cached_property
+    def _steps(self):
+        return {}  # id(program) -> program_step(program)
 
     def compile(self, prog):
         """program_step(prog), made once per program object; transitions
@@ -270,23 +290,28 @@ class CounterAutomaton:
 
     @cached_property
     def _eps_bound(self):
-        return _longest_eps_path(self)
+        return longest_path((t.src, t.dst) for t in self.transitions
+                            if t.label is EPSILON)
+
+    @cached_property
+    def _max_delta(self):
+        return max((program_max_delta(t.program) for t in self.transitions),
+                   default=0)
 
     def max_transition_delta(self) -> int:
-        if self._max_delta is None:
-            self._max_delta = max(
-                (program_max_delta(t.program) for t in self.transitions), default=0)
         return self._max_delta
+
+    @cached_property
+    def _degree(self):
+        outs = {}
+        ins = {}
+        for t in self.transitions:
+            outs[t.src] = outs.get(t.src, 0) + 1
+            ins[t.dst] = ins.get(t.dst, 0) + 1
+        return max([*outs.values(), *ins.values()], default=0)
 
     def degree_bound(self) -> int:
         """Max in- or out-degree over states (the constant E of the search)."""
-        if self._degree is None:
-            outs = {}
-            ins = {}
-            for t in self.transitions:
-                outs[t.src] = outs.get(t.src, 0) + 1
-                ins[t.dst] = ins.get(t.dst, 0) + 1
-            self._degree = max([*outs.values(), *ins.values()], default=0)
         return self._degree
 
     # -- semantics ----------------------------------------------------------
@@ -300,11 +325,11 @@ class CounterAutomaton:
 
     def initial_configs(self):
         """Epsilon closure of the start configuration."""
-        return self.eps_closure({(self.start, self.zero_vector())})
+        return self.eps_closure({(self.origin, self.zero_vector())})
 
     def accepting(self, configs) -> bool:
         """Whether some configuration is accepting with all counters zero."""
-        accepts, zero = self.accepts, self._zero
+        accepts, zero = self.final, self._zero
         for q, c in configs:
             if c == zero and q in accepts:
                 return True
@@ -332,7 +357,7 @@ class CounterAutomaton:
         table = self.letter_steps
         out = set()
         for state, counters in configs:
-            for step, dst in table.get((state, token), ()):
+            for step, dst in table.get((state, token)) or ():
                 nxt = counters if step is None else step(counters)
                 if nxt is not None:
                     out.add((dst, nxt))
@@ -357,14 +382,33 @@ class CounterAutomaton:
         return self.accepting(self.run(word))
 
 
-def _longest_eps_path(m: CounterAutomaton):
-    """Longest epsilon-only path, walked in topological order; None if the
-    epsilon graph has a cycle."""
+class LazyTable(dict):
+    """A dict that fills a missing key on its first lookup with fill(key).
+    Filling is race-safe: setdefault keeps the first value stored, and fill
+    gives equal values for a key.  ``key in table`` says whether the key's
+    value is truthy, and get takes no default, since every key has a
+    value: it is the lookup, at a plain dict's speed for a filled key."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.fill(key))
+
+    def __contains__(self, key):
+        return bool(self[key])
+
+    get = dict.__getitem__
+
+
+def longest_path(edges):
+    """Length of the longest path in the graph of the (src, dst) edges,
+    walked in topological order; None if the graph has a cycle."""
     successors, indegree = {}, {}
-    for t in m.transitions:
-        if t.label is EPSILON:
-            successors.setdefault(t.src, []).append(t.dst)
-            indegree[t.dst] = indegree.get(t.dst, 0) + 1
+    for src, dst in edges:
+        successors.setdefault(src, []).append(dst)
+        indegree[dst] = indegree.get(dst, 0) + 1
     ready = [state for state in successors if state not in indegree]
     depth = dict.fromkeys(ready, 0)
     done = 0

@@ -217,10 +217,13 @@ def format_automaton(machine: CounterAutomaton) -> str:
     lines.append(f"start {machine.start}")
     for chunk in _chunks(sorted(machine.accepts), 16):
         lines.append("accept " + " ".join(chunk))
+    programs = {}  # id(program) -> its text; transitions share programs
     for t in machine.transitions:
         label = "EPS" if t.label is EPSILON else t.label
-        lines.append(
-            f"trans {t.src} {label} {format_program(t.program)} {t.dst}")
+        text = programs.get(id(t.program))
+        if text is None:
+            text = programs[id(t.program)] = format_program(t.program)
+        lines.append(f"trans {t.src} {label} {text} {t.dst}")
     return "\n".join(lines) + "\n"
 
 

@@ -25,10 +25,12 @@ from .automata import (
     INC,
     SET_ZERO,
     CounterAutomaton,
+    LazyTable,
     counter_growth_bound,
 )
 from .langops import (
     LangOpError,
+    LazyAutomaton,
     pair_letters,
     parse_tuple_token,
     swap_rows,
@@ -203,26 +205,37 @@ def _step_store(machine, name):
 def _pair_index(machine: CounterAutomaton):
     """dict (state, top) -> dict bottom -> (step, dst) arrows for the letter
     (top | bottom), with None for the padding row and each step compiled by
-    machine.compile; built once per machine, in one pass over its
-    transitions."""
+    machine.compile; made once per machine.  A materialized machine's is
+    built in one pass over its transitions, a LazyAutomaton's is a LazyTable
+    that reads an entry off the state's moves at its first lookup."""
     index = getattr(machine, "_cga_pair_index", None)
     if index is None:
-        compile, rows, index = machine.compile, {}, {}
-        for src, letter, prog, dst in machine.transitions:
-            if letter is not EPSILON:
-                if letter not in rows:
-                    rows[letter] = parse_tuple_token(letter)
-                top, bottom = rows[letter]
-                index.setdefault((src, top), {}).setdefault(bottom, []).append(
-                    (compile(prog), dst))
-        machine._cga_pair_index = index
+        compile, rows = machine.compile, {}
+
+        def build(transitions):
+            index = {}
+            for src, letter, prog, dst in transitions:
+                if letter is not EPSILON:
+                    if letter not in rows:
+                        rows[letter] = parse_tuple_token(letter)
+                    top, bottom = rows[letter]
+                    index.setdefault((src, top), {}).setdefault(
+                        bottom, []).append((compile(prog), dst))
+            return index
+
+        if isinstance(machine, LazyAutomaton):
+            index = LazyTable(lambda key: build(
+                (key[0], *move) for move in machine.moves[key[0]]).get(key))
+        else:
+            index = build(machine.transitions)
+        index = vars(machine).setdefault("_cga_pair_index", index)
     return index
 
 
 def _advance(machine, index, configs, top, bottom, stuck=None):
     """frozenset of the epsilon-closed configurations after the frozenset
-    configs reads the letter (top | bottom), less those that the
-    stuck_counters table stuck calls dead.
+    configs reads the letter (top | bottom), less those that the dead
+    table stuck (_dead_table) calls dead.
 
     With stuck, the machine's own table, which the pair walk always passes,
     the step is kept in the machine's store _cga_steps under (configs, top,
@@ -287,8 +300,9 @@ def _program_directions(prog):
 
 def stuck_counters(machine: CounterAutomaton):
     """dict state -> (counters no path from the state to acceptance can
-    lower, counters no such path can raise), built once per machine; a
-    state that cannot reach acceptance is absent.
+    lower, counters no such path can raise), built once per materialized
+    machine; a state that cannot reach acceptance is absent.  The searches
+    prune a LazyAutomaton with _dead_table's table instead.
 
     Acceptance needs every counter at zero, so a configuration (q, c) is dead
     when q is absent, or some c_i > 0 that q cannot lower, or some c_i < 0
@@ -297,6 +311,7 @@ def stuck_counters(machine: CounterAutomaton):
     of their targets' masks and their programs' directions; a worklist
     revisits the ways into a state only when its masks grow.
     """
+    machine = machine.materialized
     table = getattr(machine, "_cga_stuck", None)
     if table is None:
         effects = {}  # id(program) -> its directions
@@ -335,6 +350,38 @@ def stuck_counters(machine: CounterAutomaton):
     return table
 
 
+def _dead_table(machine):
+    """The dead table the searches prune with: stuck_counters' for a
+    materialized machine.  A LazyAutomaton's is kept on it as that one is,
+    and filled per state (_joint_entry), so no search walks the whole
+    machine for it."""
+    table = getattr(machine, "_cga_stuck", None)
+    if table is None:
+        if not isinstance(machine, LazyAutomaton):
+            return stuck_counters(machine)
+        parts = [(_dead_table(part), offset) for part, offset in machine.parts]
+        table = vars(machine).setdefault(
+            "_cga_stuck", LazyTable(partial(_joint_entry, parts)))
+    return table
+
+
+def _joint_entry(parts, key):
+    """The dead-table entry of a lazy machine's state key: None (dead) when
+    a part's state is dead in that part's table, else the parts' entries
+    side by side, each part's counters at its offset.  Each part moves only
+    by its own arrows or stays put, so a configuration whose part is dead
+    has no accepting future.  A joint entry may call fewer configurations
+    dead than the exact table of the materialized machine would."""
+    lower, higher = (), ()
+    for (table, offset), state in zip(parts, key):
+        entry = table.get(state)
+        if entry is None:
+            return None
+        lower += tuple(i + offset for i in entry[0])
+        higher += tuple(i + offset for i in entry[1])
+    return lower, higher
+
+
 def _dead(stuck, state, counters):
     """Whether no continuation accepts (state, counters); see stuck_counters."""
     entry = stuck.get(state)
@@ -360,11 +407,11 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
     accepted word can be read off backwards.  Returns (v, trace rows,
     configurations pruned).
 
-    A configuration stuck_counters calls dead is dropped.  No configuration
-    on an accepting path is dead, and a dead one has only dead successors, so
-    the kept configurations, their edges and v are those of the unpruned
-    search.  The table is built once per machine, at its first graph search
-    or pair walk.
+    A configuration the dead table calls dead is dropped (_dead_table).  No
+    configuration on an accepting path is dead, and a dead one has only dead
+    successors, so the kept configurations, their edges and v are those of
+    the unpruned search.  The table is built once per machine, at its first
+    graph search or pair walk.
 
     With keep, the search shares steps with every other keeping search on
     the machine, in this call or a later one: a level and the next letter of
@@ -377,10 +424,10 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
     s = len(u)
     zero = machine.zero_vector()
     index = _pair_index(machine)
-    accepts = machine.accepts
+    accepts = machine.final
     closure = machine.eps_closure
     eps = machine.eps_steps
-    stuck = stuck_counters(machine)
+    stuck = _dead_table(machine)
     frozen = hit = None
 
     level, pruned, widest = _start_level(machine, stuck)
@@ -586,13 +633,13 @@ def accepted_candidates(machine: CounterAutomaton, trie):
     as accepts() on every convolution, sharing the configuration set of each
     pair of prefixes.  A word that has ended is read as padding (None) on its
     row; the letter with both rows padded is never read.  Configurations
-    that stuck_counters calls dead are dropped; they have no accepting
+    that the dead table calls dead are dropped; they have no accepting
     future.  Each step is kept in the machine's bounded store (see
     _advance), so a later walk, of this trie or another, reads the steps it
     repeats unless a flush has emptied the store since.
     """
     index = _pair_index(machine)
-    stuck = stuck_counters(machine)
+    stuck = _dead_table(machine)
     accepting = machine.accepting
     words, root = trie
     accepted = {w: set() for w in words}

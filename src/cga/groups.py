@@ -11,7 +11,7 @@ automaton-based structures; they share no code with the machines they check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import groupby
 from operator import itemgetter
 
@@ -979,10 +979,11 @@ def change_generators(structure: GraphAutomaticStructure,
                       assignments) -> GraphAutomaticStructure:
     """Re-generate a structure over new generators, each given as a word over
     the old ones and read as its free reduction.  An empty word gets the
-    diagonal language, one letter that letter's multiplier; the multiplier of
-    a longer x1 ... xk folds the old multipliers through ``compose``: (u|w) is
-    accepted when some v has (u|v) accepted by the fold of x1 ... x(k-1) and
-    (v|w) by xk's multiplier."""
+    diagonal language, one letter x that letter's multiplier, and y- then
+    x-'s; the multiplier of a longer x1 ... xk folds the old multipliers
+    through ``compose``: (u|w) is accepted when some v has (u|v) accepted by
+    the fold of x1 ... x(k-1) and (v|w) by xk's multiplier.  The fold is
+    lazy (see compose): a search builds only the states it reaches."""
     symbols = structure.symbols
     words = {y: free_reduce(word, structure.generators.inverse_of)
              for y, word in assignments.items()}
@@ -991,10 +992,16 @@ def change_generators(structure: GraphAutomaticStructure,
         if not word:
             multipliers[y] = _diagonal_language(structure.nf_automaton, symbols)
             continue
+        if len(word) == 1:
+            # y is the old x, so y- is x- with x-'s machine, not a second
+            # swap of x's; a loader, made only when y- is first used
+            multipliers[y] = structure.multiplier(word[0])
+            multipliers[y + "-"] = partial(
+                structure.multiplier, structure.generators.inverse_of(word[0]))
+            continue
         *head, last = map(structure.multiplier, word)
         try:
-            multipliers[y] = (compose(reduce(compose, head), last, f"regen_L_{y}")
-                              if head else last)
+            multipliers[y] = compose(reduce(compose, head), last, f"regen_L_{y}")
         except LangOpError as exc:
             raise LangOpError(
                 f"cannot build generator {y} = {' '.join(word)}: {exc}"

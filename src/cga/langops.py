@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .automata import (
     EPSILON,
     EMPTY_PROGRAM,
     AutomatonError,
     CounterAutomaton,
+    LazyTable,
     Transition,
+    longest_path,
     pad_program,
 )
 
@@ -178,6 +181,59 @@ def explore(name, alphabet, counters, start, expand, accepting):
                                  accepts, transitions))
 
 
+class LazyAutomaton(CounterAutomaton):
+    """A machine given by explore's ``start`` key and ``expand`` and
+    ``accepting`` callbacks, whose runs fill each state the first time they
+    reach it, as RE2's lazy DFA builds only the states a match visits (Cox,
+    "Regular Expression Matching in the Wild", 2010).  The runs name states
+    by their keys: ``moves``, ``final``, ``letter_steps`` and ``eps_steps``
+    are LazyTables over keys.  ``moves`` leaves out a move into a state that
+    has none and does not accept, as trim would; other states that cannot
+    reach acceptance stay.
+
+    ``states``, ``start``, ``accepts`` and ``transitions``, and all that is
+    read off them (validate, formats, trim, quotient, relabel, a trace's
+    machine sizes), come from ``materialized``: the named, trimmed machine
+    that ``build()`` makes, once, the one the eager construction gives.
+
+    ``parts`` lists (machine, counter offset) for the machines whose states
+    make up a key, one per key entry; each moves by its own arrows or stays
+    put.  ``acyclic`` is (True, top, bottom) as _acyclic gives it, taken
+    from the construction, not from a walk."""
+
+    def __init__(self, name, alphabet, counters, start, expand, accepting,
+                 build, parts, acyclic):
+        self.name = name
+        self.alphabet = tuple(alphabet)
+        self.alphabet_set = frozenset(self.alphabet)
+        self.counters = counters
+        self.declared_blind = False
+        self.origin = start
+        expanded = LazyTable(lambda key: list(expand(key)))
+        self.final = LazyTable(accepting)
+        self.moves = LazyTable(lambda key: [
+            move for move in expanded[key]
+            if expanded[move[2]] or move[2] in self.final])
+        self.eps_steps = LazyTable(lambda key: [
+            (self.compile(prog), dst)
+            for label, prog, dst in self.moves[key] if label is EPSILON])
+        self.letter_steps = LazyTable(lambda key: [
+            (self.compile(prog), dst)
+            for label, prog, dst in self.moves[key[0]] if label == key[1]])
+        self._build = build
+        self.parts = parts
+        self.acyclic = acyclic
+
+    @cached_property
+    def materialized(self) -> CounterAutomaton:
+        return self._build()
+
+    states = property(lambda self: self.materialized.states)
+    start = property(lambda self: self.materialized.start)
+    accepts = property(lambda self: self.materialized.accepts)
+    transitions = property(lambda self: self.materialized.transitions)
+
+
 # ---------------------------------------------------------------------------
 # intersection, composition, union
 
@@ -250,35 +306,110 @@ def compose(m: CounterAutomaton, n: CounterAutomaton,
     pairs of states, n reading m's bottom row as its top row.  A machine whose
     rows both pad stays where it is, a move that reads only v is an epsilon
     move, counters lie side by side as in ``intersect``, and letter moves
-    follow m's alphabet order."""
+    follow m's alphabet order.
+
+    The erased middle row must leave no epsilon cycle.  A composed epsilon
+    move is an epsilon move of one side, or a letter of m whose top row pads
+    with a letter of n whose bottom row pads, so a cycle projects to a
+    closed walk in each side's graph of epsilon moves and such letters
+    (_acyclic).  If m's graph with top-padded letters is acyclic, or n's
+    with bottom-padded ones, and the other side's epsilon graph is, there
+    is no cycle, and compose returns a LazyAutomaton: a search builds only
+    the pairs it reaches.  Otherwise it walks every pair now and raises on
+    a cycle."""
     if m.alphabet_set != n.alphabet_set:
         raise AlphabetMismatch(f"{m.name} and {n.name} have different alphabets")
+    name = name or f"({m.name};{n.name})"
     total = m.counters + n.counters
-    m_eps, m_letters = padded_arrows(m, total, 0)
-    n_eps, n_letters = padded_arrows(n, total, m.counters)
+
+    def build():
+        return explore(name, m.alphabet, total,
+                       *_composition(m.materialized, n.materialized))
+
+    (m_eps, m_top, m_bottom), (n_eps, n_top, n_bottom) = _acyclic(m), _acyclic(n)
+    if (m_top and n_eps) or (n_bottom and m_eps):
+        # each property holds for the composition when it holds for both
+        return LazyAutomaton(
+            name, m.alphabet, total, *_composition(m, n), build,
+            ((m, 0), (n, m.counters)), (True, m_top and n_top,
+                                        m_bottom and n_bottom))
+    out = build()
+    if out.epsilon_bound() is None:  # the erased middle row is unbounded
+        raise LangOpError("composition has an epsilon cycle; "
+                          "quasi-realtime multiplier not constructible")
+    return out
+
+
+def _acyclic(m: CounterAutomaton):
+    """(epsilon, top, bottom): whether m's epsilon moves make an acyclic
+    graph, and whether they still do with m's letters whose top row pads
+    added, or with those whose bottom row pads."""
+    if isinstance(m, LazyAutomaton):
+        return m.acyclic
+    rows, graphs = {}, ([], [], [])
+    for src, label, _, dst in m.transitions:
+        if label is EPSILON:
+            top = bottom = None
+        else:
+            if label not in rows:
+                rows[label] = parse_tuple_token(label)
+            top, bottom = rows[label]
+        for graph, pads in zip(graphs, (label is EPSILON, top is None,
+                                        bottom is None)):
+            if pads:
+                graph.append((src, dst))
+    return tuple(longest_path(graph) is not None for graph in graphs)
+
+
+def _composition(m: CounterAutomaton, n: CounterAutomaton):
+    """(start key, expand, accepting) of compose's walk over pairs of states
+    of m and n, read through each side's run tables (moves, final, origin),
+    so that lazy sides are filled only where the walk goes."""
+    total = m.counters + n.counters
     join = program_joiner()
     rank = {label: i for i, label in enumerate(m.alphabet)}
-    rows = {label: parse_tuple_token(label)
-            for label in set().union(*m_letters.values(), *n_letters.values())}
+    rows = {}
 
-    def moves(letters, state):  # (top, bottom, arrows), then the stay move
-        return [(*rows[label], letters[state][label])
-                for label in sorted(letters.get(state, ()), key=rank.__getitem__)
-                ] + [(None, None, [(EMPTY_PROGRAM, state)])]
+    def side(machine, offset):
+        # state -> (epsilon arrows, [(top, bottom, arrows)] then the stay
+        # move), each program padded once to total counters from offset
+        padded = {}  # id(program) -> its padded copy
 
-    m_moves = {s: moves(m_letters, s) for s in m.states}
-    n_by_top = {t: {} for t in n.states}
-    for t, by_top in n_by_top.items():
-        for top, bottom, arrows in moves(n_letters, t):
-            by_top.setdefault(top, []).append((bottom, arrows))
+        def fill(state):
+            eps, letters = [], {}
+            for label, prog, dst in machine.moves.get(state) or ():
+                wide = padded.get(id(prog))
+                if wide is None:
+                    wide = padded[id(prog)] = pad_program(prog, total, offset)
+                if label is EPSILON:
+                    eps.append((wide, dst))
+                else:
+                    letters.setdefault(label, []).append((wide, dst))
+            for label in letters:
+                if label not in rows:
+                    rows[label] = parse_tuple_token(label)
+            return eps, [(*rows[label], letters[label])
+                         for label in sorted(letters, key=rank.__getitem__)
+                         ] + [(None, None, [(EMPTY_PROGRAM, state)])]
+        return LazyTable(fill)
+
+    def by_top(t):
+        out = {}
+        for top, bottom, arrows in n_side[t][1]:
+            out.setdefault(top, []).append((bottom, arrows))
+        return out
+
+    m_side, n_side = side(m, 0), side(n, m.counters)
+    n_by_top = LazyTable(by_top)
 
     def expand(key):
         s, t = key
-        for prog, dst in m_eps.get(s, ()):
+        m_eps, m_moves = m_side[s]
+        for prog, dst in m_eps:
             yield EPSILON, prog, (dst, t)
-        for prog, dst in n_eps.get(t, ()):
+        for prog, dst in n_side[t][0]:
             yield EPSILON, prog, (s, dst)
-        for u, v, m_arrows in m_moves[s]:
+        for u, v, m_arrows in m_moves:
             for w, n_arrows in n_by_top[t].get(v, ()):
                 if u is None and w is None and v is None:
                     continue
@@ -287,13 +418,9 @@ def compose(m: CounterAutomaton, n: CounterAutomaton,
                     for pn, dn in n_arrows:
                         yield label, join(pm, pn), (dm, dn)
 
-    out = explore(
-        name or f"({m.name};{n.name})", m.alphabet, total, (m.start, n.start),
-        expand, lambda key: key[0] in m.accepts and key[1] in n.accepts)
-    if out.epsilon_bound() is None:  # the erased middle row is unbounded
-        raise LangOpError("composition has an epsilon cycle; "
-                          "quasi-realtime multiplier not constructible")
-    return out
+    m_final, n_final = m.final, n.final
+    return ((m.origin, n.origin), expand,
+            lambda key: key[0] in m_final and key[1] in n_final)
 
 
 def embed(m: CounterAutomaton, prefix: str, counters: int):
@@ -467,8 +594,18 @@ def swap_rows(m: CounterAutomaton, name=None) -> CounterAutomaton:
     for tok in m.alphabet:
         a, b = parse_tuple_token(tok)
         swapped[tok] = tuple_token((b, a))
-    return relabel(m, swapped.__getitem__, name or f"swap({m.name})",
-                   alphabet=sorted(swapped.values()))
+    name, alphabet = name or f"swap({m.name})", sorted(swapped.values())
+    if isinstance(m, LazyAutomaton):
+        # a view of m's keys and moves with their letters swapped: it fills
+        # m's states as it reaches them, and m's dead entries are its own
+        _, top, bottom = m.acyclic
+        return LazyAutomaton(
+            name, alphabet, m.counters, m.origin,
+            lambda key: [(swapped.get(label), prog, dst)
+                         for label, prog, dst in m.moves[key]],
+            m.final.__contains__, lambda: swap_rows(m.materialized, name),
+            m.parts, (True, bottom, top))
+    return relabel(m, swapped.__getitem__, name, alphabet=alphabet)
 
 
 def _eps_paths_with_programs(m: CounterAutomaton, src: str):

@@ -64,6 +64,23 @@ def test_parse_automaton_round_trip():
     assert again.accepts == machine.accepts
 
 
+def test_format_writes_each_program_object_once(monkeypatch, bs23):
+    # transitions share program objects; each is formatted once, and the
+    # text is the one formatting every transition's program gives
+    machine = bs23.multiplier("t")
+    want = format_automaton(machine)
+    calls = []
+    real = formats.format_program
+    monkeypatch.setattr(formats, "format_program",
+                        lambda prog: calls.append(prog) or real(prog))
+    assert format_automaton(machine) == want
+    assert len(calls) == len({id(t.program) for t in machine.transitions})
+    assert len(calls) < len(machine.transitions)
+    lines = [line.split() for line in want.splitlines() if line.startswith("trans")]
+    assert [line[3] for line in lines] == [real(t.program)
+                                           for t in machine.transitions]
+
+
 def test_parse_rejects_unknown_program_token():
     bad = SAMPLE.replace("+1,. ; =0,-3", ">0,.")
     with pytest.raises(ParseError):

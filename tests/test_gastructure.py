@@ -105,6 +105,35 @@ def test_step_reports_exhausted_growth_bound(bs23):
         tight.step_normal_form(tight.mu, "a")
 
 
+@pytest.mark.parametrize("lazy", [False, True])
+def test_two_accepted_words_break_uniqueness(lazy):
+    # a planted multiplier accepts (EPS, a) and (EPS, b) in two accepting
+    # states: both are found at level 1, and backtracking must report two
+    # words, not pick one; the lazy case composes it after the diagonal of
+    # L and prunes with that composition's weaker dead table
+    from cga.gastructure import GraphAutomaticStructure
+    from cga.langops import LazyAutomaton, compose, pair_letters
+
+    letters = pair_letters(("a", "b"))
+    nf = CounterAutomaton("ab", ("a", "b"), 0, ["q"], "q", ["q"],
+                          [("q", "a", (), "q"), ("q", "b", (), "q")])
+    planted = CounterAutomaton(
+        "two", letters, 0, ["p", "va", "vb"], "p", ["va", "vb"],
+        [("p", "(_|a)", (), "va"), ("p", "(_|b)", (), "vb")])
+    if lazy:
+        diagonal = CounterAutomaton(
+            "diag", letters, 0, ["d"], "d", ["d"],
+            [("d", "(a|a)", (), "d"), ("d", "(b|b)", (), "d")])
+        planted = compose(diagonal, planted)
+        assert isinstance(planted, LazyAutomaton)
+    structure = GraphAutomaticStructure(
+        "planted", ("a", "b"), GeneratorSet([("x", "x-")]), nf,
+        {"x": planted})
+    with pytest.raises(StructureError, match="backtracking produced 2 distinct "
+                       "words; normal form uniqueness violated"):
+        structure.normal_form(("x",))
+
+
 # -- normal_form -----------------------------------------------------------------
 
 def test_normal_form_bs47_a7(bs47):
@@ -933,3 +962,27 @@ def test_concurrent_normal_forms_and_lazy_caches():
         parallel = list(pool.map(fresh.normal_form, words))
     assert parallel == [fresh.normal_form(w) for w in words]
     assert fresh.instantiated_family_indices() == [1, 2, 3]
+
+
+def test_concurrent_searches_fill_lazy_multipliers_once():
+    # threads that race to fill the same states of a lazy composed
+    # multiplier, its row swap and their dead tables get the normal forms
+    # of a structure that filled them alone
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    expr = "regen(bs:2,3; a=a; t=t; u=a a)"
+    rng = random.Random(26)
+    letters = ["u", "u-", "a", "t-"]
+    words = [tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+             for _ in range(12)]
+    want = [structure_from_expr(expr).normal_form(w) for w in words]
+    fresh = structure_from_expr(expr)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(fresh.normal_form, w) for w in words]
+            got = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want

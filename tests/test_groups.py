@@ -1,9 +1,10 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cga import gastructure, groups
+from cga import gastructure, groups, langops
 from cga.automata import accepts, program_reads_counters, validate
 from cga.gastructure import (
     GraphAutomaticStructure,
@@ -552,6 +553,18 @@ def test_regen_word_reducing_to_a_letter_builds_and_verifies():
     assert report.ok, [f.detail for f in report.failures[:3]]
 
 
+def test_regen_alias_takes_its_letters_inverse_multiplier():
+    # y is a, so y- is a-'s machine, not a second swap of a's, and a's twin
+    # stays a- whichever of y- and a- is made first
+    expr = "regen(bs:2,3; a=a; t=t; y=a t- t)"
+    for first in ("y-", "a-"):
+        structure = structure_from_expr(expr)
+        structure.multiplier(first)
+        assert structure.multiplier("y") is structure.multiplier("a")
+        assert structure.multiplier("y-") is structure.multiplier("a-")
+        assert structure.multiplier("a")._cga_twin is structure.multiplier("a-")
+
+
 def test_regen_keeps_the_expression_order_of_trivial_generators():
     expr = "regen(z; e=EPS; y=a)"
     assert structure_from_expr(expr).generators.tokens() == ["e", "e-", "y", "y-"]
@@ -586,6 +599,86 @@ def regen_expressions(draw):
 def test_regen_words_verify_against_their_oracle(expr):
     report = verify(structure_from_expr(expr), 2, oracle_from_expr(expr))
     assert report.ok, [f.detail for f in report.failures[:3]]
+
+
+def _same_machine(lazy, eager):
+    got = lazy.materialized
+    assert (got.name, got.alphabet, got.counters, got.states, got.start) == \
+        (eager.name, eager.alphabet, eager.counters, eager.states, eager.start)
+    assert sorted(got.accepts) == sorted(eager.accepts)
+    assert got.transitions == eager.transitions
+
+
+def _eager(monkeypatch, machines):
+    """compose folded over machines with its acyclicity proof switched off,
+    so that every composition is walked in full now, as explore makes it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(langops, "_acyclic", lambda m: (False, False, False))
+        return reduce(lambda m, n: langops.compose(m, n, "c"), machines)
+
+
+@pytest.mark.parametrize("base", sorted(REGEN_BASES))
+def test_lazy_compositions_materialize_to_the_eager_ones(base, monkeypatch):
+    # every two-letter word over the regen bases, and two three-letter ones;
+    # a proof of acyclicity must never meet an epsilon cycle, and the row
+    # swap of a lazy machine materializes to the swap of the eager one
+    structure = structure_from_expr(base)
+    gens = REGEN_BASES[base]
+    words = [(x, y) for x in gens for y in gens]
+    if base in ("finf:2", "free(z,z)"):
+        words.append(tuple(gens[i] for i in (0, 2, 0)))
+    lazy_words = 0
+    for word in words:
+        machines = [structure.multiplier(x) for x in word]
+        try:
+            eager = _eager(monkeypatch, machines)
+        except langops.LangOpError:
+            eager = None
+        try:
+            lazy = reduce(lambda m, n: langops.compose(m, n, "c"), machines)
+        except langops.LangOpError:
+            assert eager is None, word
+            continue
+        if not isinstance(lazy, langops.LazyAutomaton):
+            continue
+        assert eager is not None, word
+        lazy_words += 1
+        _same_machine(lazy, eager)
+        _same_machine(swap_rows(lazy, "c-"), swap_rows(eager, "c-"))
+    assert lazy_words >= len(words) - 1  # t- t alone has an epsilon cycle
+
+
+def test_a_composition_without_a_proof_is_built_at_once(bs23, monkeypatch):
+    # t- then a is proved acyclic by a's bottom-padded letters, but neither
+    # that composition's top-padded graph nor t's bottom-padded one is
+    # acyclic: t- a t is walked in full before anything is returned
+    head = langops.compose(bs23.multiplier("t-"), bs23.multiplier("a"))
+    assert isinstance(head, langops.LazyAutomaton)
+    assert head.acyclic == (True, False, True)
+
+    class Walked(Exception):
+        pass
+
+    def walk(*args):
+        raise Walked
+
+    monkeypatch.setattr(langops, "explore", walk)
+    with pytest.raises(Walked):
+        langops.compose(head, bs23.multiplier("t"))
+
+
+def test_a_fresh_regen_fills_only_what_its_searches_reach():
+    expr = "regen(bs:2,3; a=a; t=t; u=at)"
+    structure = structure_from_expr(expr)
+    structure.normal_form(toks("a u t- a-"))
+    u = structure.multiplier("u")
+    assert isinstance(u, langops.LazyAutomaton)
+    assert 0 < len(u.moves) < 1000  # of 5,406 states once materialized
+    # verify walks pairs of states without materializing either machine
+    assert verify(structure, 2, oracle_from_expr(expr)).ok
+    for x in ("u", "u-"):
+        assert "materialized" not in vars(structure.multiplier(x)), x
+    assert len(u.states) == 5406
 
 
 # -- oracles for combinators ---------------------------------------------------------------
