@@ -15,8 +15,10 @@ time for simplicity.
 from __future__ import annotations
 
 import re
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .automata import (
@@ -70,23 +72,19 @@ class FamilySpec:
     max_index: Optional[int] = None
 
     def __post_init__(self):
-        self._pattern = re.compile(re.escape(self.base) + r"(\d+)(-?)")
+        # a longer index is past sys.maxsize, and int() may refuse it
+        self._pattern = re.compile(re.escape(self.base) + r"(\d{1,19})(-?)")
 
     def parse(self, token):
         m = self._pattern.fullmatch(token)
         if not m:
             return None
         index = int(m.group(1))
-        if index < 1 or (self.max_index is not None and index > self.max_index):
+        # an index past sys.maxsize cannot size the factory's machine
+        bound = sys.maxsize if self.max_index is None else self.max_index
+        if not 1 <= index <= bound:
             return None
         return index, m.group(2) == "-"
-
-    def tokens_up_to(self, bound):
-        out = []
-        for i in range(1, bound + 1):
-            out.append(f"{self.base}{i}")
-            out.append(f"{self.base}{i}-")
-        return out
 
 
 class GeneratorSet:
@@ -124,8 +122,9 @@ class GeneratorSet:
             if self.family.max_index is None:
                 raise StructureError(
                     "cannot enumerate an unbounded generator family")
-            out.extend(t for t in self.family.tokens_up_to(self.family.max_index)
-                       if t not in out)
+            base = self.family.base
+            out.extend(t for i in range(1, self.family.max_index + 1)
+                       for t in (f"{base}{i}", f"{base}{i}-") if t not in out)
         return out
 
 
@@ -405,7 +404,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
     letters of a convolution whose first row is u, flagged once the second
     row has been exhausted; edges remember the second-row letter so the
     accepted word can be read off backwards.  Returns (v, trace rows,
-    configurations pruned).
+    configurations pruned); see _LevelRows for the rows.
 
     A configuration the dead table calls dead is dropped (_dead_table).  No
     configuration on an accepting path is dead, and a dead one has only dead
@@ -416,9 +415,9 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
     With keep, the search shares steps with every other keeping search on
     the machine, in this call or a later one: a level and the next letter of
     u determine the next level.  Each step is kept in the machine's store
-    _cga_levels under (level, letter) with its next level, its row and, per
-    configuration, only the edge _backtrack picks; the store is emptied when
-    full (see _step_store).
+    _cga_levels under (level, letter) with its next level, its edge and
+    pruned counts and, per configuration, only the edge _backtrack picks;
+    the store is emptied when full (see _step_store).
     """
     u = tuple(u)
     s = len(u)
@@ -430,9 +429,10 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
     stuck = _dead_table(machine)
     frozen = hit = None
 
-    level, pruned, widest = _start_level(machine, stuck)
+    start, pruned = _start_level(machine, stuck)
+    level = start
     preds = []  # preds[j-1]: config at level j -> set of (config at j-1, sigma)
-    per_level = [(0, len(level), 0, widest)]
+    edge_counts = [0]
     level_cap = max(s, length_cap)
     j = 0
 
@@ -444,7 +444,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
             ]
             if found:
                 v = _backtrack(found, preds)
-                return v, per_level, pruned
+                return v, _LevelRows([start, *preds], edge_counts), pruned
             if j == s:
                 level = {cfg for cfg in level if not cfg[2]}
                 frozen = None
@@ -458,7 +458,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
             table = getattr(machine, "_cga_levels", None)
             hit = table.get((frozen, top)) if table else None
         if hit is not None:
-            frozen, nxt, edge_count, dropped, widest = hit
+            frozen, nxt, edge_count, dropped = hit
         else:
             nxt = {}
             dead = set()
@@ -497,13 +497,13 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
                             elif edge not in bucket:
                                 bucket.add(edge)
                                 edge_count += 1
-            dropped, widest = len(dead), _max_counter(nxt)
+            dropped = len(dead)
             if keep and nxt:
                 nxt = {cfg: (min(edges, key=_back_edge_order),)
                        for cfg, edges in nxt.items()}
                 stored = frozenset(nxt)
                 _step_store(machine, "_cga_levels")[frozen, top] = (
-                    stored, nxt, edge_count, dropped, widest)
+                    stored, nxt, edge_count, dropped)
                 frozen = stored
         pruned += dropped
         if not nxt:
@@ -511,20 +511,48 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
         level = nxt
         preds.append(nxt)
         j += 1
-        per_level.append((j, len(level), edge_count, widest))
+        edge_counts.append(edge_count)
 
 
 def _start_level(machine, stuck):
-    """(level 0, the configurations pruned from it, its widest counter),
-    made once per machine: the machine and its dead table stuck decide it."""
+    """(level 0, the configurations pruned from it), made once per machine:
+    the machine and its dead table stuck decide it."""
     first = getattr(machine, "_cga_first", None)
     if first is None:
         start = machine.initial_configs()
         level = frozenset((state, counters, False) for state, counters in start
                           if not _dead(stuck, state, counters))
-        first = machine._cga_first = (
-            level, len(start) - len(level), _max_counter(level))
+        first = machine._cga_first = (level, len(start) - len(level))
     return first
+
+
+class _LevelRows(Sequence):
+    """A search's trace rows (j, |S_j|, |T_j|, max|c|), one per level.  The
+    search keeps its levels for backtracking and counts their edges as it
+    goes; max|c| is read off the levels when the rows are first read, so a
+    search whose rows nobody reads never computes it."""
+
+    def __init__(self, levels, edge_counts):
+        self._levels, self._edge_counts = levels, edge_counts
+
+    @cached_property
+    def _rows(self):
+        return [(j, len(level), edges, _max_counter(level)) for j, (level, edges)
+                in enumerate(zip(self._levels, self._edge_counts))]
+
+    def __len__(self):
+        return len(self._edge_counts)
+
+    def __getitem__(self, i):
+        return self._rows[i]
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _LevelRows)):
+            return self._rows == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return repr(self._rows)
 
 
 def _max_counter(configs):
@@ -676,6 +704,10 @@ class GraphAutomaticStructure:
     one dead table, built at the first search of either.  A loader with a
     ``path`` attribute names that file when its machine fails a check.
 
+    A builder that proves its multipliers accept only pairs in L x L, so
+    that they and their row swaps map L into L, passes keeps_l: normal_form
+    then skips the L check on its steps' inputs.  Loading never declares it.
+
     Every symbol must be read by the normal-form machine and must survive as
     a row of a pair letter, ``tuple_token`` then ``parse_tuple_token``.
 
@@ -689,7 +721,8 @@ class GraphAutomaticStructure:
                  nf_automaton: CounterAutomaton, multipliers: dict,
                  seed_p=(), seed_q=(), quasigeodesic_c=None,
                  growth: GrowthPolicy = GrowthPolicy(1, 4), order=None,
-                 family_beta: Optional[Callable[[int], int]] = None):
+                 family_beta: Optional[Callable[[int], int]] = None,
+                 keeps_l=False):
         self.name = name
         self.symbols = tuple(symbols)
         self.generators = generators
@@ -704,6 +737,7 @@ class GraphAutomaticStructure:
         self.growth = growth
         self.order = OrderedAlphabet(tuple(order) if order else self.symbols)
         self.family_beta = family_beta
+        self.keeps_l = keeps_l
         self._mu = None
         self._last_in_l = None  # the last step input found in L
         self._check()
@@ -813,7 +847,7 @@ class GraphAutomaticStructure:
             machine_growth=counter_growth_bound(machine, 1),
             machine_eps_bound=machine.epsilon_bound(),
             machine_counters=machine.counters,
-            per_level=per_level,
+            per_level=list(per_level),
         )
 
     # -- normal forms ---------------------------------------------------------
@@ -834,7 +868,8 @@ class GraphAutomaticStructure:
         keep shares the search's steps through the machine's store (see
         multiplier_graph_search).
         u is checked against L unless it is the last input found there:
-        verify steps each input by every generator in turn."""
+        verify steps each input by every generator in turn, and normal_form
+        marks each input there on a structure that keeps_l."""
         u = tuple(u)
         if x not in self.generators:
             raise StructureError(f"unknown generator {x!r}")
@@ -867,6 +902,8 @@ class GraphAutomaticStructure:
         u = self._mu
         for x in word:
             if algo == "graph":
+                if self.keeps_l:
+                    self._last_in_l = u  # mu or the last step's output, in L
                 u = self.step_normal_form(u, x, trace_sink=steps)
             elif algo == "enum":
                 u = self.step_normal_form_enumerative(u, x)

@@ -509,6 +509,7 @@ def bs_multipliers(m, n, nf: CounterAutomaton):
 
 def bs_structure(m, n, seed_p=None, seed_q=None,
                  quasigeodesic_c=None) -> GraphAutomaticStructure:
+    """It keeps_l: each multiplier is an intersection with L x L."""
     if not 2 <= m < n:
         raise StructureError("bs_structure needs 2 <= m < n")
     symbols = bs_symbols(m, n)
@@ -523,6 +524,7 @@ def bs_structure(m, n, seed_p=None, seed_q=None,
         quasigeodesic_c=quasigeodesic_c,
         growth=GrowthPolicy(alpha, 4 * (m + n)),
         order=("#", "1", "-1") + bs_pi_tokens(m, n),
+        keeps_l=True,
     )
 
 
@@ -614,6 +616,8 @@ def finf_structure(max_index=None) -> GraphAutomaticStructure:
 
 
 def z_structure() -> GraphAutomaticStructure:
+    """Z on a with L = a* | a-*.  It keeps_l: a's multiplier accepts (a^n,
+    a^(n+1)) and (a-^(n+1), a-^n) for n >= 0, both rows in L."""
     symbols = ("a", "a-")
     t = [
         ("z0", "a", EMPTY_PROGRAM, "zp"), ("zp", "a", EMPTY_PROGRAM, "zp"),
@@ -638,7 +642,7 @@ def z_structure() -> GraphAutomaticStructure:
         "z", symbols, GeneratorSet([("a", "a-")]), nf,
         {"a": la},
         seed_p=(), seed_q=(), quasigeodesic_c=1, growth=GrowthPolicy(1, 1),
-        order=symbols)
+        order=symbols, keeps_l=True)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +772,8 @@ def direct_product(sg: GraphAutomaticStructure,
     reads only letters that some pair of their transitions makes.  Every
     multiplier still declares the full pair alphabet of the product symbols:
     ``intersect`` needs equal alphabets, and the structure checks multiplier
-    letters against it."""
+    letters against it.  It keeps_l when both factors do: a multiplier pairs
+    a factor's pair with one word of the other factor's L on both rows."""
     lam_g, nf_g, mult_g, pairs_g, mu_g = _tagged_parts(sg, "1.")
     lam_h, nf_h, mult_h, pairs_h, mu_h = _tagged_parts(sh, "2.")
 
@@ -805,7 +810,7 @@ def direct_product(sg: GraphAutomaticStructure,
         seed_p=(), seed_q=convolve(mu_g, mu_h) if (mu_g or mu_h) else (),
         quasigeodesic_c=quasi,
         growth=GrowthPolicy(max(sg.growth.alpha, sh.growth.alpha), beta),
-        order=symbols)
+        order=symbols, keeps_l=sg.keeps_l and sh.keeps_l)
 
 
 
@@ -983,7 +988,8 @@ def change_generators(structure: GraphAutomaticStructure,
     x-'s; the multiplier of a longer x1 ... xk folds the old multipliers
     through ``compose``: (u|w) is accepted when some v has (u|v) accepted by
     the fold of x1 ... x(k-1) and (v|w) by xk's multiplier.  The fold is
-    lazy (see compose): a search builds only the states it reaches."""
+    lazy (see compose): a search builds only the states it reaches.  It
+    keeps_l if the base does: compositions of relations on L x L stay there."""
     symbols = structure.symbols
     words = {y: free_reduce(word, structure.generators.inverse_of)
              for y, word in assignments.items()}
@@ -1023,7 +1029,7 @@ def change_generators(structure: GraphAutomaticStructure,
         GeneratorSet([(y, y + "-") for y in words]),
         structure.nf_automaton, multipliers, seed_p=(), seed_q=structure.mu,
         quasigeodesic_c=quasi, growth=GrowthPolicy(new_alpha, new_beta),
-        order=structure.order.letters)
+        order=structure.order.letters, keeps_l=structure.keeps_l)
 
 
 def _diagonal_language(nf: CounterAutomaton, symbols) -> CounterAutomaton:

@@ -149,6 +149,15 @@ def test_nf_bad_builtin_index_exits_2(capsys):
     assert "finf:x" in captured.err
 
 
+@pytest.mark.parametrize("token", ["x99999999999999999999", "x" + "9" * 5000])
+def test_finf_index_past_sys_maxsize_exits_2(token, capsys):
+    # no factory could size x_i's machine; int() refuses the long one
+    code = main(["nf", "--group", "finf", token])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: unknown generator {token!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--group", "finf:-1", "--radius", "2"],
     ["shortlex-nf", "--oracle", "finf:0", "EPS"],

@@ -641,6 +641,86 @@ def test_step_into_a_word_outside_l_is_refused_at_the_next_step():
         structure.normal_form(("a", "a"))
 
 
+# structures whose builders declare keeps_l (multipliers inside L x L)
+KEEPS_L = ["bs:2,3", "bs:4,7", "regen(bs:2,3; a=a; t=t; u=at)", "z",
+           "product(bs:2,3,z)", "regen(bs:2,3; e=EPS; y=a; v=t a-)"]
+
+
+def test_keeps_l_is_declared_only_by_builders_that_prove_it():
+    assert all(structure_from_expr(expr).keeps_l for expr in KEEPS_L)
+    for expr in ("finf:3", "free(z,z)", "product(bs:2,3,finf:2)",
+                 "regen(finf:2; y=x1 x2)"):
+        assert not structure_from_expr(expr).keeps_l, expr
+    assert not z_leaving_l().keeps_l
+
+
+@pytest.mark.parametrize("expr", KEEPS_L)
+def test_normal_form_without_l_checks_folds_as_the_checked_steps(expr):
+    # normal_form checks no step input against L here; folding the same
+    # words with step_normal_form, which checks each new input, gives the
+    # same steps, and every step lands in L
+    structure = structure_from_expr(expr)
+    gens = structure.generators.tokens()
+    rng = random.Random(expr)
+    for _ in range(10):
+        word = [rng.choice(gens) for _ in range(rng.randint(1, 8))]
+        chosen = [structure.mu]
+        for x in word:
+            chosen.append(structure.step_normal_form(chosen[-1], x))
+            assert structure.nf_automaton.accepts_word(chosen[-1]), (word, x)
+        nf, trace = structure.normal_form(word, with_trace=True)
+        assert (nf, trace.chosen) == (chosen[-1], chosen), word
+        assert structure.normal_form(word) == nf
+
+
+def test_a_built_structure_loads_without_its_keeps_l(tmp_path, monkeypatch):
+    # ga build writes no declaration: the loaded bs:2,3 checks each step's
+    # input against L, the built one none
+    from cga.cli import main
+    from cga.formats import load_structure
+    assert main(["build", "bs:2,3", "--out", str(tmp_path)]) == 0
+    loaded, built = load_structure(tmp_path), bs_structure(2, 3)
+    assert not loaded.keeps_l
+    calls = []
+    accepts_word = CounterAutomaton.accepts_word
+    monkeypatch.setattr(CounterAutomaton, "accepts_word", lambda self, word: (
+        calls.append(tuple(word)) or accepts_word(self, word)))
+    word = toks("a t a- t t- a")
+    nf = built.normal_form(word)
+    assert calls == []
+    assert loaded.normal_form(word) == nf
+    assert len(calls) == len(word)
+
+
+# the trace rows of a t a- t on bs:2,3, one list per step
+A_T_AINV_T_ROWS = [
+    [(0, 1, 0, 0), (1, 4, 4, 1), (2, 2, 2, 1), (3, 1, 1, 1), (4, 1, 1, 1),
+     (5, 2, 2, 1), (6, 1, 1, 0)],
+    [(0, 1, 0, 0), (1, 6, 6, 1), (2, 3, 3, 1), (3, 3, 3, 1), (4, 6, 6, 2),
+     (5, 6, 6, 4), (6, 5, 5, 6)],
+    [(0, 1, 0, 0), (1, 1, 1, 0), (2, 4, 4, 1), (3, 2, 2, 1), (4, 1, 1, 1),
+     (5, 1, 1, 1), (6, 2, 2, 1), (7, 1, 1, 0)],
+    [(0, 1, 0, 0), (1, 1, 1, 0), (2, 6, 6, 1), (3, 3, 3, 1), (4, 3, 3, 1),
+     (5, 4, 4, 2), (6, 4, 4, 4), (7, 4, 4, 6), (8, 2, 2, 1), (9, 1, 1, 0)],
+]
+
+
+def test_untraced_searches_compute_no_level_widths(monkeypatch):
+    import cga.gastructure as gastructure
+    calls = []
+    max_counter = gastructure._max_counter
+    monkeypatch.setattr(gastructure, "_max_counter", lambda configs: (
+        calls.append(1) or max_counter(configs)))
+    bs23, word = bs_structure(2, 3), toks("a t a- t")
+    for _ in range(2):  # cold, then warm
+        bs23.normal_form(word)
+        assert calls == []
+    _, trace = bs23.normal_form(word, with_trace=True)
+    assert [step.per_level for step in trace.steps] == A_T_AINV_T_ROWS
+    assert all(type(step.per_level) is list for step in trace.steps)
+    assert len(calls) == sum(map(len, A_T_AINV_T_ROWS))
+
+
 def test_verify_stops_at_a_step_out_of_l():
     # the identity steps by a into a a-, outside L; by a- it has no step.  At
     # radius 1 a a- is only recorded; at radius 2 stepping it must raise
