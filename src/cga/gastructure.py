@@ -417,9 +417,16 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
     u determine the next level.  Each step is kept in the machine's store
     _cga_levels under (level, letter) with its next level, its edge and
     pruned counts and, per configuration, only the edge _backtrack picks;
-    the store is emptied when full (see _step_store).
+    the store is emptied when full (see _step_store).  The finished answer
+    goes into the same store under (u, length_cap), and a later keeping
+    search of u returns it without walking; a search that raises stores
+    nothing.
     """
     u = tuple(u)
+    if keep:
+        answer = getattr(machine, "_cga_levels", {}).get((u, length_cap))
+        if answer is not None:
+            return answer
     s = len(u)
     zero = machine.zero_vector()
     index = _pair_index(machine)
@@ -444,7 +451,10 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
             ]
             if found:
                 v = _backtrack(found, preds)
-                return v, _LevelRows([start, *preds], edge_counts), pruned
+                answer = v, _LevelRows([start, *preds], edge_counts), pruned
+                if keep:
+                    _step_store(machine, "_cga_levels")[u, length_cap] = answer
+                return answer
             if j == s:
                 level = {cfg for cfg in level if not cfg[2]}
                 frozen = None
@@ -688,6 +698,17 @@ def accepted_candidates(machine: CounterAutomaton, trie):
     return accepted
 
 
+def _transposed(accepted):
+    """accepted_candidates of a machine's row swap, read off the machine's
+    dict for the same trie: the swap accepts (v, u) exactly when the machine
+    accepts (u, v)."""
+    out = {w: set() for w in accepted}
+    for u, vs in accepted.items():
+        for v in vs:
+            out[v].add(u)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the structure
 
@@ -807,7 +828,12 @@ class GraphAutomaticStructure:
                 loader = partial(family.factory, parsed[0])
         if loader is None:
             return None
-        machine = loader()
+        try:
+            machine = loader()
+        except MemoryError:
+            # a huge family index sizes a machine that cannot be allocated
+            raise StructureError(
+                f"no memory to build the multiplier of {token!r}") from None
         self._check_letters(token, machine, getattr(loader, "path", None))
         # stored before the loader goes: a concurrent caller finds one
         machine = self._multipliers.setdefault(token, machine)
@@ -868,8 +894,8 @@ class GraphAutomaticStructure:
         keep shares the search's steps through the machine's store (see
         multiplier_graph_search).
         u is checked against L unless it is the last input found there:
-        verify steps each input by every generator in turn, and normal_form
-        marks each input there on a structure that keeps_l."""
+        verify steps each input by every generator in turn, and on a
+        structure that keeps_l, verify and normal_form mark each input there."""
         u = tuple(u)
         if x not in self.generators:
             raise StructureError(f"unknown generator {x!r}")
@@ -957,9 +983,13 @@ def verify(structure: GraphAutomaticStructure, radius: int,
     the multipliers must accept precisely the right pairs.  Structures that
     declare a quasigeodesic constant get the length inequality checked too.
 
-    The walk's searches and pair walks keep their steps in the machines'
-    bounded stores (see multiplier_graph_search and _advance), which outlive
-    the call: a later verify of the structure reads the steps it repeats."""
+    The walk's searches and pair walks keep their steps, and the searches
+    their answers, in the machines' bounded stores (see
+    multiplier_graph_search and _advance), which outlive the call: a later
+    verify of the structure reads what it repeats.  A generator whose
+    multiplier is the row swap of an inverse already walked takes the
+    transposed pairs instead of a walk of its own, and on a structure that
+    keeps_l no state's normal form is checked against L again."""
     if radius < 0:
         raise StructureError(f"radius must be non-negative, got {radius}")
     report = VerificationReport(structure.name, oracle.name, radius)
@@ -979,6 +1009,8 @@ def verify(structure: GraphAutomaticStructure, radius: int,
             if d == radius:
                 continue
             if new:
+                if structure.keeps_l:
+                    structure._last_in_l = state[0]  # mu or a step's output
                 moves[state] = [_move(structure, oracle, report, state[0],
                                       word + (x,)) for x in gens]
             for x, after in zip(gens, moves[state]):
@@ -990,8 +1022,14 @@ def verify(structure: GraphAutomaticStructure, radius: int,
     report.elements = len(classes)
 
     trie = candidate_trie(nf for _, nf in classes.values())
-    accepted = {x: accepted_candidates(structure.multiplier(x), trie)
-                for x in gens}
+    accepted = {}
+    for x in gens:
+        machine, inverse = structure.multiplier(x), structure.generators.inverse_of(x)
+        if inverse in accepted and (
+                getattr(machine, "_cga_twin", None) is structure.multiplier(inverse)):
+            accepted[x] = _transposed(accepted[inverse])
+        else:
+            accepted[x] = accepted_candidates(machine, trie)
     for canon, (u_word, u_nf) in sorted(classes.items()):
         # a class stepped by the walk has its targets; at the radius, or
         # past a failed step, the oracle gives them

@@ -158,6 +158,17 @@ def test_finf_index_past_sys_maxsize_exits_2(token, capsys):
     assert captured.err == f"error: unknown generator {token!r}\n"
 
 
+# the factory's lists for these indices fail at once, before any memory is
+# allocated; never add an index whose machine could be allocated
+@pytest.mark.parametrize("token", ["x9223372036854775807", "x4611686018427387904"])
+def test_finf_index_too_large_to_build_exits_2(token, capsys):
+    code = main(["nf", "--group", "finf", token])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: no memory to build the multiplier of {token!r}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--group", "finf:-1", "--radius", "2"],
     ["shortlex-nf", "--oracle", "finf:0", "EPS"],

@@ -16,10 +16,12 @@ from cga.automata import (
     inc,
 )
 from cga.gastructure import (
+    STEP_BUDGET,
     GeneratorSet,
     SearchBoundExceeded,
     StructureError,
     _dead,
+    _transposed,
     accepted_candidates,
     candidate_trie,
     multiplier_enumerative_search,
@@ -771,6 +773,23 @@ def test_accepted_candidates_agrees_with_direct_accepts(bs23, finf3, product_zz)
             assert accepted_candidates(machine, trie) == accepted  # kept steps
 
 
+# the generators whose machines verify walks over the trie; each other
+# generator's machine is the row swap of an inverse walked before it, whose
+# pairs verify transposes.  broken's a- is bs:2,3's, not the swap of its a
+WALKED = {"bs:2,3": ("a", "t"), "free(z,z)": ("1.a", "2.a"),
+          "finf:3": ("x1", "x2", "x3"), "product(z,z)": ("1.a", "2.a"),
+          REGEN_AA: ("a", "t", "u"), "broken": ("a", "a-", "t")}
+
+
+def assert_walked(structure, expr, budget=STEP_BUDGET):
+    for x in structure.generators.tokens():
+        machine = structure.multiplier(x)
+        if x in WALKED[expr]:
+            assert 0 < len(machine._cga_steps) <= budget, x
+        else:
+            assert not hasattr(machine, "_cga_steps"), x
+
+
 def test_verify_walks_the_trie_once_per_generator(product_zz, monkeypatch):
     import cga.gastructure
     calls = []
@@ -784,19 +803,123 @@ def test_verify_walks_the_trie_once_per_generator(product_zz, monkeypatch):
     from cga.groups import oracle_from_expr
     report = verify(product_zz, 6, oracle_from_expr("product(z,z)"))
     assert report.ok and report.elements == 85
-    assert len(calls) == len(product_zz.generators.tokens()) == 4  # not 85 x 4 = 340
+    # one walk per inverse pair, not 85 x 4 = 340 nor one per generator
+    assert len(product_zz.generators.tokens()) == 4
+    assert calls == [product_zz.multiplier(x).name for x in WALKED["product(z,z)"]]
+
+
+@pytest.mark.parametrize("expr", [
+    "bs:2,3", "finf:3", "free(z,z)", "product(z,z)", REGEN_AA])
+def test_transposed_pairs_equal_a_walk_of_the_row_swap(expr):
+    from cga.langops import LazyAutomaton
+    structure = structure_from_expr(expr)
+    trie = candidate_trie(ball_normal_forms(structure, 2))
+    tokens = structure.generators.tokens()
+    swaps = [x for x in tokens if x not in WALKED[expr]]
+    assert len(swaps) == len(tokens) // 2
+    for x in swaps:
+        swap = structure.multiplier(x)
+        machine = structure.multiplier(structure.generators.inverse_of(x))
+        assert swap._cga_twin is machine
+        assert (_transposed(accepted_candidates(machine, trie))
+                == accepted_candidates(swap, trie)), x
+    if expr == REGEN_AA:
+        assert all(isinstance(structure.multiplier(x), LazyAutomaton)
+                   for x in ("u", "u-"))
+
+
+def fresh_structure(expr):
+    return broken_bs23(bs_structure(2, 3)) if expr == "broken" else (
+        structure_from_expr(expr))
+
+
+@pytest.mark.parametrize("expr, radius", [
+    ("bs:2,3", 3), ("finf:3", 2), ("product(z,z)", 3), ("broken", 2)])
+def test_transposed_pair_walks_leave_verify_unchanged(expr, radius,
+                                                      monkeypatch):
+    # unlinked from their inverses, the row swaps are walked too; linked,
+    # verify walks only WALKED's machines and reports the same.  broken's a
+    # and a- are both walked, since a- is not the swap of broken's a
+    import cga.gastructure
+    from cga.groups import oracle_from_expr
+    oracle = oracle_from_expr("bs:2,3" if expr == "broken" else expr)
+    calls = []
+    walk = cga.gastructure.accepted_candidates
+    monkeypatch.setattr(cga.gastructure, "accepted_candidates", lambda m, trie: (
+        calls.append(m.name) or walk(m, trie)))
+    unlinked = fresh_structure(expr)
+    tokens = unlinked.generators.tokens()
+    for x in tokens:
+        vars(unlinked.multiplier(x)).pop("_cga_twin", None)
+    want = verify(unlinked, radius, oracle)
+    assert calls == [unlinked.multiplier(x).name for x in tokens]
+    calls.clear()
+    linked = fresh_structure(expr)
+    assert verify(linked, radius, oracle) == want
+    assert calls == [linked.multiplier(x).name for x in WALKED[expr]]
+    assert len(set(calls)) == len(calls)
+
+
+def test_a_second_verify_reads_every_search_answer(monkeypatch):
+    # the first verify stores each search's answer and each pair-walk step;
+    # the second neither backtracks nor asks the dead table anything
+    import cga.gastructure
+    from cga.groups import oracle_from_expr
+    structure, oracle = bs_structure(2, 3), oracle_from_expr("bs:2,3")
+    want = verify(structure, 3, oracle)
+    calls = []
+
+    def counted(name):
+        original = getattr(cga.gastructure, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("_backtrack", "_dead"):
+        monkeypatch.setattr(cga.gastructure, name, counted(name))
+    assert verify(structure, 3, oracle) == want
+    assert calls == []
+    assert verify(bs_structure(2, 3), 3, oracle) == want  # a fresh one does both
+    assert {"_backtrack", "_dead"} == set(calls)
+
+
+def test_a_kept_answer_is_stored_only_for_a_finished_search():
+    bs23 = bs_structure(2, 3)
+    machine, u = bs23.multiplier("t"), bs23.normal_form(toks("a a t"))
+    with pytest.raises(SearchBoundExceeded):
+        multiplier_graph_search(machine, u, 0, keep=True)
+    assert (u, 0) not in machine._cga_levels
+    cap = bs23.step_cap(len(u), "t")
+    answer = multiplier_graph_search(machine, u, cap, keep=True)
+    assert answer[0] == bs23.normal_form(toks("a a t t"))
+    assert machine._cga_levels[u, cap] is answer
+    assert multiplier_graph_search(machine, u, cap, keep=True) is answer
+    assert multiplier_graph_search(machine, u, cap) == answer
+    assert multiplier_graph_search(machine, u, cap) is not answer
+
+
+@pytest.mark.parametrize("expr, keeps_l", [("bs:2,3", True), ("finf:3", False)])
+def test_verify_checks_states_against_l_only_where_l_is_not_kept(
+        expr, keeps_l, monkeypatch):
+    from cga.groups import oracle_from_expr
+    structure, calls = structure_from_expr(expr), []
+    assert structure.keeps_l == keeps_l
+    accepts_word = CounterAutomaton.accepts_word
+    monkeypatch.setattr(CounterAutomaton, "accepts_word", lambda self, word: (
+        calls.append(tuple(word)) or accepts_word(self, word)))
+    assert verify(structure, 2, oracle_from_expr(expr)).ok
+    assert (calls == []) == keeps_l
 
 
 @pytest.mark.parametrize("expr, radius", [("finf:3", 2), ("product(z,z)", 3)])
 def test_a_fresh_verify_prunes_and_keeps_every_pair_walk(expr, radius):
     # these machines are searched too little to have repaid a table by the
-    # pair walk, which must still prune and keep its steps on each of them
+    # pair walk, which must still prune and keep its steps on each machine
+    # it walks; the row swaps it transposes keep none
     from cga.groups import oracle_from_expr
     structure = structure_from_expr(expr)
     assert verify(structure, radius, oracle_from_expr(expr)).ok
     for x in structure.generators.tokens():
-        machine = structure.multiplier(x)
-        assert hasattr(machine, "_cga_stuck") and machine._cga_steps, x
+        assert hasattr(structure.multiplier(x), "_cga_stuck"), x
+    assert_walked(structure, expr)
 
 
 @pytest.mark.parametrize("expr, tokens", [
@@ -851,22 +974,17 @@ def test_verify_on_one_structure_matches_fresh_structures(expr):
     # radii 1..4 on one structure, whose machines keep their steps and dead
     # tables between calls, report exactly what fresh structures report
     from cga.groups import oracle_from_expr
-
-    def fresh():
-        if expr == "broken":
-            return broken_bs23(bs_structure(2, 3))
-        return structure_from_expr(expr)
-
     oracle = oracle_from_expr("bs:2,3" if expr == "broken" else expr)
-    reused = fresh()
+    reused = fresh_structure(expr)
     for radius in range(1, 5):
-        assert verify(reused, radius, oracle) == verify(fresh(), radius, oracle)
+        assert verify(reused, radius, oracle) == verify(
+            fresh_structure(expr), radius, oracle)
     machines = [reused.multiplier(x) for x in reused.generators.tokens()]
-    assert all(getattr(m, "_cga_steps", None) for m in machines)
+    assert_walked(reused, expr)
     # the level steps outlive the calls: repeating a call adds no entry
     kept = [len(machine._cga_levels) for machine in machines]
     assert all(kept)
-    assert verify(reused, 4, oracle) == verify(fresh(), 4, oracle)
+    assert verify(reused, 4, oracle) == verify(fresh_structure(expr), 4, oracle)
     assert [len(machine._cga_levels) for machine in machines] == kept
 
 
@@ -891,7 +1009,7 @@ def test_flushed_step_stores_leave_verify_unchanged(expr, radius, budget,
     assert verify(structure, radius, oracle) == want
     for machine in machines:
         assert 0 < len(machine._cga_levels) <= budget, machine.name
-        assert 0 < len(machine._cga_steps) <= budget, machine.name
+    assert_walked(structure, expr, budget)
 
 
 def test_concurrent_verifies_agree_while_stores_flush(monkeypatch):
