@@ -180,35 +180,29 @@ class NormalFormTrace:
 # ---------------------------------------------------------------------------
 # multiplier machine search primitives
 
-# Entries a machine keeps in each of its step stores, the levelled search's
-# _cga_levels and the pair walk's _cga_steps, before _step_store empties it.
+# Entries each of a search's step stores holds before _Search.keep empties it.
 STEP_BUDGET = 2048
 
 
-def _step_store(machine, name):
-    """The dict under machine's attribute name that a new step goes into:
-    made on first use, and emptied once it holds STEP_BUDGET entries, as a
-    lazy DFA flushes its state cache when full (Cox, "Regular Expression
-    Matching in the Wild", 2010).  Lookups read the attribute directly.  A
-    store only saves recomputation: an entry is the step its key determines,
-    so emptying the store, even while another search reads it, cannot
-    change a result."""
-    store = getattr(machine, name, None)
-    if store is None:
-        store = vars(machine).setdefault(name, {})
-    elif len(store) >= STEP_BUDGET:
-        store.clear()
-    return store
+class _Search:
+    """One machine's search context (_search): the tables its searches
+    read, each built at first use, and the bounded stores that keeping
+    searches share, ``levels`` for the levelled search and ``steps`` for the
+    pair walk.  A row swap keeps its inverse's states, programs and accepts,
+    so a swap's search made with the inverse's as ``twin`` reads its dead
+    table and start level from there: the two share them."""
 
+    def __init__(self, machine, twin=None):
+        self.machine, self.twin = machine, twin
+        self.levels, self.steps = {}, {}
 
-def _pair_index(machine: CounterAutomaton):
-    """dict (state, top) -> dict bottom -> (step, dst) arrows for the letter
-    (top | bottom), with None for the padding row and each step compiled by
-    machine.compile; made once per machine.  A materialized machine's is
-    built in one pass over its transitions, a LazyAutomaton's is a LazyTable
-    that reads an entry off the state's moves at its first lookup."""
-    index = getattr(machine, "_cga_pair_index", None)
-    if index is None:
+    @cached_property
+    def pair_index(self):
+        """dict (state, top) -> dict bottom -> (step, dst) arrows for the
+        letter (top | bottom), None for a padding row, each step compiled by
+        machine.compile: one pass over a materialized machine's transitions,
+        or a LazyTable read off a lazy state's moves at its first lookup."""
+        machine = self.machine
         compile, rows = machine.compile, {}
 
         def build(transitions):
@@ -223,34 +217,73 @@ def _pair_index(machine: CounterAutomaton):
             return index
 
         if isinstance(machine, LazyAutomaton):
-            index = LazyTable(lambda key: build(
+            return LazyTable(lambda key: build(
                 (key[0], *move) for move in machine.moves[key[0]]).get(key))
-        else:
-            index = build(machine.transitions)
-        index = vars(machine).setdefault("_cga_pair_index", index)
-    return index
+        return build(machine.transitions)
+
+    @cached_property
+    def dead(self):
+        """The dead table the searches prune with: the twin's, else
+        stuck_counters' for a materialized machine.  A LazyAutomaton's is
+        filled per state from its parts' tables (_joint_entry), so no search
+        walks the whole machine for it."""
+        if self.twin is not None:
+            return self.twin.dead
+        machine = self.machine
+        if not isinstance(machine, LazyAutomaton):
+            return stuck_counters(machine)
+        parts = [(_search(part).dead, offset) for part, offset in machine.parts]
+        return LazyTable(partial(_joint_entry, parts))
+
+    @cached_property
+    def start(self):
+        """(level 0, the configurations pruned from it): the machine and its
+        dead table decide it."""
+        if self.twin is not None:
+            return self.twin.start
+        start, stuck = self.machine.initial_configs(), self.dead
+        level = frozenset((state, counters, False) for state, counters in start
+                          if not _dead(stuck, state, counters))
+        return level, len(start) - len(level)
+
+    @staticmethod
+    def keep(store, key, value):
+        """store[key] = value in one of the step stores, emptied first if it
+        holds STEP_BUDGET entries, as a lazy DFA flushes its full state cache
+        (Cox, "Regular Expression Matching in the Wild", 2010).  An entry is
+        the step its key determines, so a flush, even under another search's
+        lookup, costs only recomputation and never changes a result."""
+        if len(store) >= STEP_BUDGET:
+            store.clear()
+        store[key] = value
 
 
-def _advance(machine, index, configs, top, bottom, stuck=None):
+def _search(machine, twin=None) -> _Search:
+    """machine's search context, made with twin at its first use; of
+    concurrent first uses, one context is kept."""
+    return getattr(machine, "_search", None) or vars(machine).setdefault(
+        "_search", _Search(machine, twin))
+
+
+def _advance(search, configs, top, bottom, stuck=None):
     """frozenset of the epsilon-closed configurations after the frozenset
-    configs reads the letter (top | bottom), less those that the dead
-    table stuck (_dead_table) calls dead.
+    configs reads the letter (top | bottom) on search's machine, less those
+    that the dead table stuck calls dead.
 
-    With stuck, the machine's own table, which the pair walk always passes,
-    the step is kept in the machine's store _cga_steps under (configs, top,
-    bottom) and read back from there, as a lazy DFA keeps the subset
-    transitions it has made; the store grows with the distinct steps the
-    walks reach, not with the number of walks, and is emptied when full (see
-    _step_store).  Without stuck, as the enumerative search calls it,
-    nothing is stored or read: an unpruned set can be far larger, and its
-    step is not the pruned one stored for the same key.
+    With stuck, the search's own table, which the pair walk always passes,
+    the step is kept in search.steps under (configs, top, bottom) and read
+    back from there, as a lazy DFA keeps its subset transitions; the store
+    grows with the distinct steps the walks reach, not with the number of
+    walks (see _Search.keep).  Without stuck, as the enumerative search
+    calls it, nothing is stored or read: an unpruned set can be far larger,
+    and its step is not the pruned one stored for the same key.
     """
     if stuck is not None:
         key = (configs, top, bottom)
-        steps = getattr(machine, "_cga_steps", None)
-        nxt = steps.get(key) if steps else None
+        nxt = search.steps.get(key)
         if nxt is not None:
             return nxt
+    machine, index = search.machine, search.pair_index
     closure, eps = machine.eps_closure, machine.eps_steps
     nxt = set()
     for state, counters in configs:
@@ -269,15 +302,8 @@ def _advance(machine, index, configs, top, bottom, stuck=None):
                     nxt.add(cfg)
     nxt = frozenset(nxt)
     if stuck is not None:
-        _step_store(machine, "_cga_steps")[key] = nxt
+        search.keep(search.steps, key, nxt)
     return nxt
-
-
-def _accepts_padded(machine, index, configs, u, depth):
-    """Whether configs accept once the rest of u is read against padding."""
-    for top in u[depth:]:
-        configs = _advance(machine, index, configs, top, None)
-    return machine.accepting(configs)
 
 
 def _program_directions(prog):
@@ -299,9 +325,10 @@ def _program_directions(prog):
 
 def stuck_counters(machine: CounterAutomaton):
     """dict state -> (counters no path from the state to acceptance can
-    lower, counters no such path can raise), built once per materialized
-    machine; a state that cannot reach acceptance is absent.  The searches
-    prune a LazyAutomaton with _dead_table's table instead.
+    lower, counters no such path can raise), of the materialized machine;
+    a state that cannot reach acceptance is absent.  It stores nothing: a
+    machine's search builds it once (_Search.dead), and prunes a
+    LazyAutomaton with its parts' tables instead.
 
     Acceptance needs every counter at zero, so a configuration (q, c) is dead
     when q is absent, or some c_i > 0 that q cannot lower, or some c_i < 0
@@ -311,56 +338,38 @@ def stuck_counters(machine: CounterAutomaton):
     revisits the ways into a state only when its masks grow.
     """
     machine = machine.materialized
-    table = getattr(machine, "_cga_stuck", None)
-    if table is None:
-        effects = {}  # id(program) -> its directions
-        into = {}     # state -> [source, directions, ...] of its ways in, flat
-        for src, _, prog, dst in machine.transitions:
-            effect = effects.get(id(prog))
-            if effect is None:
-                effect = effects[id(prog)] = _program_directions(prog)
-            into.setdefault(dst, []).extend((src, effect))
-        reach = dict.fromkeys(machine.accepts, (0, 0))
-        work = list(reach)
-        while work:
-            dst = work.pop()
-            up, down = reach[dst]
-            ways = iter(into.get(dst, ()))
-            for src, effect in zip(ways, ways):
-                masks = (up | effect[0], down | effect[1])
-                before = reach.get(src)
-                if before is not None:
-                    masks = (masks[0] | before[0], masks[1] | before[1])
-                    if masks == before:
-                        continue
-                reach[src] = masks
-                work.append(src)
-        entries = {}  # (raise, lower) -> the one entry every such state shares
-        table = {}
-        for state, masks in reach.items():
-            entry = entries.get(masks)
-            if entry is None:
-                up, down = masks
-                entry = entries[masks] = (
-                    tuple(i for i in range(machine.counters) if not down >> i & 1),
-                    tuple(i for i in range(machine.counters) if not up >> i & 1))
-            table[state] = entry
-        machine._cga_stuck = table
-    return table
-
-
-def _dead_table(machine):
-    """The dead table the searches prune with: stuck_counters' for a
-    materialized machine.  A LazyAutomaton's is kept on it as that one is,
-    and filled per state (_joint_entry), so no search walks the whole
-    machine for it."""
-    table = getattr(machine, "_cga_stuck", None)
-    if table is None:
-        if not isinstance(machine, LazyAutomaton):
-            return stuck_counters(machine)
-        parts = [(_dead_table(part), offset) for part, offset in machine.parts]
-        table = vars(machine).setdefault(
-            "_cga_stuck", LazyTable(partial(_joint_entry, parts)))
+    effects = {}  # id(program) -> its directions
+    into = {}     # state -> [source, directions, ...] of its ways in, flat
+    for src, _, prog, dst in machine.transitions:
+        effect = effects.get(id(prog))
+        if effect is None:
+            effect = effects[id(prog)] = _program_directions(prog)
+        into.setdefault(dst, []).extend((src, effect))
+    reach = dict.fromkeys(machine.accepts, (0, 0))
+    work = list(reach)
+    while work:
+        dst = work.pop()
+        up, down = reach[dst]
+        ways = iter(into.get(dst, ()))
+        for src, effect in zip(ways, ways):
+            masks = (up | effect[0], down | effect[1])
+            before = reach.get(src)
+            if before is not None:
+                masks = (masks[0] | before[0], masks[1] | before[1])
+                if masks == before:
+                    continue
+            reach[src] = masks
+            work.append(src)
+    entries = {}  # (raise, lower) -> the one entry every such state shares
+    table = {}
+    for state, masks in reach.items():
+        entry = entries.get(masks)
+        if entry is None:
+            up, down = masks
+            entry = entries[masks] = (
+                tuple(i for i in range(machine.counters) if not down >> i & 1),
+                tuple(i for i in range(machine.counters) if not up >> i & 1))
+        table[state] = entry
     return table
 
 
@@ -406,7 +415,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
     accepted word can be read off backwards.  Returns (v, trace rows,
     configurations pruned); see _LevelRows for the rows.
 
-    A configuration the dead table calls dead is dropped (_dead_table).  No
+    A configuration the dead table calls dead is dropped (_Search.dead).  No
     configuration on an accepting path is dead, and a dead one has only dead
     successors, so the kept configurations, their edges and v are those of
     the unpruned search.  The table is built once per machine, at its first
@@ -414,29 +423,31 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
 
     With keep, the search shares steps with every other keeping search on
     the machine, in this call or a later one: a level and the next letter of
-    u determine the next level.  Each step is kept in the machine's store
-    _cga_levels under (level, letter) with its next level, its edge and
+    u determine the next level.  Each step is kept in the search's store
+    ``levels`` under (level, letter) with its next level, its edge and
     pruned counts and, per configuration, only the edge _backtrack picks;
-    the store is emptied when full (see _step_store).  The finished answer
+    the store is emptied when full (see _Search.keep).  The finished answer
     goes into the same store under (u, length_cap), and a later keeping
     search of u returns it without walking; a search that raises stores
     nothing.
     """
     u = tuple(u)
+    search = _search(machine)
+    kept = search.levels
     if keep:
-        answer = getattr(machine, "_cga_levels", {}).get((u, length_cap))
+        answer = kept.get((u, length_cap))
         if answer is not None:
             return answer
     s = len(u)
     zero = machine.zero_vector()
-    index = _pair_index(machine)
+    index = search.pair_index
     accepts = machine.final
     closure = machine.eps_closure
     eps = machine.eps_steps
-    stuck = _dead_table(machine)
+    stuck = search.dead
     frozen = hit = None
 
-    start, pruned = _start_level(machine, stuck)
+    start, pruned = search.start
     level = start
     preds = []  # preds[j-1]: config at level j -> set of (config at j-1, sigma)
     edge_counts = [0]
@@ -453,7 +464,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
                 v = _backtrack(found, preds)
                 answer = v, _LevelRows([start, *preds], edge_counts), pruned
                 if keep:
-                    _step_store(machine, "_cga_levels")[u, length_cap] = answer
+                    search.keep(kept, (u, length_cap), answer)
                 return answer
             if j == s:
                 level = {cfg for cfg in level if not cfg[2]}
@@ -465,8 +476,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
         if keep:
             if frozen is None:
                 frozen = frozenset(level)
-            table = getattr(machine, "_cga_levels", None)
-            hit = table.get((frozen, top)) if table else None
+            hit = kept.get((frozen, top))
         if hit is not None:
             frozen, nxt, edge_count, dropped = hit
         else:
@@ -512,8 +522,8 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
                 nxt = {cfg: (min(edges, key=_back_edge_order),)
                        for cfg, edges in nxt.items()}
                 stored = frozenset(nxt)
-                _step_store(machine, "_cga_levels")[frozen, top] = (
-                    stored, nxt, edge_count, dropped)
+                search.keep(kept, (frozen, top),
+                            (stored, nxt, edge_count, dropped))
                 frozen = stored
         pruned += dropped
         if not nxt:
@@ -522,18 +532,6 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
         preds.append(nxt)
         j += 1
         edge_counts.append(edge_count)
-
-
-def _start_level(machine, stuck):
-    """(level 0, the configurations pruned from it), made once per machine:
-    the machine and its dead table stuck decide it."""
-    first = getattr(machine, "_cga_first", None)
-    if first is None:
-        start = machine.initial_configs()
-        level = frozenset((state, counters, False) for state, counters in start
-                          if not _dead(stuck, state, counters))
-        first = machine._cga_first = (level, len(start) - len(level))
-    return first
 
 
 class _LevelRows(Sequence):
@@ -613,14 +611,16 @@ def multiplier_enumerative_search(machine: CounterAutomaton, u,
     configuration set is empty, which cannot change the first hit.
     """
     u = tuple(u)
-    index = _pair_index(machine)
+    search = _search(machine)
 
     def dfs(configs, depth, target):
-        if depth == target:
-            return () if _accepts_padded(machine, index, configs, u, depth) else None
+        if depth == target:  # accepted once the rest of u reads padding?
+            for top in u[depth:]:
+                configs = _advance(search, configs, top, None)
+            return () if machine.accepting(configs) else None
         top = u[depth] if depth < len(u) else None
         for sigma in order.letters:
-            nxt = _advance(machine, index, configs, top, sigma)
+            nxt = _advance(search, configs, top, sigma)
             if not nxt:
                 continue
             sub = dfs(nxt, depth + 1, target)
@@ -672,12 +672,12 @@ def accepted_candidates(machine: CounterAutomaton, trie):
     pair of prefixes.  A word that has ended is read as padding (None) on its
     row; the letter with both rows padded is never read.  Configurations
     that the dead table calls dead are dropped; they have no accepting
-    future.  Each step is kept in the machine's bounded store (see
+    future.  Each step is kept in the search's bounded store (see
     _advance), so a later walk, of this trie or another, reads the steps it
     repeats unless a flush has emptied the store since.
     """
-    index = _pair_index(machine)
-    stuck = _dead_table(machine)
+    search = _search(machine)
+    stuck = search.dead
     accepting = machine.accepting
     words, root = trie
     accepted = {w: set() for w in words}
@@ -690,7 +690,7 @@ def accepted_candidates(machine: CounterAutomaton, trie):
             for bottom, bottom_child in bottom_moves:
                 if top is None and bottom is None:
                     continue
-                nxt = _advance(machine, index, configs, top, bottom, stuck)
+                nxt = _advance(search, configs, top, bottom, stuck)
                 if nxt:
                     walk(top_child or top_node, bottom_child or bottom_node, nxt)
 
@@ -800,18 +800,13 @@ class GraphAutomaticStructure:
         if machine is None and token in self.generators:
             inverse = self._own_multiplier(self.generators.inverse_of(token))
             if inverse is not None:
-                machine = self._multipliers.setdefault(
-                    token, swap_rows(inverse, inverse.name + "-"))
-                machine._cga_twin, inverse._cga_twin = inverse, machine
+                # the swap's search reads its inverse's tables (_Search)
+                swap = swap_rows(inverse, inverse.name + "-")
+                _search(swap, _search(inverse))
+                machine = self._multipliers.setdefault(token, swap)
         if machine is None:
             raise StructureError(
                 f"no multiplier available for generator {token!r}")
-        if not hasattr(machine, "_cga_stuck"):
-            # a row swap has its inverse's states, programs and accepts, so
-            # the dead table built for either one serves both
-            twin = getattr(machine, "_cga_twin", None)
-            if hasattr(twin, "_cga_stuck"):
-                machine._cga_stuck = twin._cga_stuck
         return machine
 
     def _own_multiplier(self, token):
@@ -914,6 +909,8 @@ class GraphAutomaticStructure:
     def step_normal_form_enumerative(self, u, x):
         """Same result as step_normal_form via shortlex candidate enumeration."""
         u = tuple(u)
+        if x not in self.generators:
+            raise StructureError(f"unknown generator {x!r}")
         if not self.nf_automaton.accepts_word(u):
             raise StructureError(f"word {' '.join(u) or 'EPS'} is not in L")
         machine = self.multiplier(x)
@@ -984,11 +981,10 @@ def verify(structure: GraphAutomaticStructure, radius: int,
     declare a quasigeodesic constant get the length inequality checked too.
 
     The walk's searches and pair walks keep their steps, and the searches
-    their answers, in the machines' bounded stores (see
-    multiplier_graph_search and _advance), which outlive the call: a later
-    verify of the structure reads what it repeats.  A generator whose
-    multiplier is the row swap of an inverse already walked takes the
-    transposed pairs instead of a walk of its own, and on a structure that
+    their answers, in the machines' bounded stores (_Search), which outlive
+    the call: a later verify of the structure reads what it repeats.  Each
+    machine is walked once, an alias's as its letter's, and a row swap whose
+    twin is walked takes the twin's pairs transposed; on a structure that
     keeps_l no state's normal form is checked against L again."""
     if radius < 0:
         raise StructureError(f"radius must be non-negative, got {radius}")
@@ -1022,14 +1018,18 @@ def verify(structure: GraphAutomaticStructure, radius: int,
     report.elements = len(classes)
 
     trie = candidate_trie(nf for _, nf in classes.values())
-    accepted = {}
+    accepted, walked = {}, {}  # walked: search -> its machine's pairs
     for x in gens:
-        machine, inverse = structure.multiplier(x), structure.generators.inverse_of(x)
-        if inverse in accepted and (
-                getattr(machine, "_cga_twin", None) is structure.multiplier(inverse)):
-            accepted[x] = _transposed(accepted[inverse])
-        else:
-            accepted[x] = accepted_candidates(machine, trie)
+        search = _search(structure.multiplier(x))
+        if search not in walked:
+            twin = search.twin
+            if twin in walked:
+                walked[search] = _transposed(walked[twin])
+            else:
+                walked[search] = accepted_candidates(search.machine, trie)
+                if twin is not None:  # a row swap walked before its inverse
+                    walked[twin] = _transposed(walked[search])
+        accepted[x] = walked[search]
     for canon, (u_word, u_nf) in sorted(classes.items()):
         # a class stepped by the walk has its targets; at the radius, or
         # past a failed step, the oracle gives them

@@ -158,6 +158,17 @@ def test_finf_index_past_sys_maxsize_exits_2(token, capsys):
     assert captured.err == f"error: unknown generator {token!r}\n"
 
 
+@pytest.mark.parametrize("group, token", [
+    ("finf", "x99999999999999999999"), ("finf:2", "x5")])
+def test_both_algorithms_name_an_unknown_generator(group, token, capsys):
+    # each checks the generator before it looks for a multiplier
+    for algo in ("graph", "enum"):
+        code = main(["nf", "--group", group, token, "--algo", algo])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", algo
+        assert captured.err == f"error: unknown generator {token!r}\n", algo
+
+
 # the factory's lists for these indices fail at once, before any memory is
 # allocated; never add an index whose machine could be allocated
 @pytest.mark.parametrize("token", ["x9223372036854775807", "x4611686018427387904"])

@@ -21,6 +21,7 @@ from cga.gastructure import (
     SearchBoundExceeded,
     StructureError,
     _dead,
+    _search,
     _transposed,
     accepted_candidates,
     candidate_trie,
@@ -341,7 +342,8 @@ def test_stuck_counter_table_on_hand_built_machine():
     assert table == {"s0": ((), ()), "s1": ((1,), (0, 1)), "s2": ((1,), (0, 1)),
                      "s3": ((0, 1), (0, 1))}
     assert table["s1"] is table["s2"]  # one entry per distinct pair of masks
-    assert stuck_counters(machine) is table  # built once
+    assert _search(machine).dead == table
+    assert _search(machine).dead is _search(machine).dead  # built once
     assert not _dead(table, "s2", (3, 0))
     assert _dead(table, "s2", (-1, 0))   # counter 0 can only fall from s2
     assert _dead(table, "s1", (0, 2))
@@ -415,6 +417,11 @@ def all_live(machine):
     return {q: ((), ()) for q in machine.states}
 
 
+def built(machine, table):
+    """Whether machine's search has built its table of that name."""
+    return table in vars(_search(machine))
+
+
 @pytest.mark.parametrize("expr, max_len", [
     ("bs:2,3", 10), ("bs:4,7", 8), ("regen(bs:2,3; a=a; t=t; u=a a)", 4),
     ("product(bs:2,3,z)", 8), ("free(bs:2,3,z)", 8), ("finf:3", 8)])
@@ -445,12 +452,12 @@ def test_start_level_is_pruned_once_the_table_exists():
     for _ in range(2):
         v, rows, pruned = multiplier_graph_search(machine, ("x",), 1)
         assert (v, rows[0], pruned) == (("x",), (0, 1, 0, 0), 1)
-        assert hasattr(machine, "_cga_stuck")
+        assert built(machine, "dead")
 
 
 def test_a_fresh_structures_first_step_is_pruned():
     bs23 = bs_structure(2, 3)
-    assert not hasattr(bs23.multiplier("a"), "_cga_stuck")
+    assert not built(bs23.multiplier("a"), "dead")
     _, trace = bs23.normal_form(("a",) * 16, with_trace=True)
     assert trace.steps[0].pruned > 0  # its first search builds the table
     assert trace.steps[-1].pruned > 0
@@ -527,16 +534,30 @@ def test_stuck_table_equals_the_swept_fixpoint(expr):
         # swap takes that table, which the loop checks against u-'s sweep
         structure.step_normal_form(structure.mu, "u")
         assert "u-" not in structure._multipliers
-        assert structure.multiplier("u-")._cga_stuck is structure.multiplier("u")._cga_stuck
+        assert (_search(structure.multiplier("u-")).dead
+                is _search(structure.multiplier("u")).dead)
         # and the other way round: u-'s table, built at its first search,
         # is u's when u is searched later
         reverse = structure_from_expr(expr)
         reverse.step_normal_form(reverse.mu, "u-")
         reverse.step_normal_form(reverse.mu, "u")
-        assert reverse.multiplier("u")._cga_stuck is reverse.multiplier("u-")._cga_stuck
+        assert (_search(reverse.multiplier("u")).dead
+                is _search(reverse.multiplier("u-")).dead)
     for x in structure.generators.tokens():
         machine = structure.multiplier(x)
         assert stuck_counters(machine) == swept_stuck_table(machine), x
+
+
+@pytest.mark.parametrize("expr, x", [("bs:2,3", "a"), (REGEN_AA, "u")])
+def test_a_row_swap_and_its_inverse_share_one_dead_table(expr, x):
+    # the swap is searched first, then its inverse, each on its own machine
+    structure = structure_from_expr(expr)
+    m, sw = structure.multiplier(x), structure.multiplier(x + "-")
+    for machine, token in ((sw, x + "-"), (m, x)):
+        u = structure.mu
+        multiplier_graph_search(machine, u, structure.step_cap(len(u), token))
+    assert _search(m).dead is _search(sw).dead
+    assert _search(m).start is _search(sw).start
 
 
 @pytest.mark.parametrize("expr, radius", [
@@ -560,10 +581,9 @@ def test_a_shared_level_table_keeps_every_search(expr, radius):
                     nxt.append(want[0])
         frontier = nxt
     machines = [(plain.multiplier(x), shared.multiplier(x)) for x in tokens]
-    assert any(getattr(n, "_cga_levels", None) for _, n in machines)  # kept steps
-    assert not any(hasattr(m, "_cga_levels") for m, _ in machines)
-    assert all(hasattr(m, "_cga_stuck") and hasattr(n, "_cga_stuck")
-               for m, n in machines)
+    assert any(_search(n).levels for _, n in machines)  # kept steps
+    assert not any(_search(m).levels for m, _ in machines)
+    assert all(built(m, "dead") and built(n, "dead") for m, n in machines)
 
 
 # -- verify ---------------------------------------------------------------------------
@@ -785,9 +805,9 @@ def assert_walked(structure, expr, budget=STEP_BUDGET):
     for x in structure.generators.tokens():
         machine = structure.multiplier(x)
         if x in WALKED[expr]:
-            assert 0 < len(machine._cga_steps) <= budget, x
+            assert 0 < len(_search(machine).steps) <= budget, x
         else:
-            assert not hasattr(machine, "_cga_steps"), x
+            assert not _search(machine).steps, x
 
 
 def test_verify_walks_the_trie_once_per_generator(product_zz, monkeypatch):
@@ -808,6 +828,24 @@ def test_verify_walks_the_trie_once_per_generator(product_zz, monkeypatch):
     assert calls == [product_zz.multiplier(x).name for x in WALKED["product(z,z)"]]
 
 
+@pytest.mark.parametrize("expr, walked", [
+    ("regen(bs:2,3; a=a; t=t; y=a t- t)", ["bs2_3_La", "bs2_3_Lt"]),
+    ("regen(bs:2,3; y=a-; s=t)", ["bs2_3_La-", "bs2_3_Lt"])])
+def test_verify_walks_an_alias_with_its_letter(expr, walked, monkeypatch):
+    # y is a, so y's machine is a's and y-'s is a-'s: verify walks a's and
+    # t's machines once each and transposes the rest.  Where y is a-, y's
+    # machine is the row swap a-, walked before its inverse a (y-'s), which
+    # takes the swap's pairs transposed
+    import cga.gastructure
+    from cga.groups import oracle_from_expr
+    calls, walk = [], cga.gastructure.accepted_candidates
+    monkeypatch.setattr(cga.gastructure, "accepted_candidates", lambda m, trie: (
+        calls.append(m.name) or walk(m, trie)))
+    report = verify(structure_from_expr(expr), 2, oracle_from_expr(expr))
+    assert report.ok and report.elements == 17
+    assert calls == walked
+
+
 @pytest.mark.parametrize("expr", [
     "bs:2,3", "finf:3", "free(z,z)", "product(z,z)", REGEN_AA])
 def test_transposed_pairs_equal_a_walk_of_the_row_swap(expr):
@@ -820,7 +858,7 @@ def test_transposed_pairs_equal_a_walk_of_the_row_swap(expr):
     for x in swaps:
         swap = structure.multiplier(x)
         machine = structure.multiplier(structure.generators.inverse_of(x))
-        assert swap._cga_twin is machine
+        assert _search(swap).twin is _search(machine)
         assert (_transposed(accepted_candidates(machine, trie))
                 == accepted_candidates(swap, trie)), x
     if expr == REGEN_AA:
@@ -850,7 +888,7 @@ def test_transposed_pair_walks_leave_verify_unchanged(expr, radius,
     unlinked = fresh_structure(expr)
     tokens = unlinked.generators.tokens()
     for x in tokens:
-        vars(unlinked.multiplier(x)).pop("_cga_twin", None)
+        _search(unlinked.multiplier(x)).twin = None
     want = verify(unlinked, radius, oracle)
     assert calls == [unlinked.multiplier(x).name for x in tokens]
     calls.clear()
@@ -886,11 +924,11 @@ def test_a_kept_answer_is_stored_only_for_a_finished_search():
     machine, u = bs23.multiplier("t"), bs23.normal_form(toks("a a t"))
     with pytest.raises(SearchBoundExceeded):
         multiplier_graph_search(machine, u, 0, keep=True)
-    assert (u, 0) not in machine._cga_levels
+    assert (u, 0) not in _search(machine).levels
     cap = bs23.step_cap(len(u), "t")
     answer = multiplier_graph_search(machine, u, cap, keep=True)
     assert answer[0] == bs23.normal_form(toks("a a t t"))
-    assert machine._cga_levels[u, cap] is answer
+    assert _search(machine).levels[u, cap] is answer
     assert multiplier_graph_search(machine, u, cap, keep=True) is answer
     assert multiplier_graph_search(machine, u, cap) == answer
     assert multiplier_graph_search(machine, u, cap) is not answer
@@ -918,7 +956,7 @@ def test_a_fresh_verify_prunes_and_keeps_every_pair_walk(expr, radius):
     structure = structure_from_expr(expr)
     assert verify(structure, radius, oracle_from_expr(expr)).ok
     for x in structure.generators.tokens():
-        assert hasattr(structure.multiplier(x), "_cga_stuck"), x
+        assert built(structure.multiplier(x), "dead"), x
     assert_walked(structure, expr)
 
 
@@ -943,14 +981,14 @@ def test_kept_steps_leave_accepted_candidates_unchanged(expr, tokens,
     plain = structure_from_expr(expr)
     for x, (want, want_small) in zip(tokens, wants):
         machine = plain.multiplier(x)
-        assert not hasattr(machine, "_cga_steps")
+        assert not _search(machine).steps
         assert accepted_candidates(machine, trie) == want, x
-        assert hasattr(machine, "_cga_stuck")
-        kept = len(machine._cga_steps)
+        assert built(machine, "dead")
+        kept = len(_search(machine).steps)
         assert kept
         assert accepted_candidates(machine, trie) == want, x
         assert accepted_candidates(machine, small) == want_small, x
-        assert len(machine._cga_steps) == kept  # the second walks read every step
+        assert len(_search(machine).steps) == kept  # the second walks read every step
 
 
 def test_enumerative_search_keeps_no_steps():
@@ -959,13 +997,13 @@ def test_enumerative_search_keeps_no_steps():
     structure = bs_structure(2, 3)
     machine, u = structure.multiplier("t"), structure.normal_form(toks("a a t"))
     want = multiplier_enumerative_search(machine, u, structure.order, 12)
-    stuck_counters(machine)
+    assert _search(machine).dead
     assert multiplier_enumerative_search(machine, u, structure.order, 12) == want
-    assert not hasattr(machine, "_cga_steps")
+    assert not _search(machine).steps
     accepted_candidates(machine, candidate_trie([u, want]))
-    kept = dict(machine._cga_steps)
+    kept = dict(_search(machine).steps)
     assert multiplier_enumerative_search(machine, u, structure.order, 12) == want
-    assert machine._cga_steps == kept
+    assert _search(machine).steps == kept
 
 
 @pytest.mark.parametrize("expr", [
@@ -982,10 +1020,10 @@ def test_verify_on_one_structure_matches_fresh_structures(expr):
     machines = [reused.multiplier(x) for x in reused.generators.tokens()]
     assert_walked(reused, expr)
     # the level steps outlive the calls: repeating a call adds no entry
-    kept = [len(machine._cga_levels) for machine in machines]
+    kept = [len(_search(machine).levels) for machine in machines]
     assert all(kept)
     assert verify(reused, 4, oracle) == verify(fresh_structure(expr), 4, oracle)
-    assert [len(machine._cga_levels) for machine in machines] == kept
+    assert [len(_search(machine).levels) for machine in machines] == kept
 
 
 FLUSHED = [("bs:2,3", 3), ("finf:3", 2), (REGEN_AA, 2)]
@@ -1008,7 +1046,7 @@ def test_flushed_step_stores_leave_verify_unchanged(expr, radius, budget,
     assert verify(structure, radius, oracle) == want
     assert verify(structure, radius, oracle) == want
     for machine in machines:
-        assert 0 < len(machine._cga_levels) <= budget, machine.name
+        assert 0 < len(_search(machine).levels) <= budget, machine.name
     assert_walked(structure, expr, budget)
 
 
@@ -1048,7 +1086,7 @@ def test_flushed_step_stores_leave_accepted_candidates_unchanged(
             machine = flushed.multiplier(x)
             assert accepted_candidates(machine, trie) == want, x
             assert accepted_candidates(machine, trie) == want, x
-            assert len(machine._cga_steps) <= budget
+            assert len(_search(machine).steps) <= budget
 
 
 def test_verify_checks_each_stepped_input_against_l_once(monkeypatch):

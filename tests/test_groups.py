@@ -9,6 +9,7 @@ from cga.automata import accepts, program_reads_counters, validate
 from cga.gastructure import (
     GraphAutomaticStructure,
     StructureError,
+    _search,
     accepted_candidates,
     candidate_trie,
     verify,
@@ -562,7 +563,8 @@ def test_regen_alias_takes_its_letters_inverse_multiplier():
         structure.multiplier(first)
         assert structure.multiplier("y") is structure.multiplier("a")
         assert structure.multiplier("y-") is structure.multiplier("a-")
-        assert structure.multiplier("a")._cga_twin is structure.multiplier("a-")
+        assert (_search(structure.multiplier("a-")).twin
+                is _search(structure.multiplier("a")))
 
 
 def test_regen_keeps_the_expression_order_of_trivial_generators():

@@ -213,3 +213,33 @@ def test_public_functions_are_called():
     uncalled = {(module, name) for module in texts
                 for _, name in unreferenced_public(texts, module)}
     assert uncalled == UNCALLED_PUBLIC
+
+
+def cga_attributes(text):
+    """(line, name) for each attribute name or string constant in ``text``
+    that starts with ``_cga_``."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name.startswith("_cga_"):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_cga_attributes_finds_both_spellings():
+    text = ('m._cga_stuck = {}\nt = getattr(m, "_cga_steps", None)\n'
+            'n = "a _cga_ note"\nsearch = m._search\n')
+    assert cga_attributes(text) == [(1, "_cga_stuck"), (2, "_cga_steps")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "shortlex.py"],
+                         ids=lambda p: p.name)
+def test_search_state_lives_in_one_object(path):
+    # a machine's search state is its _Search (gastructure), not ad hoc
+    # attributes; shortlex keeps one walk object per oracle, out of scope
+    assert cga_attributes(path.read_text(encoding="utf-8")) == []
