@@ -29,7 +29,6 @@ SET_ZERO = "set_zero"
 NOOP = "noop"
 
 _KINDS = (INC, DEC, TEST_ZERO, TEST_NONZERO, SET_ZERO, NOOP)
-_GUARDS = (TEST_ZERO, TEST_NONZERO)
 _READS = (TEST_ZERO, TEST_NONZERO, SET_ZERO)
 
 
@@ -181,7 +180,6 @@ class ValidationReport:
     errors: list = field(default_factory=list)
     epsilon_bound: Optional[int] = None  # longest epsilon-only path, None on cycle
     blind: bool = False
-    deterministic: bool = False
 
     @property
     def ok(self) -> bool:
@@ -231,26 +229,10 @@ class CounterAutomaton:
         return not any(map(program_reads_counters, programs.values()))
 
     @cached_property
-    def by_state_letter(self):
-        """dict (state, token) -> list of (program, dst)."""
-        table = {}
-        for t in self.transitions:
-            if t.label is not EPSILON:
-                table.setdefault((t.src, t.label), []).append((t.program, t.dst))
-        return table
-
-    @cached_property
-    def eps_by_state(self):
-        table = {}
-        for t in self.transitions:
-            if t.label is EPSILON:
-                table.setdefault(t.src, []).append((t.program, t.dst))
-        return table
-
-    @cached_property
     def moves(self):
         """dict state -> list of its (label, program, dst) moves, in
-        transition order."""
+        transition order: the one arrow table, which every other is read
+        off (a LazyAutomaton's is a LazyTable)."""
         table = {}
         for t in self.transitions:
             table.setdefault(t.src, []).append(t[1:])
@@ -269,19 +251,26 @@ class CounterAutomaton:
             step = self._steps[id(prog)] = program_step(prog)
             return step
 
-    def _compiled(self, table):
-        return {key: [(self.compile(prog), dst) for prog, dst in arrows]
-                for key, arrows in table.items()}
+    def _arrows(self, state, label):
+        """(step, dst) of state's moves on label, steps from compile."""
+        return [(self.compile(prog), dst)
+                for move_label, prog, dst in self.moves.get(state) or ()
+                if move_label == label]
 
     @cached_property
     def letter_steps(self):
-        """by_state_letter with (step, dst) arrows, steps from compile."""
-        return self._compiled(self.by_state_letter)
+        """LazyTable (state, token) -> its (step, dst) arrows."""
+        return LazyTable(lambda key: self._arrows(*key))
 
     @cached_property
     def eps_steps(self):
-        """eps_by_state with (step, dst) arrows, steps from compile."""
-        return self._compiled(self.eps_by_state)
+        """state -> its epsilon (step, dst) arrows: on a materialized
+        machine a dict of the states that have some, which measured faster
+        than a LazyTable on the searches' hot path."""
+        if isinstance(self.moves, LazyTable):
+            return LazyTable(partial(self._arrows, label=EPSILON))
+        return {state: arrows for state in self.moves
+                if (arrows := self._arrows(state, EPSILON))}
 
     def epsilon_bound(self):
         """Length of the longest epsilon-only path; None if the epsilon graph
@@ -426,7 +415,7 @@ def longest_path(edges):
 
 
 def validate(m: CounterAutomaton) -> ValidationReport:
-    """Structural validation: epsilon bound, blindness and determinism verdicts."""
+    """Structural validation: epsilon bound and blindness verdicts."""
     report = ValidationReport()
     state_set = set(m.states)
     if m.start not in state_set:
@@ -456,44 +445,7 @@ def validate(m: CounterAutomaton) -> ValidationReport:
     if bound is None:
         report.errors.append("epsilon cycle detected (quasi-realtime violated)")
 
-    report.deterministic = _determinism_verdict(m)
     return report
-
-
-def _guard_prefix(prog: Program, k: int):
-    """Per counter, the first guard seen before any mutation of that counter."""
-    guards = [None] * k
-    mutated = [False] * k
-    for step in prog:
-        for i, instr in enumerate(step):
-            if instr.kind in _GUARDS and not mutated[i] and guards[i] is None:
-                guards[i] = instr.kind
-            elif instr.kind in (INC, DEC, SET_ZERO):
-                mutated[i] = True
-    return tuple(guards)
-
-
-def _determinism_verdict(m: CounterAutomaton) -> bool:
-    eps_sources = {t.src for t in m.transitions if t.label is EPSILON}
-    letter_sources = {t.src for t in m.transitions if t.label is not EPSILON}
-    if eps_sources & letter_sources:
-        return False
-    by_key = {}
-    for t in m.transitions:
-        by_key.setdefault((t.src, t.label), []).append(t)
-    for key, group in by_key.items():
-        if len(group) == 1:
-            continue
-        prefixes = [_guard_prefix(t.program, m.counters) for t in group]
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                contradictory = any(
-                    a is not None and b is not None and a != b
-                    for a, b in zip(prefixes[i], prefixes[j])
-                )
-                if not contradictory:
-                    return False
-    return True
 
 
 def accepts(m: CounterAutomaton, word) -> bool:

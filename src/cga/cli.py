@@ -46,7 +46,7 @@ def _emit(args, porcelain_line, human_line):
 
 def _load_ref(args):
     try:
-        if getattr(args, "group", None):
+        if args.group is not None:
             return structure_from_expr(args.group)
         return load_structure(args.structure)
     except (ExprError, LangOpError, *_USAGE_ERRORS) as exc:
@@ -66,9 +66,9 @@ def _searched(args, compute):
 
 
 def _oracle_for(args, structure):
-    spec = getattr(args, "oracle", None)
+    spec = args.oracle
     if spec is None:
-        if getattr(args, "group", None):
+        if args.group is not None:
             spec = args.group
         else:
             raise _Exit(USAGE, "--structure verification needs --oracle")
@@ -170,7 +170,7 @@ def cmd_build(args):
     try:
         structure = structure_from_expr(args.expr)
         write_structure(structure, args.out)
-    except (ExprError, LangOpError) as exc:
+    except (ExprError, LangOpError, OSError) as exc:
         raise _Exit(USAGE, str(exc))
     except StructureError as exc:
         raise _Exit(INVALID, str(exc))

@@ -198,28 +198,23 @@ class _Search:
 
     @cached_property
     def pair_index(self):
-        """dict (state, top) -> dict bottom -> (step, dst) arrows for the
-        letter (top | bottom), None for a padding row, each step compiled by
-        machine.compile: one pass over a materialized machine's transitions,
-        or a LazyTable read off a lazy state's moves at its first lookup."""
+        """LazyTable (state, top) -> dict bottom -> (step, dst) arrows for
+        the letter (top | bottom), None for a padding row, each step
+        compiled by machine.compile: filled from the state's moves at its
+        first lookup, so a search pays only for the states it visits."""
         machine = self.machine
-        compile, rows = machine.compile, {}
+        moves, compile = machine.moves, machine.compile
+        rows = LazyTable(parse_tuple_token)
 
-        def build(transitions):
+        def fill(key):
+            state, top = key
             index = {}
-            for src, letter, prog, dst in transitions:
-                if letter is not EPSILON:
-                    if letter not in rows:
-                        rows[letter] = parse_tuple_token(letter)
-                    top, bottom = rows[letter]
-                    index.setdefault((src, top), {}).setdefault(
-                        bottom, []).append((compile(prog), dst))
+            for letter, prog, dst in moves.get(state) or ():
+                if letter is not EPSILON and rows[letter][0] == top:
+                    index.setdefault(rows[letter][1], []).append(
+                        (compile(prog), dst))
             return index
-
-        if isinstance(machine, LazyAutomaton):
-            return LazyTable(lambda key: build(
-                (key[0], *move) for move in machine.moves[key[0]]).get(key))
-        return build(machine.transitions)
+        return LazyTable(fill)
 
     @cached_property
     def dead(self):
@@ -287,7 +282,7 @@ def _advance(search, configs, top, bottom, stuck=None):
     closure, eps = machine.eps_closure, machine.eps_steps
     nxt = set()
     for state, counters in configs:
-        options = index.get((state, top))
+        options = index[state, top]
         if not options:
             continue
         for step, dst in options.get(bottom, ()):
@@ -485,7 +480,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
             edge_count = 0
             for cfg in level:
                 state, counters, flag = cfg
-                options = index.get((state, top))
+                options = index[state, top]
                 if not options:
                     continue
                 for bottom, arrows in options.items():

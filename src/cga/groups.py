@@ -22,6 +22,7 @@ from .automata import (
     TEST0,
     TESTN0,
     CounterAutomaton,
+    LazyTable,
     delta_program,
 )
 from .langops import (
@@ -32,7 +33,7 @@ from .langops import (
     explore,
     intersect,
     pad_lift,
-    padded_arrows,
+    padded_moves,
     pair_letters,
     parse_tuple_token,
     program_joiner,
@@ -703,7 +704,7 @@ def _tagged_parts(structure: GraphAutomaticStructure, tag):
 
 
 def _product_multiplier(mult, other, side, alphabet, name):
-    """One walk over the transitions of a factor multiplier ``mult`` and the
+    """One walk over the moves of a factor multiplier ``mult`` and the
     other factor's normal-form machine ``other``, accepting the pairs
     ((g1|h), (g2|h)) for (g1|g2) read by ``mult`` and h read by ``other``;
     ``side`` is the multiplier's row within each component (0 for the
@@ -716,10 +717,9 @@ def _product_multiplier(mult, other, side, alphabet, name):
     has padded never resumes, and a component that pads in both its rows
     becomes the outer padding.  ``other``'s counters come first."""
     total = other.counters + mult.counters
-    m_eps, m_letters = padded_arrows(mult, total, other.counters)
-    o_eps, o_letters = padded_arrows(other, total, 0)
-    rows = {label: parse_tuple_token(label)
-            for by_label in m_letters.values() for label in by_label}
+    m_moves = padded_moves(mult, total, other.counters)
+    o_moves = padded_moves(other, total, 0)
+    rows = LazyTable(parse_tuple_token)
     join = program_joiner()
 
     def component(own, h):
@@ -738,15 +738,17 @@ def _product_multiplier(mult, other, side, alphabet, name):
 
     def expand(key):
         m, o, top_done, bottom_done, h_done = key
-        for prog, dst in m_eps.get(m, ()):
+        m_eps, m_letters = m_moves[m]
+        o_eps, o_letters = o_moves[o]
+        for prog, dst in m_eps:
             yield EPSILON, prog, (dst, o, top_done, bottom_done, h_done)
-        for prog, dst in o_eps.get(o, ()):
+        for prog, dst in o_eps:
             yield EPSILON, prog, (m, dst, top_done, bottom_done, h_done)
         h_moves = [] if h_done else [
-            (h, prog, dst) for h, arrows in o_letters.get(o, {}).items()
+            (h, prog, dst) for h, arrows in o_letters.items()
             for prog, dst in arrows]
         with_padding = h_moves + [(None, EMPTY_PROGRAM, o)]
-        for label, arrows in m_letters.get(m, {}).items():
+        for label, arrows in m_letters.items():
             top, bottom = rows[label]
             if ((top_done and top is not None)
                     or (bottom_done and bottom is not None)):
@@ -945,7 +947,7 @@ def free_product(sg: GraphAutomaticStructure,
         not_mu = _not_word(mu, lam)
         rows = [(letter, parse_tuple_token(letter)) for letter in lam_pairs]
 
-        def expand(key, step=not_mu.by_state_letter):
+        def expand(key, step=not_mu.letter_steps):
             for letter, pair in rows:
                 yield letter, EMPTY_PROGRAM, tuple(
                     q if c is None else step[q, c][0][1] for q, c in zip(key, pair))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .automata import (
     EPSILON,
@@ -186,10 +186,10 @@ class LazyAutomaton(CounterAutomaton):
     ``accepting`` callbacks, whose runs fill each state the first time they
     reach it, as RE2's lazy DFA builds only the states a match visits (Cox,
     "Regular Expression Matching in the Wild", 2010).  The runs name states
-    by their keys: ``moves``, ``final``, ``letter_steps`` and ``eps_steps``
-    are LazyTables over keys.  ``moves`` leaves out a move into a state that
-    has none and does not accept, as trim would; other states that cannot
-    reach acceptance stay.
+    by their keys: ``moves`` and ``final`` are LazyTables over keys, and so
+    is every table read off ``moves``.  ``moves`` leaves out a move into a
+    state that has none and does not accept, as trim would; other states
+    that cannot reach acceptance stay.
 
     ``states``, ``start``, ``accepts`` and ``transitions``, and all that is
     read off them (validate, formats, trim, quotient, relabel, a trace's
@@ -214,12 +214,6 @@ class LazyAutomaton(CounterAutomaton):
         self.moves = LazyTable(lambda key: [
             move for move in expanded[key]
             if expanded[move[2]] or move[2] in self.final])
-        self.eps_steps = LazyTable(lambda key: [
-            (self.compile(prog), dst)
-            for label, prog, dst in self.moves[key] if label is EPSILON])
-        self.letter_steps = LazyTable(lambda key: [
-            (self.compile(prog), dst)
-            for label, prog, dst in self.moves[key[0]] if label == key[1]])
         self._build = build
         self.parts = parts
         self.acyclic = acyclic
@@ -238,23 +232,25 @@ class LazyAutomaton(CounterAutomaton):
 # intersection, composition, union
 
 
-def padded_arrows(machine: CounterAutomaton, total: int, offset: int):
-    """A machine's arrows (program, target) with each program padded once to
-    ``total`` counters, the machine's own at ``offset``: a dict of epsilon
-    arrows by state and a dict of letter arrows by state, then by label, both
-    in transition order."""
-    eps, letters = {}, {}
+def padded_moves(machine: CounterAutomaton, total: int, offset: int):
+    """LazyTable state -> (epsilon arrows, dict label -> letter arrows) of
+    machine's moves, arrows (program, target) in transition order, each
+    program padded once to ``total`` counters, the machine's own at
+    ``offset``."""
     padded = {}  # id(program) -> its padded copy, one per program object
-    for t in machine.transitions:
-        prog = padded.get(id(t.program))
-        if prog is None:
-            prog = padded[id(t.program)] = pad_program(t.program, total, offset)
-        arrow = (prog, t.dst)
-        if t.label is EPSILON:
-            eps.setdefault(t.src, []).append(arrow)
-        else:
-            letters.setdefault(t.src, {}).setdefault(t.label, []).append(arrow)
-    return eps, letters
+
+    def fill(state):
+        eps, letters = [], {}
+        for label, prog, dst in machine.moves.get(state) or ():
+            wide = padded.get(id(prog))
+            if wide is None:
+                wide = padded[id(prog)] = pad_program(prog, total, offset)
+            if label is EPSILON:
+                eps.append((wide, dst))
+            else:
+                letters.setdefault(label, []).append((wide, dst))
+        return eps, letters
+    return LazyTable(fill)
 
 
 def program_joiner():
@@ -273,18 +269,17 @@ def intersect(m: CounterAutomaton, n: CounterAutomaton,
         raise AlphabetMismatch(f"{m.name} and {n.name} have different alphabets")
     k, l = m.counters, n.counters
     total = k + l
-    m_eps, m_letters = padded_arrows(m, total, 0)
-    n_eps, n_letters = padded_arrows(n, total, k)
+    m_moves, n_moves = padded_moves(m, total, 0), padded_moves(n, total, k)
     join = program_joiner()
 
     def expand(key):
         s, t = key
-        for prog, dst in m_eps.get(s, ()):
+        m_eps, mine = m_moves[s]
+        n_eps, theirs = n_moves[t]
+        for prog, dst in m_eps:
             yield EPSILON, prog, (dst, t)
-        for prog, dst in n_eps.get(t, ()):
+        for prog, dst in n_eps:
             yield EPSILON, prog, (s, dst)
-        mine = m_letters.get(s)
-        theirs = n_letters.get(t)
         if not mine or not theirs:
             return
         for label, arrows in mine.items():
@@ -368,48 +363,32 @@ def _composition(m: CounterAutomaton, n: CounterAutomaton):
     total = m.counters + n.counters
     join = program_joiner()
     rank = {label: i for i, label in enumerate(m.alphabet)}
-    rows = {}
+    rows = LazyTable(parse_tuple_token)
 
-    def side(machine, offset):
-        # state -> (epsilon arrows, [(top, bottom, arrows)] then the stay
-        # move), each program padded once to total counters from offset
-        padded = {}  # id(program) -> its padded copy
-
-        def fill(state):
-            eps, letters = [], {}
-            for label, prog, dst in machine.moves.get(state) or ():
-                wide = padded.get(id(prog))
-                if wide is None:
-                    wide = padded[id(prog)] = pad_program(prog, total, offset)
-                if label is EPSILON:
-                    eps.append((wide, dst))
-                else:
-                    letters.setdefault(label, []).append((wide, dst))
-            for label in letters:
-                if label not in rows:
-                    rows[label] = parse_tuple_token(label)
-            return eps, [(*rows[label], letters[label])
-                         for label in sorted(letters, key=rank.__getitem__)
-                         ] + [(None, None, [(EMPTY_PROGRAM, state)])]
-        return LazyTable(fill)
+    def letters(side, state):
+        # side's letter arrows at state as (top, bottom, arrows) in m's
+        # alphabet order, then the move that stays put
+        by_label = side[state][1]
+        return [(*rows[label], by_label[label])
+                for label in sorted(by_label, key=rank.__getitem__)
+                ] + [(None, None, [(EMPTY_PROGRAM, state)])]
 
     def by_top(t):
         out = {}
-        for top, bottom, arrows in n_side[t][1]:
+        for top, bottom, arrows in letters(n_side, t):
             out.setdefault(top, []).append((bottom, arrows))
         return out
 
-    m_side, n_side = side(m, 0), side(n, m.counters)
-    n_by_top = LazyTable(by_top)
+    m_side, n_side = padded_moves(m, total, 0), padded_moves(n, total, m.counters)
+    m_letters, n_by_top = LazyTable(partial(letters, m_side)), LazyTable(by_top)
 
     def expand(key):
         s, t = key
-        m_eps, m_moves = m_side[s]
-        for prog, dst in m_eps:
+        for prog, dst in m_side[s][0]:
             yield EPSILON, prog, (dst, t)
         for prog, dst in n_side[t][0]:
             yield EPSILON, prog, (s, dst)
-        for u, v, m_arrows in m_moves:
+        for u, v, m_arrows in m_letters[s]:
             for w, n_arrows in n_by_top[t].get(v, ()):
                 if u is None and w is None and v is None:
                     continue
@@ -611,15 +590,15 @@ def swap_rows(m: CounterAutomaton, name=None) -> CounterAutomaton:
 def _eps_paths_with_programs(m: CounterAutomaton, src: str):
     """All (program-sequence, endpoint) for epsilon paths from src, including
     the empty path.  Finite because the epsilon graph is acyclic."""
-    eps = m.eps_by_state
     out = [((), src)]
     stack = [((), src)]
     while stack:
         progs, q = stack.pop()
-        for prog, dst in eps.get(q, ()):
-            item = (progs + (prog,), dst)
-            out.append(item)
-            stack.append(item)
+        for label, prog, dst in m.moves.get(q) or ():
+            if label is EPSILON:
+                item = (progs + (prog,), dst)
+                out.append(item)
+                stack.append(item)
     return out
 
 
@@ -633,7 +612,6 @@ def preimage(m: CounterAutomaton, phi: LetterHomomorphism,
         raise LangOpError("preimage requires an epsilon-acyclic machine")
 
     eps_paths = {q: _eps_paths_with_programs(m, q) for q in m.states}
-    table = m.by_state_letter
 
     transitions = [t for t in m.transitions if t.label is EPSILON]
 
@@ -651,7 +629,9 @@ def preimage(m: CounterAutomaton, phi: LetterHomomorphism,
             for tok in word:
                 nxt = {}
                 for q, progsets in frontier.items():
-                    for prog, dst in table.get((q, tok), ()):
+                    for label, prog, dst in m.moves.get(q) or ():
+                        if label != tok:
+                            continue
                         for tail, q2 in eps_paths[dst]:
                             bucket = nxt.setdefault(q2, {})
                             for progs in progsets:
@@ -693,9 +673,7 @@ def pad_lift(m: CounterAutomaton, side: str,
         return tuple_token((free_part, tracked))
 
     ENDED = ("!ended",)
-    by_src = {}
-    for (src, tok), arrows in m.by_state_letter.items():
-        by_src.setdefault(src, []).extend((tok, prog, dst) for prog, dst in arrows)
+    moves = padded_moves(m, m.counters, 0)
 
     def expand(key):
         if key == ENDED:
@@ -703,12 +681,14 @@ def pad_lift(m: CounterAutomaton, side: str,
                 yield letter(None, f), EMPTY_PROGRAM, ENDED
             return
         q, free_done = key
-        for tok, prog, dst in by_src.get(q, ()):
-            if not free_done:
-                for f in free:
-                    yield letter(tok, f), prog, (dst, False)
-            yield letter(tok, None), prog, (dst, True)
-        for prog, dst in m.eps_by_state.get(q, ()):
+        eps, letters = moves[q]
+        for tok, arrows in letters.items():
+            for prog, dst in arrows:
+                if not free_done:
+                    for f in free:
+                        yield letter(tok, f), prog, (dst, False)
+                yield letter(tok, None), prog, (dst, True)
+        for prog, dst in eps:
             yield EPSILON, prog, (dst, free_done)
         if q in m.accepts and not free_done:
             for f in free:

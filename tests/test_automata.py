@@ -60,7 +60,6 @@ def test_validate_bs_l1_is_realtime_blind_deterministic():
     assert report.ok
     assert report.epsilon_bound == 0
     assert report.blind
-    assert report.deterministic
 
 
 def test_validate_empty_machine():
@@ -69,7 +68,6 @@ def test_validate_empty_machine():
     assert report.ok
     assert report.epsilon_bound == 0
     assert report.blind
-    assert report.deterministic
     assert accepts(machine, ())
 
 
@@ -79,7 +77,6 @@ def test_validate_free_product_machine_has_epsilon_edges():
     report = validate(machine)
     assert report.ok
     assert report.epsilon_bound >= 1
-    assert not report.deterministic
 
 
 def test_validate_epsilon_cycle_is_an_error():
@@ -100,15 +97,6 @@ def test_validate_dangling_state_and_blind_contradiction():
     report = validate(machine)
     assert any("dangling" in e for e in report.errors)
     assert any("blind" in e for e in report.errors)
-
-
-def test_validate_guarded_twins_still_deterministic():
-    from cga.automata import TEST0, TESTN0
-    machine = CounterAutomaton(
-        "guarded", ("a",), 1, ["p", "q"], "p", ["q"],
-        [("p", "a", ((TEST0,),), "q"),
-         ("p", "a", ((TESTN0,),), "p")])
-    assert validate(machine).deterministic
 
 
 # -- accepts ------------------------------------------------------------------

@@ -518,6 +518,31 @@ def test_usage_error_exit_code():
     assert main(["nf", "--group", "nonsense(z)", "a"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["nf", "--group", "", "a"],
+    ["wp", "--group", "", "a"],
+    ["eq", "--group", "", "a", "a"],
+    ["verify", "--group", "", "--radius", "1"],
+])
+def test_empty_group_expression_exits_2(argv, capsys):
+    # an empty expression is still --group, not a missing --structure
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown structure expression ''\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_build_into_a_file_exits_2(sub, tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    out = blocker / sub if sub else blocker
+    assert main(["build", "z", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno ")
+    assert str(blocker) in captured.err and captured.out == ""
+
+
 def test_build_rejects_unbounded_family(tmp_path, capsys):
     code = main(["build", "finf", "--out", str(tmp_path / "x")])
     assert code == 4

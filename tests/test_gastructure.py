@@ -39,7 +39,7 @@ from cga.groups import (
     bs_structure,
     structure_from_expr,
 )
-from cga.langops import convolve
+from cga.langops import convolve, parse_tuple_token
 from cga.shortlex import OrderedAlphabet, iter_shortlex
 
 from conftest import ball_normal_forms, toks, z_leaving_l
@@ -261,7 +261,7 @@ def _assert_searches_agree(structure, steps, naive_cap):
 
 def test_searches_agree_on_free_product(free_zz):
     gens = free_zz.generators.tokens()
-    assert any(free_zz.multiplier(x).eps_by_state for x in gens)
+    assert any(free_zz.multiplier(x).eps_steps for x in gens)
     words = [(), ("1.a",), ("2.a", "1.a-"), ("1.a", "2.a", "2.a")]
     steps = [(free_zz.normal_form(w), x) for w in words for x in gens]
     _assert_searches_agree(free_zz, steps, naive_cap=5)
@@ -349,6 +349,56 @@ def test_stuck_counter_table_on_hand_built_machine():
     assert _dead(table, "s1", (0, 2))
     assert _dead(table, "trap", (0, 0))  # cannot reach acceptance
     assert not _dead(table, "s0", (5, -3))
+
+
+def eager_tables(machine):
+    """(pair index, letter steps, epsilon steps) in one pass over the
+    transitions, as the pair index was once built for every materialized
+    machine: the reference for the tables read off ``moves``."""
+    compile = machine.compile
+    index, letters, eps = {}, {}, {}
+    for src, letter, prog, dst in machine.transitions:
+        arrow = (compile(prog), dst)
+        if letter is EPSILON:
+            eps.setdefault(src, []).append(arrow)
+            continue
+        top, bottom = parse_tuple_token(letter)
+        index.setdefault((src, top), {}).setdefault(bottom, []).append(arrow)
+        letters.setdefault((src, letter), []).append(arrow)
+    return index, letters, eps
+
+
+def filled(table, keys):
+    """table's non-empty values on keys, each looked up (so filled) once."""
+    return {key: table[key] for key in keys if table[key]}
+
+
+@pytest.mark.parametrize("expr", ["bs:2,3", "finf:3", "free(z,z)",
+                                  "product(z,z)", "regen(bs:2,3; a=a; t=t; u=at)"])
+def test_arrow_tables_are_read_off_moves(expr):
+    structure = structure_from_expr(expr)
+    tops = [*structure.symbols, None]
+    tokens = ["u"] if expr.startswith("regen") else structure.generators.tokens()
+    for x in tokens:
+        machine = structure.multiplier(x).materialized
+        index, letters, eps = eager_tables(machine)
+        search = _search(machine)
+        assert filled(search.pair_index,
+                      itertools.product(machine.states, tops)) == index, x
+        assert filled(machine.letter_steps,
+                      itertools.product(machine.states, machine.alphabet)) == letters, x
+        assert machine.eps_steps == eps, x
+
+
+def test_a_search_fills_only_the_pair_index_entries_it_visits():
+    # fewer entries than the (state, top) pairs that have arrows, which an
+    # index built in one pass over the transitions holds
+    structure = bs_structure(2, 3)
+    structure.normal_form(toks("a t- a- t"))
+    for x in ("a", "t", "a-", "t-"):
+        machine = structure.multiplier(x)
+        entries = len(_search(machine).pair_index)
+        assert 0 < entries < len(eager_tables(machine)[0]), x
 
 
 @st.composite

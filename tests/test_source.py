@@ -243,3 +243,69 @@ def test_search_state_lives_in_one_object(path):
     # a machine's search state is its _Search (gastructure), not ad hoc
     # attributes; shortlex keeps one walk object per oracle, out of scope
     assert cga_attributes(path.read_text(encoding="utf-8")) == []
+
+
+def is_dataclass(node):
+    """Whether a ClassDef is decorated @dataclass or @dataclass(...)."""
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def unread_members(texts):
+    """(module, class, name) for each public method, property or dataclass
+    field of a class in ``texts`` (module name -> source) whose name no text
+    loads as an attribute."""
+    members, loaded = [], set()
+    for module, text in texts.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = item.name
+                elif (isinstance(item, ast.AnnAssign) and is_dataclass(node)
+                        and isinstance(item.target, ast.Name)):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    members.append((module, node.name, name))
+    return sorted(entry for entry in members if entry[2] not in loaded)
+
+
+def test_unread_members_finds_an_unread_method_and_field():
+    texts = {
+        "a.py": "from dataclasses import dataclass\n\n@dataclass\nclass R:\n"
+                "    used: int\n    dead: int = 0\n    plain = 1\n\n"
+                "    def run(self):\n        return self.used\n\n"
+                "    def stop(self):\n        pass\n\n"
+                "    def _hidden(self):\n        pass\n\n"
+                "class P:\n    x: int\n",
+        "b.py": "def go(r):\n    r.run()\n    r.stop = None\n",
+    }
+    assert unread_members(texts) == [("a.py", "R", "dead"), ("a.py", "R", "stop")]
+
+
+# Public members that nothing in the library reads, each kept for a reader
+# outside it.
+UNREAD_PUBLIC = {
+    # the benchmark's verify and nf workloads ask the oracles (cgabench)
+    ("groups.py", "GroupOracle", "is_trivial"),
+    ("groups.py", "GroupOracle", "equal"),
+    # trace records: a caller of normal_form(with_trace=True) reads them
+    ("gastructure.py", "StepTrace", "input_length"),
+    ("gastructure.py", "StepTrace", "output"),
+    ("gastructure.py", "NormalFormTrace", "chosen"),
+    # the tests check which family members a structure has built
+    ("gastructure.py", "GraphAutomaticStructure", "instantiated_family_indices"),
+    # the word map that goes with image and preimage of the same homomorphism
+    ("langops.py", "LetterHomomorphism", "apply"),
+}
+
+
+def test_public_members_are_read():
+    texts = {p.name: p.read_text(encoding="utf-8")
+             for p in sorted(SOURCE.glob("*.py"))}
+    assert set(unread_members(texts)) == UNREAD_PUBLIC
