@@ -96,6 +96,8 @@ def cmd_accept(args):
 
 
 def cmd_nf(args):
+    if args.trace and args.algo != "graph":
+        raise _Exit(USAGE, "--trace needs --algo graph")
     structure = _load_ref(args)
     result = _searched(args, lambda: structure.normal_form(
         _tokens(args.word), algo=args.algo, with_trace=args.trace))

@@ -117,15 +117,16 @@ class GeneratorSet:
 
     def tokens(self):
         """All concrete generator tokens; family tokens only up to max_index."""
-        out = list(self._inverses)
+        out = dict.fromkeys(self._inverses)  # an ordered set
         if self.family is not None:
             if self.family.max_index is None:
                 raise StructureError(
                     "cannot enumerate an unbounded generator family")
             base = self.family.base
-            out.extend(t for i in range(1, self.family.max_index + 1)
-                       for t in (f"{base}{i}", f"{base}{i}-") if t not in out)
-        return out
+            out.update(dict.fromkeys(
+                t for i in range(1, self.family.max_index + 1)
+                for t in (f"{base}{i}", f"{base}{i}-")))
+        return list(out)
 
 
 @dataclass(frozen=True)
@@ -188,9 +189,10 @@ class _Search:
     """One machine's search context (_search): the tables its searches
     read, each built at first use, and the bounded stores that keeping
     searches share, ``levels`` for the levelled search and ``steps`` for the
-    pair walk.  A row swap keeps its inverse's states, programs and accepts,
-    so a swap's search made with the inverse's as ``twin`` reads its dead
-    table and start level from there: the two share them."""
+    pair walk and the enumeration.  A row swap keeps its inverse's states,
+    programs and accepts, so a swap's search made with the inverse's as
+    ``twin`` reads its dead table and start level from there: the two share
+    them."""
 
     def __init__(self, machine, twin=None):
         self.machine, self.twin = machine, twin
@@ -260,25 +262,22 @@ def _search(machine, twin=None) -> _Search:
         "_search", _Search(machine, twin))
 
 
-def _advance(search, configs, top, bottom, stuck=None):
+def _advance(search, configs, top, bottom):
     """frozenset of the epsilon-closed configurations after the frozenset
     configs reads the letter (top | bottom) on search's machine, less those
-    that the dead table stuck calls dead.
+    that search.dead calls dead: they have no accepting future.
 
-    With stuck, the search's own table, which the pair walk always passes,
-    the step is kept in search.steps under (configs, top, bottom) and read
+    The step is kept in search.steps under (configs, top, bottom) and read
     back from there, as a lazy DFA keeps its subset transitions; the store
     grows with the distinct steps the walks reach, not with the number of
-    walks (see _Search.keep).  Without stuck, as the enumerative search
-    calls it, nothing is stored or read: an unpruned set can be far larger,
-    and its step is not the pruned one stored for the same key.
+    walks (see _Search.keep).  The enumerative search and the pair walk
+    share it: a pruned step is the same set under either.
     """
-    if stuck is not None:
-        key = (configs, top, bottom)
-        nxt = search.steps.get(key)
-        if nxt is not None:
-            return nxt
-    machine, index = search.machine, search.pair_index
+    key = (configs, top, bottom)
+    nxt = search.steps.get(key)
+    if nxt is not None:
+        return nxt
+    machine, index, stuck = search.machine, search.pair_index, search.dead
     closure, eps = machine.eps_closure, machine.eps_steps
     nxt = set()
     for state, counters in configs:
@@ -293,11 +292,10 @@ def _advance(search, configs, top, bottom, stuck=None):
             if dst in eps:
                 reached = closure(reached)
             for cfg in reached:
-                if cfg not in nxt and (stuck is None or not _dead(stuck, *cfg)):
+                if cfg not in nxt and not _dead(stuck, *cfg):
                     nxt.add(cfg)
     nxt = frozenset(nxt)
-    if stuck is not None:
-        search.keep(search.steps, key, nxt)
+    search.keep(search.steps, key, nxt)
     return nxt
 
 
@@ -414,7 +412,7 @@ def multiplier_graph_search(machine: CounterAutomaton, u, length_cap: int,
     configuration on an accepting path is dead, and a dead one has only dead
     successors, so the kept configurations, their edges and v are those of
     the unpruned search.  The table is built once per machine, at its first
-    graph search or pair walk.
+    search, enumeration or pair walk.
 
     With keep, the search shares steps with every other keeping search on
     the machine, in this call or a later one: a level and the next letter of
@@ -603,7 +601,9 @@ def multiplier_enumerative_search(machine: CounterAutomaton, u,
 
     Equivalent to testing candidates one shortlex successor at a time; the
     implementation shares convolution prefixes and abandons a prefix once its
-    configuration set is empty, which cannot change the first hit.
+    configuration set is empty.  Its steps drop dead configurations and are
+    kept with the pair walk's (_advance); a dead configuration has no
+    accepting future, so neither changes the first hit.
     """
     u = tuple(u)
     search = _search(machine)
@@ -665,14 +665,13 @@ def accepted_candidates(machine: CounterAutomaton, trie):
     One walk over pairs of trie nodes evaluates the same membership predicate
     as accepts() on every convolution, sharing the configuration set of each
     pair of prefixes.  A word that has ended is read as padding (None) on its
-    row; the letter with both rows padded is never read.  Configurations
-    that the dead table calls dead are dropped; they have no accepting
-    future.  Each step is kept in the search's bounded store (see
-    _advance), so a later walk, of this trie or another, reads the steps it
-    repeats unless a flush has emptied the store since.
+    row; the letter with both rows padded is never read.  Its steps drop
+    dead configurations and are kept in the search's bounded store
+    (_advance), so a later walk, of this trie or another, or an enumerative
+    search, reads the steps it repeats unless a flush has emptied the store
+    since.
     """
     search = _search(machine)
-    stuck = search.dead
     accepting = machine.accepting
     words, root = trie
     accepted = {w: set() for w in words}
@@ -685,7 +684,7 @@ def accepted_candidates(machine: CounterAutomaton, trie):
             for bottom, bottom_child in bottom_moves:
                 if top is None and bottom is None:
                     continue
-                nxt = _advance(search, configs, top, bottom, stuck)
+                nxt = _advance(search, configs, top, bottom)
                 if nxt:
                     walk(top_child or top_node, bottom_child or bottom_node, nxt)
 
@@ -879,14 +878,11 @@ class GraphAutomaticStructure:
         """Normal form of the identity element."""
         return self._mu
 
-    def step_normal_form(self, u, x, trace_sink=None, keep=False):
-        """The unique v in L with v's element equal to u's element times x;
-        keep shares the search's steps through the machine's store (see
-        multiplier_graph_search).
-        u is checked against L unless it is the last input found there:
-        verify steps each input by every generator in turn, and on a
-        structure that keeps_l, verify and normal_form mark each input there."""
-        u = tuple(u)
+    def _step_input(self, u, x):
+        """x's multiplier, once x is a generator and u is in L; u is checked
+        against L unless it is the last input found there: verify steps each
+        input by every generator in turn, and on a structure that keeps_l,
+        verify and normal_form mark each input there."""
         if x not in self.generators:
             raise StructureError(f"unknown generator {x!r}")
         if u != self._last_in_l:
@@ -894,7 +890,14 @@ class GraphAutomaticStructure:
                 raise StructureError(
                     f"word {' '.join(u) or 'EPS'} is not in L")
             self._last_in_l = u
-        machine = self.multiplier(x)
+        return self.multiplier(x)
+
+    def step_normal_form(self, u, x, trace_sink=None, keep=False):
+        """The unique v in L with v's element equal to u's element times x;
+        keep shares the search's steps through the machine's store (see
+        multiplier_graph_search)."""
+        u = tuple(u)
+        machine = self._step_input(u, x)
         v, per_level, pruned = multiplier_graph_search(
             machine, u, self.step_cap(len(u), x), keep)
         if trace_sink is not None:
@@ -904,13 +907,8 @@ class GraphAutomaticStructure:
     def step_normal_form_enumerative(self, u, x):
         """Same result as step_normal_form via shortlex candidate enumeration."""
         u = tuple(u)
-        if x not in self.generators:
-            raise StructureError(f"unknown generator {x!r}")
-        if not self.nf_automaton.accepts_word(u):
-            raise StructureError(f"word {' '.join(u) or 'EPS'} is not in L")
-        machine = self.multiplier(x)
         return multiplier_enumerative_search(
-            machine, u, self.order, self.step_cap(len(u), x))
+            self._step_input(u, x), u, self.order, self.step_cap(len(u), x))
 
     def normal_form(self, word, algo="graph", with_trace=False):
         """Fold multiplications across the word, starting at the identity."""
@@ -919,9 +917,9 @@ class GraphAutomaticStructure:
         chosen = [self._mu]
         u = self._mu
         for x in word:
+            if self.keeps_l:
+                self._last_in_l = u  # mu or the last step's output, in L
             if algo == "graph":
-                if self.keeps_l:
-                    self._last_in_l = u  # mu or the last step's output, in L
                 u = self.step_normal_form(u, x, trace_sink=steps)
             elif algo == "enum":
                 u = self.step_normal_form_enumerative(u, x)

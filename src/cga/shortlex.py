@@ -88,9 +88,7 @@ def geodesic_normal_form(oracle, alphabet: OrderedAlphabet, word, max_len=None):
     for letter in word:
         if letter not in alphabet.letters:
             raise ShortlexError(f"letter {letter!r} not in ordered alphabet")
-    walks = getattr(oracle, "_cga_walks", None)
-    if walks is None:
-        walks = oracle._cga_walks = {}
+    walks = vars(oracle).setdefault("_shortlex_walks", {})  # letters -> walk
     walk = walks.get(alphabet.letters)
     if walk is None:
         walk = walks[alphabet.letters] = _ElementWalk(oracle, alphabet.letters)

@@ -99,6 +99,14 @@ def test_nf_trace_prints_statistics(capsys):
     assert "max|S_j|" in out
 
 
+def test_nf_trace_needs_the_graph_search(capsys):
+    # the enumeration has no levels to trace
+    code = main(["nf", "--group", "bs:2,3", "a t", "--algo", "enum", "--trace"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --trace needs --algo graph\n"
+
+
 def test_nf_trace_lines_are_fixed(capsys):
     code, out = run(capsys, "nf", "--group", "bs:2,3", "a t a- t-", "--trace")
     assert code == 0

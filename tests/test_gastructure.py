@@ -17,6 +17,7 @@ from cga.automata import (
 )
 from cga.gastructure import (
     STEP_BUDGET,
+    FamilySpec,
     GeneratorSet,
     SearchBoundExceeded,
     StructureError,
@@ -1041,19 +1042,38 @@ def test_kept_steps_leave_accepted_candidates_unchanged(expr, tokens,
         assert len(_search(machine).steps) == kept  # the second walks read every step
 
 
-def test_enumerative_search_keeps_no_steps():
-    # it passes no dead table, so its unpruned sets are neither stored nor
-    # read, even once the machine's table exists
+class _ReadLog(dict):
+    """A step store that records the keys its lookups find."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.read = set()
+
+    def get(self, key, default=None):
+        if key in self:
+            self.read.add(key)
+        return super().get(key, default)
+
+
+def test_enumerative_search_keeps_its_steps_for_the_pair_walk():
+    # its steps drop dead configurations and go into the store the pair
+    # walk reads: a walk over u and the answer re-reads the answer's path
     structure = bs_structure(2, 3)
     machine, u = structure.multiplier("t"), structure.normal_form(toks("a a t"))
     want = multiplier_enumerative_search(machine, u, structure.order, 12)
-    assert _search(machine).dead
-    assert multiplier_enumerative_search(machine, u, structure.order, 12) == want
-    assert not _search(machine).steps
-    accepted_candidates(machine, candidate_trie([u, want]))
-    kept = dict(_search(machine).steps)
-    assert multiplier_enumerative_search(machine, u, structure.order, 12) == want
-    assert _search(machine).steps == kept
+    search = _search(machine)
+    kept = dict(search.steps)
+    assert kept
+    assert not any(_dead(search.dead, *cfg)
+                   for nxt in kept.values() for cfg in nxt)
+    search.steps = _ReadLog(kept)
+    assert want in accepted_candidates(machine, candidate_trie([u, want]))[u]
+    configs = frozenset(machine.initial_configs())
+    for top, bottom in itertools.zip_longest(u, want):
+        key = (configs, top, bottom)
+        assert key in search.steps.read
+        configs = kept[key]
+    assert machine.accepting(configs)
 
 
 @pytest.mark.parametrize("expr", [
@@ -1212,6 +1232,14 @@ def test_generator_set_involution_rules():
     gens = GeneratorSet([("a", "a")])
     assert gens.inverse_of("a") == "a"
     assert gens.tokens() == ["a"]
+
+
+def test_generator_set_tokens_keep_order_past_collisions():
+    # a fixed pair that names family tokens keeps its place, once
+    gens = GeneratorSet([("x1", "x1-")], FamilySpec("x", None, 2))
+    assert gens.tokens() == ["x1", "x1-", "x2", "x2-"]
+    gens = GeneratorSet([("x2-", "x2"), ("a", "a")], FamilySpec("x", None, 2))
+    assert gens.tokens() == ["x2-", "x2", "a", "x1", "x1-"]
 
 
 # -- polynomial-time sanity curve ---------------------------------------------------

@@ -669,6 +669,18 @@ def test_a_composition_without_a_proof_is_built_at_once(bs23, monkeypatch):
         langops.compose(head, bs23.multiplier("t"))
 
 
+def test_an_unproved_composition_can_still_be_built():
+    # _acyclic proves no side of this t- ... t conjugate acyclic, yet the
+    # full walk meets no epsilon cycle: a rule that refuses unproved words
+    # before composing would refuse one that builds and verifies
+    expr = "regen(free(bs:2,3,z); y=1.t- 2.a 1.t)"
+    structure = structure_from_expr(expr)
+    y = structure.multiplier("y")
+    assert not isinstance(y, langops.LazyAutomaton)
+    assert len(y.states) == 2994
+    assert verify(structure, 2, oracle_from_expr(expr)).ok
+
+
 def test_a_fresh_regen_fills_only_what_its_searches_reach():
     expr = "regen(bs:2,3; a=a; t=t; u=at)"
     structure = structure_from_expr(expr)

@@ -237,11 +237,10 @@ def test_cga_attributes_finds_both_spellings():
     assert cga_attributes(text) == [(1, "_cga_stuck"), (2, "_cga_steps")]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "shortlex.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_search_state_lives_in_one_object(path):
-    # a machine's search state is its _Search (gastructure), not ad hoc
-    # attributes; shortlex keeps one walk object per oracle, out of scope
+    # a machine's search state is its _Search (gastructure), and an oracle's
+    # element walks one dict (shortlex), not ad hoc attributes
     assert cga_attributes(path.read_text(encoding="utf-8")) == []
 
 
