@@ -17,7 +17,12 @@ from .formats import ParseError, load_automaton, load_structure, write_structure
 from .gastructure import SearchBoundExceeded, StructureError, verify
 from .groups import ExprError, oracle_from_expr, structure_from_expr
 from .langops import LangOpError
-from .shortlex import OrderedAlphabet, SearchCapExceeded, geodesic_normal_form
+from .shortlex import (
+    OrderedAlphabet,
+    SearchCapExceeded,
+    ShortlexError,
+    geodesic_normal_form,
+)
 
 OK, NO, USAGE, BOUND, INVALID = 0, 1, 2, 3, 4
 # errors of a malformed word or structure; a manifest's multiplier files are
@@ -198,6 +203,8 @@ def cmd_shortlex_nf(args):
         _emit(args, f"cap-exceeded {args.max_len}",
               f"no representative within length {args.max_len}")
         return BOUND
+    except ShortlexError as exc:
+        raise _Exit(USAGE, str(exc))
     rendered = " ".join(nf) if nf else "EPS"
     _emit(args, f"normal-form {rendered}", rendered)
     return OK

@@ -72,8 +72,11 @@ class FamilySpec:
     max_index: Optional[int] = None
 
     def __post_init__(self):
-        # a longer index is past sys.maxsize, and int() may refuse it
-        self._pattern = re.compile(re.escape(self.base) + r"(\d{1,19})(-?)")
+        # one spelling per index: ASCII digits without a leading zero, so
+        # that x01 is not a second name of x1; a longer index is past
+        # sys.maxsize, and int() may refuse it
+        self._pattern = re.compile(
+            re.escape(self.base) + r"([1-9][0-9]{0,18})(-?)")
 
     def parse(self, token):
         m = self._pattern.fullmatch(token)
@@ -968,26 +971,30 @@ class VerificationReport:
 
 def verify(structure: GraphAutomaticStructure, radius: int,
            oracle) -> VerificationReport:
-    """Walk the Cayley ball over distinct (normal form, oracle class) states:
-    normal forms must terminate and realize exactly the oracle's classes, and
-    the multipliers must accept precisely the right pairs.  Structures that
-    declare a quasigeodesic constant get the length inequality checked too.
+    """Walk the Cayley ball over distinct (normal form, oracle element)
+    states: normal forms must terminate and realize exactly the oracle's
+    elements, and the multipliers must accept precisely the right pairs.
+    Structures that declare a quasigeodesic constant get the length
+    inequality checked too.
 
-    The walk's searches and pair walks keep their steps, and the searches
-    their answers, in the machines' bounded stores (_Search), which outlive
-    the call: a later verify of the structure reads what it repeats.  Each
-    machine is walked once, an alias's as its letter's, and a row swap whose
-    twin is walked takes the twin's pairs transposed; on a structure that
-    keeps_l no state's normal form is checked against L again."""
+    A state steps its normal form by the structure's search and its element
+    by the oracle's ``times``, one generator at a time; classes are reported
+    in the order of their canonical words (``word_of``).  The walk's searches
+    and pair walks keep their steps, and the searches their answers, in the
+    machines' bounded stores (_Search), which outlive the call: a later
+    verify of the structure reads what it repeats.  Each machine is walked
+    once, an alias's as its letter's, and a row swap whose twin is walked
+    takes the twin's pairs transposed; on a structure that keeps_l no
+    state's normal form is checked against L again."""
     if radius < 0:
         raise StructureError(f"radius must be non-negative, got {radius}")
     report = VerificationReport(structure.name, oracle.name, radius)
     gens = structure.generators.tokens()
-    classes = {}   # oracle canonical form -> (first word, normal form)
-    nf_class = {}  # normal form -> oracle canonical form
-    # A state is (normal form, canonical form); moves maps it to its successor
-    # per generator (None on a failed step), a level to (first word, #words).
-    moves, level = {}, {(structure.mu, oracle.canonicalize(())): ((), 1)}
+    classes = {}   # oracle element -> (first word, normal form)
+    nf_class = {}  # normal form -> oracle element
+    # A state is (normal form, element); moves maps it to its successor per
+    # generator (None on a failed step), a level to (first word, #words).
+    moves, level = {}, {(structure.mu, oracle.identity): ((), 1)}
     report.words_checked = 1
     for d in range(radius + 1):
         nxt = {}
@@ -1000,8 +1007,8 @@ def verify(structure: GraphAutomaticStructure, radius: int,
             if new:
                 if structure.keeps_l:
                     structure._last_in_l = state[0]  # mu or a step's output
-                moves[state] = [_move(structure, oracle, report, state[0],
-                                      word + (x,)) for x in gens]
+                moves[state] = [_move(structure, oracle, report, state, word, x)
+                                for x in gens]
             for x, after in zip(gens, moves[state]):
                 report.words_checked += count
                 if after is not None:
@@ -1009,6 +1016,7 @@ def verify(structure: GraphAutomaticStructure, radius: int,
                     nxt[after] = (first, total + count)
         level = nxt
     report.elements = len(classes)
+    ordered = sorted(classes.items(), key=lambda item: oracle.word_of(item[0]))
 
     trie = candidate_trie(nf for _, nf in classes.values())
     accepted, walked = {}, {}  # walked: search -> its machine's pairs
@@ -1023,12 +1031,12 @@ def verify(structure: GraphAutomaticStructure, radius: int,
                 if twin is not None:  # a row swap walked before its inverse
                     walked[twin] = _transposed(walked[search])
         accepted[x] = walked[search]
-    for canon, (u_word, u_nf) in sorted(classes.items()):
+    for element, (u_word, u_nf) in ordered:
         # a class stepped by the walk has its targets; at the radius, or
-        # past a failed step, the oracle gives them
-        stepped = moves.get((u_nf, canon)) or [None] * len(gens)
+        # past a failed step, the oracle steps its element
+        stepped = moves.get((u_nf, element)) or [None] * len(gens)
         for x, after in zip(gens, stepped):
-            target = after[1] if after else oracle.canonicalize(u_word + (x,))
+            target = after[1] if after else oracle.times(element, x)
             expected = {classes[target][1]} if target in classes else set()
             got = accepted[x][u_nf]
             for v in sorted(got - expected):
@@ -1041,7 +1049,7 @@ def verify(structure: GraphAutomaticStructure, radius: int,
     if structure.quasigeodesic_c is not None:
         from .shortlex import geodesic_length
         C, order = structure.quasigeodesic_c, OrderedAlphabet(tuple(gens))
-        for _, (word, nf) in sorted(classes.items()):
+        for _, (word, nf) in ordered:
             g = geodesic_length(oracle, order, word)
             if len(nf) > C * (g + 1):
                 report.add("quasigeodesic", word,
@@ -1049,26 +1057,28 @@ def verify(structure: GraphAutomaticStructure, radius: int,
     return report
 
 
-def _move(structure, oracle, report, nf, word):
-    """Word's state from stepping its last letter off nf, None on failure."""
+def _move(structure, oracle, report, state, word, x):
+    """The state of word + (x,), stepped by x from word's state; None on a
+    failed step."""
+    nf, element = state
     try:
-        return (structure.step_normal_form(nf, word[-1], keep=True),
-                oracle.canonicalize(word))
+        return (structure.step_normal_form(nf, x, keep=True),
+                oracle.times(element, x))
     except SearchBoundExceeded as exc:
-        report.add("termination", word, str(exc))
+        report.add("termination", word + (x,), str(exc))
         return None
 
 
-def _record(report, word, nf, canon, classes, nf_class):
-    if canon in classes:
-        if classes[canon][1] != nf:
+def _record(report, word, nf, element, classes, nf_class):
+    if element in classes:
+        if classes[element][1] != nf:
             report.add("bijection-split", word,
-                       f"{_w(word)} got {_w(nf)} but class has {_w(classes[canon][1])}")
+                       f"{_w(word)} got {_w(nf)} but class has {_w(classes[element][1])}")
         return
-    if nf_class.get(nf, canon) != canon:
+    if nf_class.get(nf, element) != element:
         report.add("bijection-collision", word,
                    f"distinct elements share normal form {_w(nf)}")
-    classes[canon], nf_class[nf] = (word, nf), canon
+    classes[element], nf_class[nf] = (word, nf), element
 
 
 def _w(word):

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import groupby
-from operator import itemgetter
 
 from .automata import (
     EPSILON,
@@ -56,21 +54,31 @@ from .gastructure import (
 # oracles
 
 
+def free_times(inverse_of, reduced, tok):
+    """A freely reduced tuple times one letter: cancel or append."""
+    if reduced and reduced[-1] == inverse_of(tok):
+        return reduced[:-1]
+    return reduced + (tok,)
+
+
 def free_reduce(word, inverse_of):
     """Cancel adjacent inverse pairs until none remain."""
-    out = []
-    for tok in word:
-        if out and out[-1] == inverse_of(tok):
-            out.pop()
-        else:
-            out.append(tok)
-    return tuple(out)
+    return reduce(partial(free_times, inverse_of), word, ())
 
 
 class GroupOracle:
-    """Canonical-form calculator used as independent ground truth."""
+    """Canonical-form calculator used as independent ground truth.
+
+    Each oracle writes its group law one letter at a time.  An element is a
+    hashable value, equal to another exactly when the group elements are;
+    ``identity`` is the empty word's element, ``times(element, x)`` the
+    element times the generator x, and ``word_of(element)`` its canonical
+    word.  ``canonicalize`` folds ``times`` over a word from the identity;
+    every oracle class names it in its own body, so that it can be wrapped
+    (counted or timed) class by class."""
 
     name = "oracle"
+    identity = ()
 
     def __init__(self, generators: GeneratorSet):
         self.generators = generators
@@ -78,8 +86,14 @@ class GroupOracle:
     def inverse_of(self, token):
         return self.generators.inverse_of(token)
 
-    def canonicalize(self, word):
+    def times(self, element, x):
         raise NotImplementedError
+
+    def word_of(self, element):
+        raise NotImplementedError
+
+    def canonicalize(self, word):
+        return self.word_of(reduce(self.times, word, self.identity))
 
     def is_trivial(self, word) -> bool:
         return self.canonicalize(word) == ()
@@ -89,14 +103,19 @@ class GroupOracle:
 
 
 class FreeGroupOracle(GroupOracle):
-    """Free group on the given generators; canonical form = freely reduced."""
+    """Free group on the given generators; an element is its freely reduced
+    word.  A letter is checked only when it meets one before it, as in
+    ``free_reduce``."""
 
     def __init__(self, generators: GeneratorSet, name="free"):
         super().__init__(generators)
         self.name = name
+        self.times = partial(free_times, generators.inverse_of)
 
-    def canonicalize(self, word):
-        return free_reduce(word, self.inverse_of)
+    def word_of(self, element):
+        return element
+
+    canonicalize = GroupOracle.canonicalize
 
 
 # -- Baumslag-Solitar rewriting ----------------------------------------------
@@ -160,32 +179,30 @@ def _check_pi_word(p_word, m, n):
         prev = tok
 
 
+def bs_times(m, n, element, tok):
+    """(P, N) of P * a^N times one generator: a t or t- pushes the a-power
+    left past it, leaving a remainder token, or cancels P's last token."""
+    p_word, value = element
+    if tok == "a":
+        return p_word, value + 1
+    if tok == "a-":
+        return p_word, value - 1
+    if tok == "t":
+        q, s = divmod(value, n)
+        if s == 0 and p_word and not _is_t_type(p_word[-1]):
+            return p_word[:-1], _pi_a_count(p_word[-1]) + q * m
+        return p_word + (_pi_token(s, True),), q * m
+    if tok == "t-":
+        q, r = divmod(value, m)
+        if r == 0 and p_word and _is_t_type(p_word[-1]):
+            return p_word[:-1], _pi_a_count(p_word[-1]) + q * n
+        return p_word + (_pi_token(r, False),), q * n
+    raise StructureError(f"unknown BS generator {tok!r}")
+
+
 def bs_canonicalize(word, m, n) -> BSNormalPair:
     """Push every a-power to the right and freely reduce, left to right."""
-    p_word = []
-    value = 0
-    for tok in word:
-        if tok == "a":
-            value += 1
-        elif tok == "a-":
-            value -= 1
-        elif tok == "t":
-            q, s = divmod(value, n)
-            if s == 0 and p_word and not _is_t_type(p_word[-1]):
-                value = _pi_a_count(p_word.pop()) + q * m
-            else:
-                p_word.append(_pi_token(s, True))
-                value = q * m
-        elif tok == "t-":
-            q, r = divmod(value, m)
-            if r == 0 and p_word and _is_t_type(p_word[-1]):
-                value = _pi_a_count(p_word.pop()) + q * n
-            else:
-                p_word.append(_pi_token(r, False))
-                value = q * n
-        else:
-            raise StructureError(f"unknown BS generator {tok!r}")
-    return BSNormalPair(tuple(p_word), value)
+    return BSNormalPair(*reduce(partial(bs_times, m, n), word, ((), 0)))
 
 
 def bs_pair_to_word(pair: BSNormalPair):
@@ -200,17 +217,26 @@ def bs_pair_to_word(pair: BSNormalPair):
 
 
 class BSOracle(GroupOracle):
+    """BS(m,n); an element is the (P, N) of its normal pair."""
+
+    identity = ((), 0)
+
     def __init__(self, m, n):
         if not 2 <= m < n:
             raise StructureError("BS oracle needs 2 <= m < n")
         super().__init__(GeneratorSet([("a", "a-"), ("t", "t-")]))
         self.m, self.n = m, n
         self.name = f"bs:{m},{n}"
+        self.times = partial(bs_times, m, n)
+
+    def word_of(self, element):
+        return bs_pair_to_word(BSNormalPair(*element))
 
     def pair(self, word) -> BSNormalPair:
         return bs_canonicalize(word, self.m, self.n)
 
     def canonicalize(self, word):
+        # word_of of the fold of times, by way of the normal pair
         return bs_pair_to_word(self.pair(word))
 
 
@@ -1046,7 +1072,8 @@ def _diagonal_language(nf: CounterAutomaton, symbols) -> CounterAutomaton:
 
 
 class ProductOracle(GroupOracle):
-    """Direct product; generators of the two factors are tagged 1. and 2."""
+    """Direct product; generators of the two factors are tagged 1. and 2.,
+    and an element is the pair of the factors' elements."""
 
     head = "product"
 
@@ -1059,62 +1086,81 @@ class ProductOracle(GroupOracle):
         self.left, self.right = left, right
         self.name = f"{self.head}({left.name},{right.name})"
 
-    def canonicalize(self, word):
-        first, second = [], []
-        for tok in word:
-            if tok.startswith("1."):
-                first.append(tok[2:])
-            elif tok.startswith("2."):
-                second.append(tok[2:])
-            else:
-                raise StructureError(f"unknown product generator {tok!r}")
-        out = [_tag_token("1.", t) for t in self.left.canonicalize(first)]
-        out.extend(_tag_token("2.", t) for t in self.right.canonicalize(second))
-        return tuple(out)
+    @property
+    def identity(self):
+        return self.left.identity, self.right.identity
+
+    def times(self, element, x):
+        first, second = element
+        side = x[:2]
+        if side == "1.":
+            return self.left.times(first, x[2:]), second
+        if side == "2.":
+            return first, self.right.times(second, x[2:])
+        raise StructureError(f"unknown product generator {x!r}")
+
+    def word_of(self, element):
+        first, second = element
+        return tuple([_tag_token("1.", t) for t in self.left.word_of(first)]
+                     + [_tag_token("2.", t) for t in self.right.word_of(second)])
+
+    canonicalize = GroupOracle.canonicalize
 
 
 class FreeProductOracle(ProductOracle):
-    head = "free"
+    """Free product; an element is its alternating blocks, each a (side tag,
+    factor element) pair whose element is not the factor's identity."""
 
-    def canonicalize(self, word):
-        blocks = []  # (side tag, canonical block word)
-        for side, run in groupby(word, itemgetter(slice(2))):
-            if side not in ("1.", "2."):
-                raise StructureError(
-                    f"unknown free-product generator {next(run)!r}")
-            merged = tuple([tok[2:] for tok in run])
-            if blocks and blocks[-1][0] == side:
-                merged = blocks.pop()[1] + merged
-            factor = self.left if side == "1." else self.right
-            canon = factor.canonicalize(merged)
-            if canon:
-                blocks.append((side, canon))
-            # an emptied block just disappears; alternation is preserved, and
-            # the next run merges with the block now on top
-        return tuple([_tag_token(side, t) for side, block in blocks
-                      for t in block])
+    head = "free"
+    identity = ()
+
+    def times(self, element, x):
+        side = x[:2]
+        if side not in ("1.", "2."):
+            raise StructureError(f"unknown free-product generator {x!r}")
+        factor = self.left if side == "1." else self.right
+        if element and element[-1][0] == side:
+            element, top = element[:-1], element[-1][1]
+        else:
+            top = factor.identity
+        top = factor.times(top, x[2:])
+        # an emptied block just disappears, and the block below it, of the
+        # other side, is on top again
+        return element if top == factor.identity else element + ((side, top),)
+
+    def word_of(self, element):
+        factors = {"1.": self.left, "2.": self.right}
+        return tuple([_tag_token(side, t) for side, top in element
+                      for t in factors[side].word_of(top)])
+
+    canonicalize = GroupOracle.canonicalize
 
 
 class RegenOracle(GroupOracle):
     """Substitution into the base oracle; ``assignments`` maps each new
-    generator y to its word and y- to the inverse word."""
+    generator y to its word and y- to the inverse word, and an element is
+    the base's."""
 
     def __init__(self, base: GroupOracle, assignments):
         super().__init__(GeneratorSet([(y, y + "-") for y in assignments]))
         self.base = base
+        self.identity = base.identity
         self.assignments = {}
         for y, word in assignments.items():
             self.assignments[y] = word = tuple(word)
             self.assignments[y + "-"] = tuple(map(base.inverse_of, word[::-1]))
         self.name = f"regen({base.name})"
 
-    def canonicalize(self, word):
-        expanded = []
-        for tok in word:
-            if tok not in self.assignments:
-                raise StructureError(f"unknown regenerated generator {tok!r}")
-            expanded.extend(self.assignments[tok])
-        return self.base.canonicalize(expanded)
+    def times(self, element, x):
+        word = self.assignments.get(x)
+        if word is None:
+            raise StructureError(f"unknown regenerated generator {x!r}")
+        return reduce(self.base.times, word, element)
+
+    def word_of(self, element):
+        return self.base.word_of(element)
+
+    canonicalize = GroupOracle.canonicalize
 
 
 # ---------------------------------------------------------------------------

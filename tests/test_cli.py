@@ -319,6 +319,48 @@ def test_shortlex_nf_bad_word_or_oracle_exits_2(oracle, word, capsys):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["wp", "--group", "finf", "x01 x1-"],
+    ["nf", "--group", "finf:3", "x1 x01"],
+    ["shortlex-nf", "--oracle", "finf:3", "x01 x1-"],
+])
+def test_family_index_with_a_leading_zero_is_unknown(argv, capsys):
+    # x01 is no second name of x1: every command refuses it
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unknown generator 'x01'" in captured.err
+
+
+def test_shortlex_nf_reports_a_shortlex_error_with_exit_2(monkeypatch, capsys):
+    import cga.cli
+    from cga.shortlex import ShortlexError
+
+    def refuse(*args, **kwargs):
+        raise ShortlexError("letter 'q' not in ordered alphabet")
+
+    monkeypatch.setattr(cga.cli, "geodesic_normal_form", refuse)
+    code = main(["shortlex-nf", "--oracle", "z", "a"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: letter 'q' not in ordered alphabet\n"
+
+
+@pytest.mark.parametrize("group, oracle, message", [
+    ("finf:3", "bs:2,3", "unknown BS generator 'x1'"),
+    ("z", "product(z,z)", "unknown product generator 'a'"),
+    ("z", "free(z,z)", "unknown free-product generator 'a'"),
+    ("z", "regen(z; y=a)", "unknown regenerated generator 'a'"),
+    ("z", "finf:3", "unknown generator 'a'"),
+])
+def test_verify_against_an_oracle_of_other_generators_exits_2(
+        group, oracle, message, capsys):
+    code = main(["verify", "--group", group, "--oracle", oracle, "--radius", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("entry", ["+0", "-0"])
 def test_accept_zero_counter_amount_exits_2(entry, tmp_path, capsys):
     path = tmp_path / "zero.aut"

@@ -683,6 +683,54 @@ def test_verify_broken_structure_first_witnesses(bs23, bs23_oracle):
         "multiplier-sound": ("a",), "multiplier-complete": ("a",)}
 
 
+# the failures, in order, that verify reports when free(z,z) and
+# product(z,z) are each checked against the other's oracle at radius 2:
+# classes are visited in the order of their canonical words
+MISMATCHED_FAILURES = {
+    ("free(z,z)", "product(z,z)"): [
+        ("bijection-split", "2.a 1.a", "2.a 1.a got # 2.a # 1.a but class has # 1.a # 2.a"),
+        ("bijection-split", "2.a 1.a-", "2.a 1.a- got # 2.a # 1.a- but class has # 1.a- # 2.a"),
+        ("bijection-split", "2.a- 1.a", "2.a- 1.a got # 2.a- # 1.a but class has # 1.a # 2.a-"),
+        ("bijection-split", "2.a- 1.a-",
+         "2.a- 1.a- got # 2.a- # 1.a- but class has # 1.a- # 2.a-"),
+        ("multiplier-complete", "1.a 2.a", "M_1.a- misses (# 1.a # 2.a, # 2.a)"),
+        ("multiplier-complete", "1.a 2.a-", "M_1.a- misses (# 1.a # 2.a-, # 2.a-)"),
+        ("multiplier-complete", "1.a- 2.a", "M_1.a misses (# 1.a- # 2.a, # 2.a)"),
+        ("multiplier-complete", "1.a- 2.a-", "M_1.a misses (# 1.a- # 2.a-, # 2.a-)"),
+        ("multiplier-complete", "2.a", "M_1.a misses (# 2.a, # 1.a # 2.a)"),
+        ("multiplier-complete", "2.a", "M_1.a- misses (# 2.a, # 1.a- # 2.a)"),
+        ("multiplier-complete", "2.a-", "M_1.a misses (# 2.a-, # 1.a # 2.a-)"),
+        ("multiplier-complete", "2.a-", "M_1.a- misses (# 2.a-, # 1.a- # 2.a-)"),
+    ],
+    ("product(z,z)", "free(z,z)"): [
+        ("bijection-collision", "2.a 1.a", "distinct elements share normal form (1.a|2.a)"),
+        ("bijection-collision", "2.a 1.a-", "distinct elements share normal form (1.a-|2.a)"),
+        ("bijection-collision", "2.a- 1.a", "distinct elements share normal form (1.a|2.a-)"),
+        ("bijection-collision", "2.a- 1.a-",
+         "distinct elements share normal form (1.a-|2.a-)"),
+        ("multiplier-sound", "1.a 2.a", "M_1.a- accepts ((1.a|2.a), (_|2.a)) wrongly"),
+        ("multiplier-sound", "1.a 2.a-", "M_1.a- accepts ((1.a|2.a-), (_|2.a-)) wrongly"),
+        ("multiplier-sound", "1.a- 2.a", "M_1.a accepts ((1.a-|2.a), (_|2.a)) wrongly"),
+        ("multiplier-sound", "1.a- 2.a-", "M_1.a accepts ((1.a-|2.a-), (_|2.a-)) wrongly"),
+        ("multiplier-sound", "2.a 1.a", "M_2.a- accepts ((1.a|2.a), (1.a|_)) wrongly"),
+        ("multiplier-sound", "2.a 1.a-", "M_2.a- accepts ((1.a-|2.a), (1.a-|_)) wrongly"),
+        ("multiplier-sound", "2.a- 1.a", "M_2.a accepts ((1.a|2.a-), (1.a|_)) wrongly"),
+        ("multiplier-sound", "2.a- 1.a-", "M_2.a accepts ((1.a-|2.a-), (1.a-|_)) wrongly"),
+    ],
+}
+
+
+@pytest.mark.parametrize("expr, oracle_expr", MISMATCHED_FAILURES)
+def test_verify_against_the_other_product_lists_every_failure_in_order(
+        expr, oracle_expr):
+    from cga.groups import oracle_from_expr
+    report = verify(structure_from_expr(expr), 2, oracle_from_expr(oracle_expr))
+    assert (report.words_checked, report.elements) == \
+        (21, 13 if expr == "free(z,z)" else 17)
+    assert [(f.kind, " ".join(f.witness), f.detail) for f in report.failures] == \
+        MISMATCHED_FAILURES[expr, oracle_expr]
+
+
 def test_verify_geodesic_length_past_a_failed_step(bs23_oracle, monkeypatch):
     # every word through (mu, 1.a) fails, so the walk first reaches the class
     # of 2.a 1.a 2.a- at depth 3, but its geodesic length is 1 (the word 1.a,
@@ -1225,6 +1273,17 @@ def test_generator_set_family_parsing(finf3, finf):
     assert finf.generators.inverse_of("x17-") == "x17"
     with pytest.raises(StructureError):
         finf.generators.tokens()
+
+
+def test_family_index_has_one_spelling(finf):
+    # a leading zero or a non-ASCII digit would name x1 a second time
+    spec = finf.generators.family
+    assert spec.parse("x1") == (1, False) and spec.parse("x10-") == (10, True)
+    for token in ("x01", "x01-", "x0", "x\u0661", "x1\u0660"):
+        assert spec.parse(token) is None, token
+        assert token not in finf.generators
+    with pytest.raises(StructureError, match="unknown generator 'x01'"):
+        finf.generators.inverse_of("x01")
 
 
 def test_generator_set_involution_rules():

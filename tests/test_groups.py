@@ -2,7 +2,7 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from cga import gastructure, groups, langops
 from cga.automata import accepts, program_reads_counters, validate
@@ -707,6 +707,61 @@ def test_regen_oracle_substitutes():
     oracle = RegenOracle(BSOracle(2, 3), {"u": ("a", "t")})
     assert oracle.canonicalize(("u",)) == BSOracle(2, 3).canonicalize(("a", "t"))
     assert oracle.is_trivial(("u", "u-"))
+
+
+# Each oracle's law one letter at a time: the fold of times from the
+# identity, read back by word_of, is the canonical form.
+FOLD_ORACLES = {expr: oracle_from_expr(expr) for expr in [
+    "z", "finf:3", "bs:2,3", "bs:4,7", "product(z,z)", "free(z,z)",
+    "free(bs:2,3,z)", "regen(bs:2,3; a=a; t=t; u=at)",
+    "regen(free(z,z); b=1.a 2.a; e=EPS)"]}
+
+
+@pytest.mark.parametrize("expr", FOLD_ORACLES)
+@seed(32)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_times_folded_from_identity_spells_canonicalize(expr, data):
+    oracle = FOLD_ORACLES[expr]
+    word = tuple(data.draw(st.lists(
+        st.sampled_from(oracle.generators.tokens()), max_size=12)))
+    element = reduce(oracle.times, word, oracle.identity)
+    canon = oracle.word_of(element)
+    assert canon == oracle.canonicalize(word)
+    # the canonical word spells the element again (a regen oracle's words
+    # are its base's), and the inverse word takes it back to the identity
+    reader = getattr(oracle, "base", oracle)
+    assert reduce(reader.times, canon, reader.identity) == element
+    inverse = tuple(map(oracle.inverse_of, reversed(word)))
+    assert reduce(oracle.times, inverse, element) == oracle.identity
+
+
+@pytest.mark.parametrize("expr, word, canon", [
+    ("z", "a a a- a a", "a a a"),
+    ("finf:3", "x1 x2 x2- x3 x1- x1", "x1 x3"),
+    ("bs:2,3", "a a a t a t- a-", "t a t- a a"),
+    ("bs:2,3", "t a a t- a a t", "a a t a a"),
+    ("bs:4,7", "a a a a a a a t t- a-", "a a a a a a"),
+    ("bs:4,7", "t- a a a a t a t-", "t- a a a a t a t-"),
+    ("product(z,z)", "2.a 1.a 2.a 1.a- 1.a- 2.a-", "1.a- 2.a"),
+    ("free(z,z)", "1.a 2.a 2.a- 1.a 2.a- 1.a-", "1.a 1.a 2.a- 1.a-"),
+    ("free(bs:2,3,z)", "1.t 1.a 1.a 1.t- 2.a 1.a 1.a- 2.a- 1.a",
+     "1.a 1.a 1.a 1.a"),
+    ("free(bs:2,3,z)", "1.a 1.a 1.a 1.t 2.a 2.a- 1.t- 1.a-", "1.a 1.a"),
+    ("regen(bs:2,3; a=a; t=t; u=at)", "u u- a u t-", "a a"),
+    ("regen(free(z,z); b=1.a 2.a; e=EPS)", "b e b- b- e", "2.a- 1.a-"),
+])
+def test_canonical_forms_of_fixed_words(expr, word, canon):
+    # the canonical forms that whole-word canonicalization gave
+    assert oracle_from_expr(expr).canonicalize(toks(word)) == toks(canon)
+
+
+def test_free_product_merges_a_regen_block_after_an_emptied_one():
+    # 1.u's block is on top again once 2.a 2.a- empties; the next 1.u joins
+    # it as a regen element, not as the base's word followed by u
+    oracle = oracle_from_expr("free(regen(bs:2,3; u=a t),z)")
+    assert oracle.canonicalize(toks("1.u 2.a 2.a- 1.u")) == \
+        toks("1.a 1.t 1.a 1.t")
 
 
 def test_product_identity_is_convolution_of_identities_nonempty():
